@@ -579,6 +579,13 @@ def _gram_min_eig(parts, nv):
     return float(np.linalg.eigvalsh(G).min())
 
 
+def sphere_polynomial(nv):
+    """|u|^2 - 1, whose zero set is the unit sphere in nv variables."""
+    return Polynomial(
+        nv, {tuple(2 if i == j else 0 for j in range(nv)): 1.0 for i in range(nv)}
+    ) - 1.0
+
+
 def verify_certificate(cert, tolerance=1e-8):
     """Valid iff the defining identity holds coefficientwise and every SOS part
     has a PSD Gram matrix."""
@@ -593,11 +600,7 @@ def verify_certificate(cert, tolerance=1e-8):
     else:
         total = _sos_sum(nv, cert.sos_part)
         if cert.sphere_multiplier is not None:
-            sphere = Polynomial(
-                nv, {tuple(2 if i == j else 0 for j in range(nv)): 1.0
-                     for i in range(nv)}
-            ) - 1.0
-            total = total + cert.sphere_multiplier * sphere
+            total = total + cert.sphere_multiplier * sphere_polynomial(nv)
         min_eig = _gram_min_eig(cert.sos_part, nv)
         diff = cert.base_polynomial - total
     residual = _max_coef(diff)
@@ -1046,11 +1049,8 @@ def sos_norm(tensor, degree=None):
     if degree < order or degree % 2 != 0:
         raise ValueError("relaxation degree must be even and >= tensor order")
     d = tensor.dimension
-    sphere = Polynomial(
-        d, {tuple(2 if i == j else 0 for j in range(d)): 1.0 for i in range(d)}
-    ) - 1.0
     system = ConstraintSystem(
-        num_vars=d, relaxation_degree=degree, equalities=[sphere],
+        num_vars=d, relaxation_degree=degree, equalities=[sphere_polynomial(d)],
     )
     form = tensor_form(tensor)
     result = solve_system(system, objective=form, sense="max")

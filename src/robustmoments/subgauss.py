@@ -25,6 +25,7 @@ from .sosengine import (
     SosCertificate,
     find_sos_combination,
     gram_to_sos,
+    sphere_polynomial,
     tensor_form,
     verify_certificate,
 )
@@ -61,18 +62,17 @@ def certification_orders(k):
 
 @dataclass
 class SubgaussCertificateBundle:
-    """Sphere certificates per order, expressed in span coordinates.
+    """Sphere certificates per order, expressed in whitened span coordinates.
 
-    `span` has orthonormal columns; a direction u in the original space
-    corresponds to span.T @ u in certificate coordinates.  Certificates are
-    stated for the sample divided by `scale` (the inequality is invariant
-    under isotropic scaling, so the decision is unaffected).
+    A direction u in the original space corresponds to span.T @ u in
+    certificate coordinates, where the sample has identity covariance (the
+    inequality is invariant under invertible linear maps of the sample, so
+    the decision is unaffected).
     """
 
     certificates: dict
     mean: np.ndarray
     span: np.ndarray
-    scale: float = 1.0
 
     def verify(self, tolerance=BUNDLE_TOLERANCE):
         return all(
@@ -96,18 +96,13 @@ class CertifyResult:
 
 
 def _span_projection(centered, tol=1e-10):
-    """Orthonormal basis of the sample span and the projected coordinates."""
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    """Whitened coordinates of the sample span (identity covariance) and the
+    map `span` with <centered row, u> = <coordinates, span.T @ u>."""
+    U, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     top = svals[0] if svals.size else 0.0
     keep = svals > tol * max(top, 1.0)
-    basis = Vt[keep].T
-    return centered @ basis, basis
-
-
-def _norm2_poly(d):
-    return Polynomial(
-        d, {tuple(2 if i == j else 0 for j in range(d)): 1.0 for i in range(d)}
-    )
+    root_n = math.sqrt(centered.shape[0])
+    return root_n * U[:, keep], Vt[keep].T * (svals[keep] / root_n)
 
 
 def _expansion_squares(d, half_degree):
@@ -131,7 +126,7 @@ def _monos_of_degree(d, total):
 
 
 class _OrderData:
-    """Per-order polynomial pieces reused across C probes."""
+    """Per-order polynomial pieces: V^{k'} and the moment form M_{2k'}."""
 
     def __init__(self, kp, variance_power, moment_poly):
         self.kp = kp
@@ -143,6 +138,10 @@ class _OrderData:
 
 
 class _PreparedSample:
+    """The sample in whitened span coordinates, where V = |u|^2 up to
+    rounding: the SDPs stay well conditioned even when the raw V^{k'} is
+    nearly rank-one."""
+
     def __init__(self, sample, k):
         X = np.asarray(sample, dtype=float)
         if X.ndim == 1:
@@ -152,16 +151,8 @@ class _PreparedSample:
         self.rank = coords.shape[1]
         self.orders = certification_orders(k)
         self.order_data = []
-        self.scale = 1.0
         if self.rank == 0:
             return
-        # normalize to top directional variance 1; the inequality is scale
-        # invariant and the SDP conditions far better on normalized data
-        cov = coords.T @ coords / coords.shape[0]
-        top = float(np.linalg.eigvalsh(cov).max())
-        if top > 0:
-            self.scale = math.sqrt(top)
-            coords = coords / self.scale
         moments = empirical_moments(coords, 2 * max(self.orders))
         variance_poly = tensor_form(moments.raw(2))
         for kp in self.orders:
@@ -181,9 +172,8 @@ def _certify_prepared(prep, params):
         return CertifyResult(status="Certified", bundle=bundle)
     d = prep.rank
     ell = params.effective_ell
-    norm2 = _norm2_poly(d)
-    sphere = norm2 - 1.0
-    margin = (1.0 + norm2) ** (ell // 2)
+    sphere = sphere_polynomial(d)
+    margin = (sphere + 2.0) ** (ell // 2)  # (1 + |u|^2)^{l/2}
     margin_squares = _expansion_squares(d, ell // 2)
     one = Polynomial.constant(d, 1.0)
     certificates = {}
@@ -234,9 +224,7 @@ def _certify_prepared(prep, params):
                        + ("; solver hit its iteration limit" if approx else ""),
             )
         certificates[data.kp] = cert
-    bundle = SubgaussCertificateBundle(
-        certificates, prep.mean, prep.span, prep.scale
-    )
+    bundle = SubgaussCertificateBundle(certificates, prep.mean, prep.span)
     return CertifyResult(status="Certified", bundle=bundle, margins=margins)
 
 
@@ -315,49 +303,55 @@ def minimal_C_from_moments(raw_moments, k):
     return best
 
 
-DEFAULT_BRACKET_CAP = 2.0 ** 16
+def minimal_C(sample, k, ell=None):
+    """Smallest C at which the sample is certifiably (C, k)-subgaussian.
 
+    Per order k', one SDP maximizes t = -s in the degree-ell identity
 
-def minimal_C(sample, k, ell=None, tol=1e-3):
-    """Smallest C (within tol) for which certify succeeds, by bisection.
+        -M_{2k'} = q (|u|^2 - 1) + sum r_i^2 + t V^{k'},
 
-    Monotone by construction: enlarging C adds an SOS term to the target, so
-    the slack t is nondecreasing in C.
+    and C_{k'} = s^{1/k'} / k'; the result is the maximum over orders.  It is
+    the SoS infimum to solver accuracy, not the end of a search interval.
+
+    Like `certify`, it poses the SDPs in whitened span coordinates (see
+    `_PreparedSample`); on a nearly rank-one V the unwhitened solve leaves
+    the cone numerically.  Each value is gated by its certificate
+    s V^{k'} - M = q (|u|^2 - 1) + sum r^2, verified at BUNDLE_TOLERANCE.
+    Raises RuntimeError when a solve is not Optimal or its certificate
+    fails, ValueError when all rows coincide.
     """
+    ell = SubgaussParams(C=1.0, k=k, ell=ell).effective_ell  # validates k, ell
     prep = _PreparedSample(sample, k)
     if prep.rank == 0:
         raise ValueError("degenerate sample: all rows identical")
-
-    def ok(C):
-        res = _certify_prepared(prep, SubgaussParams(C=C, k=k, ell=ell))
-        if res.status == "SolverStalled":
-            raise RuntimeError(f"solver stalled during bisection: {res.detail}")
-        return res.certified
-
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > DEFAULT_BRACKET_CAP:
+    d = prep.rank
+    sphere = sphere_polynomial(d)
+    one = Polynomial.constant(d, 1.0)
+    best = 0.0
+    for data in prep.order_data:
+        res = find_sos_combination(
+            -data.moment_poly, sos_premises=[one], equality_premises=[sphere],
+            degree=ell, margin=data.variance_power, config=_solver_config(),
+        )
+        if res.status != "Optimal":
             raise RuntimeError(
-                f"no certificate found for any C up to {DEFAULT_BRACKET_CAP}"
+                f"order {2 * data.kp}: solve ended {res.status} ({res.detail})"
             )
-    lo = 0.0
-    if hi == 1.0:
-        lo = 0.5
-        while ok(lo):
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-6:
-                return lo
-    else:
-        lo = hi / 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        C = (-res.margin_value) ** (1.0 / data.kp) / data.kp
+        cert = SosCertificate(
+            num_vars=d,
+            base_polynomial=data.target(C),
+            sphere_multiplier=res.free_polys[0],
+            sos_part=gram_to_sos(*res.grams[0]),
+        )
+        check = verify_certificate(cert, tolerance=BUNDLE_TOLERANCE)
+        if not check.valid:
+            raise RuntimeError(
+                f"order {2 * data.kp}: certificate at C={C:.6g} failed "
+                f"verification ({check.detail})"
+            )
+        best = max(best, C)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Directional moment certification: exact scalar laws, sample bisection,
-invariances, and closure transforms.
+"""Directional moment certification: exact scalar laws, the sample minimal
+C (one certificate-gated SDP per order), invariances, and closure transforms.
 
 Scalar expected values are closed-form: the sphere inequality in one
 dimension is m_{2k'} <= (C k' m_2)^{k'}, so minimal C is
-max_{k'} m_{2k'}^{1/k'} / (k' m_2).
+max_{k'} m_{2k'}^{1/k'} / (k' m_2).  For samples, minimal_C returns the SoS
+infimum to solver accuracy, so certify at that C decides within its margin
+tolerance.
 """
 
 import dataclasses
@@ -12,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+from robustmoments import subgauss
+from robustmoments.corruption import PointMass, corrupt
 from robustmoments.subgauss import (
     CertifyResult,
     SubgaussParams,
@@ -77,14 +81,14 @@ class TestSampleCertify:
         assert res.bundle.verify()
 
     def test_two_point_minimal_c(self):
-        assert minimal_C([[-1.0], [1.0]], 4, tol=1e-3) == pytest.approx(
+        assert minimal_C([[-1.0], [1.0]], 4) == pytest.approx(
             0.5, abs=2e-3
         )
 
     def test_gaussian_sample_minimal_c(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(2000, 2))
-        c = minimal_C(X, 4, tol=0.01)
+        c = minimal_C(X, 4)
         assert abs(c - math.sqrt(3) / 2) < 0.1
 
     def test_spiked_sample_not_certifiable(self):
@@ -111,7 +115,7 @@ class TestSampleCertify:
         direction = np.array([1.0, 2.0, -1.0])
         signs = rng.choice([-1.0, 1.0], size=400)
         X = np.outer(signs, direction)
-        c = minimal_C(X, 4, tol=1e-3)
+        c = minimal_C(X, 4)
         assert c == pytest.approx(0.5, abs=5e-3)
 
     def test_degenerate_sample_rejected_by_minimal_c(self):
@@ -135,13 +139,66 @@ class TestSampleCertify:
             params.C = 2.0
 
 
+class TestMinimalC:
+    def test_sign_vectors_exact(self):
+        # on {+-1}^2, E<x,u>^4 = |u|^4 + 4 u1^2 u2^2 <= 2 |u|^4 with
+        # 2 |u|^4 - E<x,u>^4 = (u1^2 - u2^2)^2, so (2C)^2 = 2
+        X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        assert minimal_C(X, 4) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_one_solve_per_order(self, k, monkeypatch):
+        real = subgauss.find_sos_combination
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subgauss, "find_sos_combination", counting)
+        X = np.random.default_rng(0).normal(size=(200, 2))
+        minimal_C(X, k)
+        assert len(calls) == len(certification_orders(k))
+
+    def test_planted_outlier_subsets_certify_at_their_minimum(self):
+        # +-1 sign-vector bulk and one point mass at (70, 70): on every
+        # subset keeping the outlier the raw V^{k'} is nearly rank-one
+        bulk = np.tile(
+            np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (3, 1)
+        )[:11]
+        sample = corrupt(bulk, PointMass(np.array([70.0, 70.0])), 1 / 11, seed=1)
+        outlier = int(np.flatnonzero(sample.corrupted_mask)[0])
+        for dropped in range(11):
+            if dropped == outlier:
+                continue
+            rows = np.delete(sample.data, dropped, axis=0)
+            c = minimal_C(rows, 4)
+            assert certify(rows, SubgaussParams(C=c, k=4)).certified, dropped
+
+    @pytest.mark.parametrize("fault", ["status", "margin"])
+    def test_unverified_solve_raises(self, fault, monkeypatch):
+        real = subgauss.find_sos_combination
+
+        def faulty(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if fault == "status":
+                res.status = "MaxIterations"
+            else:
+                res.margin_value += 0.1  # claims a smaller C than its Grams prove
+            return res
+
+        monkeypatch.setattr(subgauss, "find_sos_combination", faulty)
+        with pytest.raises(RuntimeError):
+            minimal_C([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], 4)
+
+
 class TestInvariances:
     @pytest.mark.parametrize("lam", [0.1, 10.0])
     def test_scale_invariance(self, lam):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(500, 1)) ** 3  # heavier-tailed scalar sample
-        base = minimal_C(X, 4, tol=5e-3)
-        scaled = minimal_C(lam * X, 4, tol=5e-3)
+        base = minimal_C(X, 4)
+        scaled = minimal_C(lam * X, 4)
         assert scaled == pytest.approx(base, abs=0.02)
 
     def test_rotation_invariance(self):
@@ -152,14 +209,14 @@ class TestInvariances:
             [[math.cos(theta), -math.sin(theta)],
              [math.sin(theta), math.cos(theta)]]
         )
-        base = minimal_C(X, 4, tol=5e-3)
-        rotated = minimal_C(X @ R.T, 4, tol=5e-3)
+        base = minimal_C(X, 4)
+        rotated = minimal_C(X @ R.T, 4)
         assert rotated == pytest.approx(base, abs=0.02)
 
     def test_monotone_in_C(self):
         rng = np.random.default_rng(5)
         X = rng.standard_t(df=9, size=(400, 1))
-        c = minimal_C(X, 4, tol=1e-2)
+        c = minimal_C(X, 4)
         for bump in (0.0, 0.5):
             res = certify(X, SubgaussParams(C=c + bump, k=4))
             assert res.certified
@@ -178,17 +235,17 @@ class TestClosure:
     def test_shift_within_predicted_factor(self):
         suite = {t.name: t for t in closure_generators(dimension=1)}
         X = np.array([[-1.0], [1.0]] * 50)
-        base = minimal_C(X, 4, tol=5e-3)
+        base = minimal_C(X, 4)
         shifted = suite["shift"].apply(X)
-        after = minimal_C(shifted, 4, tol=5e-3)
+        after = minimal_C(shifted, 4)
         assert after <= suite["shift"].predicted_factor * base + 0.02
 
     def test_linear_map_preserves_minimal_c(self):
         suite = {t.name: t for t in closure_generators(dimension=2, seed=7)}
         rng = np.random.default_rng(8)
         X = rng.normal(size=(600, 2)) * np.array([1.0, 2.0])
-        base = minimal_C(X, 4, tol=5e-3)
-        after = minimal_C(suite["linear"].apply(X), 4, tol=5e-3)
+        base = minimal_C(X, 4)
+        after = minimal_C(suite["linear"].apply(X), 4)
         assert after == pytest.approx(base, abs=0.03)
 
     def test_mixture_certifies_at_predicted_C(self):
@@ -210,9 +267,9 @@ class TestClosure:
         suite = {t.name: t for t in closure_generators(dimension=2)}
         rng = np.random.default_rng(11)
         X = rng.normal(size=(2000, 2))
-        base = minimal_C(X, 4, tol=5e-3)
+        base = minimal_C(X, 4)
         sub = suite["subsample"].apply(X, rng)
-        after = minimal_C(sub, 4, tol=5e-3)
+        after = minimal_C(sub, 4)
         assert abs(after - base) < 0.1
 
 
@@ -225,7 +282,7 @@ class TestSamplingStability:
         for trial in range(trials):
             rng = np.random.default_rng(100 + trial)
             X = rng.normal(size=(50_000, 2))
-            c = minimal_C(X, 4, tol=5e-3)
+            c = minimal_C(X, 4)
             if abs(c - population) <= 0.15:
                 hits += 1
         assert hits >= 19
