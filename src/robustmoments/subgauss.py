@@ -62,12 +62,12 @@ def certification_orders(k):
 
 @dataclass
 class SubgaussCertificateBundle:
-    """Sphere certificates per order, expressed in whitened span coordinates.
+    """Sphere certificates per order.
 
-    A direction u in the original space corresponds to span.T @ u in
-    certificate coordinates, where the sample has identity covariance (the
-    inequality is invariant under invertible linear maps of the sample, so
-    the decision is unaffected).
+    From `certify` they are in whitened span coordinates, where the sample
+    has identity covariance: a direction u corresponds to span.T @ u (the
+    inequality is invariant under invertible linear maps of the sample).
+    From `certify_from_moments` they are in the raw scalar coordinate.
     """
 
     certificates: dict
@@ -165,24 +165,51 @@ def _solver_config():
     return SdpConfig(tol=1e-9, max_iters=300)
 
 
+def _order_certificate(target, margin, ell, margin_squares=None):
+    """Maximize t in target - t margin = q (|u|^2 - 1) + sum r^2 (one SDP),
+    then assemble and verify the certificate at BUNDLE_TOLERANCE: the gate is
+    the check, not the solver status.  Given `margin_squares` (margin as a
+    sum of squares) it certifies `target`, a slack t >= 0 folded into the
+    squares; otherwise target - t margin.  Returns (result, certificate,
+    check), the last two None when the solve gives no margin value.
+    """
+    d = target.dimension
+    res = find_sos_combination(
+        target, sos_premises=[Polynomial.constant(d, 1.0)],
+        equality_premises=[sphere_polynomial(d)], degree=ell, margin=margin,
+        config=_solver_config(),
+    )
+    t = res.margin_value
+    if t is None:
+        return res, None, None
+    sos_part = gram_to_sos(*res.grams[0])
+    if margin_squares is None:
+        base = target - t * margin
+    else:
+        base = target
+        slack = max(t, 0.0)
+        for coef, mono in margin_squares:
+            scale = math.sqrt(slack * coef)
+            if scale > 0.0:
+                sos_part.append(Polynomial(d, {mono: scale}))
+    cert = SosCertificate(num_vars=d, base_polynomial=base,
+                          sphere_multiplier=res.free_polys[0], sos_part=sos_part)
+    return res, cert, verify_certificate(cert, tolerance=BUNDLE_TOLERANCE)
+
+
 def _certify_prepared(prep, params):
     if prep.rank == 0:
         # all points coincide: every centered moment vanishes
         bundle = SubgaussCertificateBundle({}, prep.mean, prep.span)
         return CertifyResult(status="Certified", bundle=bundle)
-    d = prep.rank
     ell = params.effective_ell
-    sphere = sphere_polynomial(d)
-    margin = (sphere + 2.0) ** (ell // 2)  # (1 + |u|^2)^{l/2}
-    margin_squares = _expansion_squares(d, ell // 2)
-    one = Polynomial.constant(d, 1.0)
+    margin = (sphere_polynomial(prep.rank) + 2.0) ** (ell // 2)  # (1+|u|^2)^{l/2}
+    margin_squares = _expansion_squares(prep.rank, ell // 2)
     certificates = {}
     margins = {}
     for data in prep.order_data:
-        target = data.target(params.C)
-        res = find_sos_combination(
-            target, sos_premises=[one], equality_premises=[sphere],
-            degree=ell, margin=margin, config=_solver_config(),
+        res, cert, check = _order_certificate(
+            data.target(params.C), margin, ell, margin_squares
         )
         if res.status == "Infeasible":
             return CertifyResult(
@@ -201,21 +228,6 @@ def _certify_prepared(prep, params):
                 margins=margins,
                 detail="slack from a stalled solve" if approx else "",
             )
-        slack = max(t, 0.0)
-        sos_part = gram_to_sos(*res.grams[0])
-        for coef, mono in margin_squares:
-            scale = math.sqrt(slack * coef)
-            if scale > 0.0:
-                sos_part.append(Polynomial(d, {mono: scale}))
-        cert = SosCertificate(
-            num_vars=d,
-            base_polynomial=target,
-            sphere_multiplier=res.free_polys[0],
-            sos_part=sos_part,
-        )
-        # verification is the gate: a valid certificate certifies regardless
-        # of whether the solver met its own tolerance
-        check = verify_certificate(cert, tolerance=BUNDLE_TOLERANCE)
         if not check.valid:
             return CertifyResult(
                 status="SolverStalled", margins=margins,
@@ -313,44 +325,37 @@ def minimal_C(sample, k, ell=None):
     and C_{k'} = s^{1/k'} / k'; the result is the maximum over orders.  It is
     the SoS infimum to solver accuracy, not the end of a search interval.
 
-    Like `certify`, it poses the SDPs in whitened span coordinates (see
-    `_PreparedSample`); on a nearly rank-one V the unwhitened solve leaves
-    the cone numerically.  Each value is gated by its certificate
-    s V^{k'} - M = q (|u|^2 - 1) + sum r^2, verified at BUNDLE_TOLERANCE.
-    Raises RuntimeError when a solve is not Optimal or its certificate
-    fails, ValueError when all rows coincide.
+    Like `certify`, it works in whitened span coordinates (see
+    `_PreparedSample`).  Each value is gated by its certificate
+    s V^{k'} - M = q (|u|^2 - 1) + sum r^2 verified at BUNDLE_TOLERANCE,
+    whatever the solver status; failing that, by `certify` at the result.
+    Raises RuntimeError when no gate passes or a solve yields no positive s,
+    ValueError when all rows coincide.
     """
     ell = SubgaussParams(C=1.0, k=k, ell=ell).effective_ell  # validates k, ell
     prep = _PreparedSample(sample, k)
     if prep.rank == 0:
         raise ValueError("degenerate sample: all rows identical")
-    d = prep.rank
-    sphere = sphere_polynomial(d)
-    one = Polynomial.constant(d, 1.0)
-    best = 0.0
+    best, verified = 0.0, True
     for data in prep.order_data:
-        res = find_sos_combination(
-            -data.moment_poly, sos_premises=[one], equality_premises=[sphere],
-            degree=ell, margin=data.variance_power, config=_solver_config(),
+        res, _, check = _order_certificate(
+            -data.moment_poly, data.variance_power, ell
         )
-        if res.status != "Optimal":
+        t = res.margin_value
+        if t is None or t >= 0.0:
             raise RuntimeError(
                 f"order {2 * data.kp}: solve ended {res.status} ({res.detail})"
             )
-        C = (-res.margin_value) ** (1.0 / data.kp) / data.kp
-        cert = SosCertificate(
-            num_vars=d,
-            base_polynomial=data.target(C),
-            sphere_multiplier=res.free_polys[0],
-            sos_part=gram_to_sos(*res.grams[0]),
-        )
-        check = verify_certificate(cert, tolerance=BUNDLE_TOLERANCE)
-        if not check.valid:
+        verified = verified and check.valid
+        best = max(best, (-t) ** (1.0 / data.kp) / data.kp)
+    if not verified:
+        # a stalled solve missed the tolerance; certify's better-conditioned
+        # SDPs decide whether the value stands
+        res = _certify_prepared(prep, SubgaussParams(C=best, k=k, ell=ell))
+        if not res.certified:
             raise RuntimeError(
-                f"order {2 * data.kp}: certificate at C={C:.6g} failed "
-                f"verification ({check.detail})"
+                f"no verified certificate at C={best:.6g} ({res.detail})"
             )
-        best = max(best, C)
     return best
 
 
