@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corruption import CorruptedSample
+from .corruption import sample_array
 from .estimators import EstimatorConfig, estimate_moments, truncate_preprocess
 from .polycore import SymmetricTensor, empirical_moments
 from .subgauss import SubgaussParams
@@ -255,7 +255,7 @@ def robust_ica(Y, config=None, truth_mixing=None):
     preserving the even moments the pipeline consumes.
     """
     config = config or AppConfig()
-    data = _sample_array(Y)
+    data = sample_array(Y)
     rng = np.random.default_rng(config.seed)
     signs = rng.choice([-1.0, 1.0], size=len(data))
     data = data * signs[:, None]
@@ -269,13 +269,6 @@ def robust_ica(Y, config=None, truth_mixing=None):
         symmetrized=True,
     )
     return res
-
-
-def _sample_array(Y):
-    data = Y.data if isinstance(Y, CorruptedSample) else np.asarray(Y, float)
-    if data.ndim == 1:
-        data = data[:, None]
-    return data
 
 
 def _raw_24(data, config):
@@ -381,7 +374,7 @@ def _matched_error(means_hat, truth):
 def robust_gmm(Y, q, config=None, truth_means=None):
     """Recover mixture means from an (optionally corrupted) sample."""
     config = config or AppConfig()
-    data = _sample_array(Y)
+    data = sample_array(Y)
     if config.truncate:
         data = truncate_preprocess(data, config.epsilon).data
     if config.moment_source == "empirical":

@@ -306,6 +306,15 @@ class CorruptedSample:
         return self.data.shape[1]
 
 
+def sample_array(Y):
+    """The rows of a sample as a float array: a CorruptedSample's data, or an
+    array-like, with 1-D input read as a single column."""
+    data = Y.data if isinstance(Y, CorruptedSample) else np.asarray(Y, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    return data
+
+
 @dataclass(frozen=True)
 class PointMass:
     location: object  # scalar or length-d vector

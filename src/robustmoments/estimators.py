@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 from dataclasses import dataclass, field
 
-from .corruption import CorruptedSample
+from .corruption import CorruptedSample, sample_array
 from .polycore import (
     EmpiricalMoments,
     Polynomial,
@@ -159,9 +159,7 @@ def estimator_basis(n, d, mode="FullSos"):
 def build_A(Y, epsilon, ell=4):
     """Selection constraints: boolean weights summing to (1-eps)n that pin
     kept rows to the observations."""
-    data = Y.data if isinstance(Y, CorruptedSample) else np.asarray(Y, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = sample_array(Y)
     n, d = data.shape
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must be in [0, 1)")
@@ -405,9 +403,7 @@ def estimate_moments(Y, config):
     minimizes the moment-matrix trace, which picks the least-inflated
     completion among feasible pseudo-distributions.
     """
-    data = Y.data if isinstance(Y, CorruptedSample) else np.asarray(Y, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = sample_array(Y)
     n, d = data.shape
     if n > config.max_points:
         raise ValueError("sample size %d exceeds cap %d" % (n, config.max_points))
@@ -497,9 +493,7 @@ def truncate_preprocess(Y, epsilon):
     if isinstance(Y, CorruptedSample):
         data, mask, ref = Y.data, Y.corrupted_mask, Y.clean_reference
     else:
-        data = np.asarray(Y, dtype=float)
-        if data.ndim == 1:
-            data = data[:, None]
+        data = sample_array(Y)
         mask = np.zeros(len(data), dtype=bool)
         ref = None
     med = np.median(data, axis=0)
@@ -534,9 +528,7 @@ def identifiability_oracle(Y, epsilon, params):
     empirical moments of the subset with the smallest certifiable constant
     (ties broken by lexicographically smallest index set).
     """
-    data = Y.data if isinstance(Y, CorruptedSample) else np.asarray(Y, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = sample_array(Y)
     n, d = data.shape
     if n > 16:
         raise ValueError("exhaustive search capped at 16 rows")

@@ -24,6 +24,7 @@ from .corruption import (
     ModelSpec,
     corrupt,
     population_moments,
+    sample_array,
     sample_clean,
 )
 from .estimators import (
@@ -160,12 +161,7 @@ def _json_value(value):
 
 def baseline_estimators(sample, alphas=(0.1,)):
     """Plain, median-based, and trimmed moment estimates of one sample."""
-    data = np.asarray(
-        sample.data if isinstance(sample, CorruptedSample) else sample,
-        dtype=float,
-    )
-    if data.ndim == 1:
-        data = data[:, None]
+    data = sample_array(sample)
     out = {
         "Empirical": _empirical_estimate(data),
         "CoordMedian": _coord_median_estimate(data),

@@ -293,7 +293,6 @@ class _HsdSolver:
 
             try:
                 Sinv = [_sym_inverse(s_blk) for s_blk in S]
-                Xch = None
                 factor = self._schur_factor(Sinv, X)
             except np.linalg.LinAlgError:
                 detail = "iterate left the cone numerically"
@@ -410,7 +409,7 @@ class _HsdSolver:
     # -- Newton system ------------------------------------------------------
 
     def _schur_factor(self, Sinv, X):
-        """Cholesky factor of M[i,j] = tr(A_i S^{-1} A_j X), plus cached pieces."""
+        """Cholesky factor of M[i,j] = tr(A_i S^{-1} A_j X)."""
         m = self.m
         if self.A_stacks is not None:
             tvecs = np.empty((m, self.vec_len))
@@ -441,14 +440,12 @@ class _HsdSolver:
         base = max(np.trace(M) / max(m, 1), 1.0) if m else 1.0
         for attempt in range(8):
             try:
-                L = np.linalg.cholesky(M + jitter * np.eye(m)) if m else None
-                return (L,)
+                return np.linalg.cholesky(M + jitter * np.eye(m)) if m else None
             except np.linalg.LinAlgError:
                 jitter = base * (1e-14 * 10 ** attempt)
         raise np.linalg.LinAlgError("Schur complement not PD")
 
-    def _schur_solve(self, factor, rhs):
-        (L,) = factor
+    def _schur_solve(self, L, rhs):
         if L is None:
             return np.zeros(0)
         z = np.linalg.solve(L, rhs)

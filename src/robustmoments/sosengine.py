@@ -630,12 +630,21 @@ def _gram_basis(nv, bound, homogeneous):
 
 
 def find_sos_combination(target, sos_premises, equality_premises=(), degree=None,
-                         margin=None, homogeneous=False, config=None, refine=True):
+                         margin=None, homogeneous=False):
     """Search for target = sum_S p_S*premise_S + sum_j q_j*eq_j (+ t*margin).
 
     p_S are SOS (Gram PSD blocks), q_j are free polynomials, and t is
     maximized when a margin polynomial is given.  Returns the raw pieces; the
     caller assembles a certificate.
+
+    Every unknown is a column of one coefficient-matching matrix A, with a
+    row per monomial in grlex order: each Gram upper-triangle entry, each
+    free coefficient, then the margin.  A's rows are the SDP constraints.
+    After the solve the identity is polished by least squares on A, with the
+    Grams projected to the PSD cone, and `residual` is the largest
+    coefficient error max|b - A x| of the polished identity.  A small
+    residual is not a certificate: what a caller assembles is gated by
+    `verify_certificate`.
     """
     nv = target.dimension
     if degree is None:
@@ -643,8 +652,13 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     if degree % 2 != 0:
         raise ValueError("identity degree must be even")
 
-    gram_meta = []
-    block_sizes = []
+    # per column (monomial shift, weight, premise): its entry in the row of
+    # shift*tau is weight * premise[tau].  col_entries holds the column's SDP
+    # entries: one Gram entry, or for a free scalar (and the margin) the
+    # difference of a (+1, -1) pair of 1x1 blocks
+    columns = []
+    col_entries = []
+    bases = []
     for p in sos_premises:
         bound = (degree - p.degree()) // 2
         if bound < 0 or (homogeneous and (degree - p.degree()) % 2 != 0):
@@ -652,212 +666,108 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         bas = _gram_basis(nv, bound, homogeneous)
         if not bas:
             raise ValueError("empty Gram basis for a premise")
-        gram_meta.append((len(block_sizes), bas, p))
-        block_sizes.append(len(bas))
-
-    free_meta = []
+        for i, j in zip(*np.triu_indices(len(bas))):
+            columns.append((monomial_mul(bas[i], bas[j]), 1.0 if i == j else 2.0, p))
+            col_entries.append([(len(bases), i, j, 1.0)])
+        bases.append(bas)
+    n_gram = len(columns)
+    free_monos = []
     for e in equality_premises:
         bound = degree - e.degree()
         monos = [m for m in enumerate_monomials(nv, max(bound, 0))
                  if not homogeneous or sum(m) == bound]
-        coeffs = []
-        for m in monos:
-            bp = len(block_sizes)
-            block_sizes.append(1)
-            bm = len(block_sizes)
-            block_sizes.append(1)
-            coeffs.append((m, bp, bm))
-        free_meta.append((coeffs, e))
-
-    margin_blocks = None
+        free_monos.append(monos)
+        columns.extend((m, 1.0, e) for m in monos)
     if margin is not None:
-        bp = len(block_sizes)
-        block_sizes.append(1)
-        bm = len(block_sizes)
-        block_sizes.append(1)
-        margin_blocks = (bp, bm)
+        columns.append((_zero_mono(nv), 1.0, margin))
+    n_free = len(columns) - n_gram
+    for k in range(n_free):
+        bp = len(bases) + 2 * k
+        col_entries.append([(bp, 0, 0, 1.0), (bp + 1, 0, 0, -1.0)])
 
-    rows = {}
+    entries = {}
+    for col, (shift, weight, premise) in enumerate(columns):
+        for tau, c in premise.terms.items():
+            entries[monomial_mul(shift, tau), col] = weight * c
+    matched = {gamma for gamma, _ in entries}
+    for gamma, coef in target.terms.items():
+        if gamma not in matched and abs(coef) > 1e-12:
+            return SosSearchResult(
+                status="Infeasible", margin_value=None, grams=[],
+                free_polys=[], residual=float("inf"),
+                detail=f"coefficient of {gamma} cannot be matched",
+            )
+    gammas = sorted(matched | set(target.terms), key=_grlex_key)
+    row_of = {gamma: r for r, gamma in enumerate(gammas)}
+    A = np.zeros((len(gammas), len(columns)))
+    for (gamma, col), val in entries.items():
+        A[row_of[gamma], col] = val
+    b = np.array([target.terms.get(gamma, 0.0) for gamma in gammas])
 
-    def bump(gamma, key, val):
-        rows.setdefault(gamma, {})
-        rows[gamma][key] = rows[gamma].get(key, 0.0) + val
-
-    for blk, bas, p in gram_meta:
-        for i in range(len(bas)):
-            for j in range(i, len(bas)):
-                pair = monomial_mul(bas[i], bas[j])
-                weight = 1.0 if i == j else 2.0
-                for tau, c in p.terms.items():
-                    bump(monomial_mul(pair, tau), (blk, i, j), weight * c)
-    for coeffs, e in free_meta:
-        for m, bp, bm in coeffs:
-            for tau, c in e.terms.items():
-                gamma = monomial_mul(m, tau)
-                bump(gamma, (bp, 0, 0), c)
-                bump(gamma, (bm, 0, 0), -c)
-    if margin is not None:
-        bp, bm = margin_blocks
-        for tau, c in margin.terms.items():
-            bump(tau, (bp, 0, 0), c)
-            bump(tau, (bm, 0, 0), -c)
-
-    gammas = set(rows) | set(target.terms)
-    for gamma in gammas:
-        if gamma not in rows:
-            if abs(target.terms.get(gamma, 0.0)) > 1e-12:
-                return SosSearchResult(
-                    status="Infeasible", margin_value=None, grams=[],
-                    free_polys=[], residual=float("inf"),
-                    detail=f"coefficient of {gamma} cannot be matched",
-                )
-
+    block_sizes = [len(bas) for bas in bases] + [1] * (2 * n_free)
     objective = [None] * len(block_sizes)
     if margin is not None:
-        bp, bm = margin_blocks
-        objective[bp] = np.array([[-1.0]])
-        objective[bm] = np.array([[1.0]])
+        objective[-2] = np.array([[-1.0]])
+        objective[-1] = np.array([[1.0]])
     problem = SdpProblem(block_sizes, objective=objective)
-    for gamma in sorted(rows, key=_grlex_key):
-        entries = [(blk, i, j, v) for (blk, i, j), v in rows[gamma].items()]
-        problem.add_constraint_entries(entries, target.terms.get(gamma, 0.0))
+    for r, a_row in enumerate(A):
+        cols = np.flatnonzero(a_row)
+        if cols.size:  # rows only a negligible target term reaches stay out
+            problem.add_constraint_entries(
+                [(blk, i, j, s * a_row[col])
+                 for col in cols for blk, i, j, s in col_entries[col]],
+                b[r],
+            )
 
-    cfg = config or SdpConfig(tol=1e-9, max_iters=300)
-    solution = sdp_solve(problem, cfg)
+    solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
     if solution.status == "Infeasible":
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
             residual=float("inf"), detail=solution.detail,
         )
 
-    grams = [
-        (bas, np.array(solution.primal_blocks[blk])) for blk, bas, _ in gram_meta
-    ]
-    free_vals = []
-    for coeffs, _ in free_meta:
-        terms = {}
-        for m, bp, bm in coeffs:
-            terms[m] = float(
-                solution.primal_blocks[bp][0, 0] - solution.primal_blocks[bm][0, 0]
-            )
-        free_vals.append(Polynomial(nv, terms))
-    margin_value = None
-    if margin is not None:
-        bp, bm = margin_blocks
-        margin_value = float(
-            solution.primal_blocks[bp][0, 0] - solution.primal_blocks[bm][0, 0]
+    X = solution.primal_blocks
+    grams = [np.array(X[blk]) for blk in range(len(bases))]
+    scalars = np.array([
+        X[bp][0, 0] - X[bp + 1][0, 0] for bp in range(len(bases), len(block_sizes), 2)
+    ])
+
+    def pack():
+        return np.concatenate(
+            [G[np.triu_indices(len(G))] for G in grams] + [scalars]
         )
 
-    if refine and solution.status in ("Optimal", "MaxIterations"):
-        grams, free_vals, margin_value = _refine_identity(
-            target, gram_meta, grams, free_meta, free_vals,
-            margin, margin_value, rows,
-        )
-
-    residual = _identity_residual(
-        target, gram_meta, grams, free_meta, free_vals, margin, margin_value
-    )
-    return SosSearchResult(
-        status=solution.status, margin_value=margin_value, grams=grams,
-        free_polys=free_vals, residual=residual, detail=solution.detail,
-    )
-
-
-def _identity_residual(target, gram_meta, grams, free_meta, free_vals,
-                       margin, margin_value):
-    nv = target.dimension
-    total = Polynomial.constant(nv, 0.0)
-    for (blk, bas, p), (_, G) in zip(gram_meta, grams):
-        acc = {}
-        for i in range(len(bas)):
-            for j in range(len(bas)):
-                pair = monomial_mul(bas[i], bas[j])
-                acc[pair] = acc.get(pair, 0.0) + G[i, j]
-        total = total + Polynomial(nv, acc) * p
-    for (_, e), q in zip(free_meta, free_vals):
-        total = total + q * e
-    if margin is not None and margin_value is not None:
-        total = total + margin * margin_value
-    return _max_coef(target - total)
-
-
-def _refine_identity(target, gram_meta, grams, free_meta, free_vals,
-                     margin, margin_value, rows):
-    """Least-squares polish of the solved identity, re-projecting Grams PSD."""
-    ncols = sum(len(bas) * (len(bas) + 1) // 2 for _, bas, _ in gram_meta)
-    ncols += sum(len(coeffs) for coeffs, _ in free_meta)
-    if margin is not None:
-        ncols += 1
-
-    gammas = sorted(set(rows) | set(target.terms), key=_grlex_key)
-    A = np.zeros((len(gammas), ncols))
-    gi = {g: i for i, g in enumerate(gammas)}
-    ci = 0
-    for (blk, bas, p), (_, G) in zip(gram_meta, grams):
-        for i in range(len(bas)):
-            for j in range(i, len(bas)):
-                pair = monomial_mul(bas[i], bas[j])
-                weight = 1.0 if i == j else 2.0
-                for tau, c in p.terms.items():
-                    A[gi[monomial_mul(pair, tau)], ci] += weight * c
-                ci += 1
-    for (coeffs, e), q in zip(free_meta, free_vals):
-        for m, _, _ in coeffs:
-            for tau, c in e.terms.items():
-                A[gi[monomial_mul(m, tau)], ci] += c
-            ci += 1
-    if margin is not None:
-        for tau, c in margin.terms.items():
-            A[gi[tau], ci] += c
-        ci += 1
-
-    def current_vector():
-        vec = []
-        for (_, bas, _), (_, G) in zip(gram_meta, grams):
-            for i in range(len(bas)):
-                for j in range(i, len(bas)):
-                    vec.append(G[i, j])
-        for (coeffs, _), q in zip(free_meta, free_vals):
-            for m, _, _ in coeffs:
-                vec.append(q.terms.get(m, 0.0))
-        if margin is not None:
-            vec.append(margin_value if margin_value is not None else 0.0)
-        return np.array(vec)
-
-    target_vec = np.array([target.terms.get(g, 0.0) for g in gammas])
-    vec = current_vector()
+    vec = pack()
     for _ in range(3):
-        resid = target_vec - A @ vec
+        resid = b - A @ vec
         if np.max(np.abs(resid), initial=0.0) < 1e-14:
             break
         delta, *_ = np.linalg.lstsq(A, resid, rcond=None)
         vec = vec + delta
         # unpack, project grams to the PSD cone, repack
-        k = 0
-        new_grams = []
-        for (_, bas, _), (_, G) in zip(gram_meta, grams):
+        grams, k = [], 0
+        for bas in bases:
             n = len(bas)
+            upper = np.triu_indices(n)
             H = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    H[i, j] = H[j, i] = vec[k]
-                    k += 1
+            H[upper] = H.T[upper] = vec[k: k + len(upper[0])]
+            k += len(upper[0])
             w, V = np.linalg.eigh(H)
-            H = (V * np.clip(w, 0.0, None)) @ V.T
-            new_grams.append(H)
-        new_free = []
-        for (coeffs, _), _ in zip(free_meta, free_vals):
-            terms = {}
-            for m, _, _ in coeffs:
-                terms[m] = vec[k]
-                k += 1
-            new_free.append(Polynomial(target.dimension, terms))
-        if margin is not None:
-            margin_value = float(vec[k])
-        grams = [(bas, H) for ((_, bas, _), H) in zip(gram_meta, new_grams)]
-        free_vals = new_free
-        vec = current_vector()
-    return grams, free_vals, margin_value
+            grams.append((V * np.clip(w, 0.0, None)) @ V.T)
+        scalars = vec[n_gram:]
+        vec = pack()
+
+    free_polys, k = [], n_gram
+    for monos in free_monos:
+        free_polys.append(Polynomial(nv, dict(zip(monos, vec[k: k + len(monos)]))))
+        k += len(monos)
+    return SosSearchResult(
+        status=solution.status,
+        margin_value=None if margin is None else float(vec[-1]),
+        grams=list(zip(bases, grams)), free_polys=free_polys,
+        residual=float(np.max(np.abs(b - A @ vec), initial=0.0)),
+        detail=solution.detail,
+    )
 
 
 def gram_to_sos(basis, G, drop_tol=1e-12):

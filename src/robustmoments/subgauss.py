@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polycore import Polynomial, empirical_moments, multinomial
-from .sdp import SdpConfig
 from .sosengine import (
     SosCertificate,
     find_sos_combination,
@@ -161,10 +160,6 @@ class _PreparedSample:
             )
 
 
-def _solver_config():
-    return SdpConfig(tol=1e-9, max_iters=300)
-
-
 def _order_certificate(target, margin, ell, margin_squares=None):
     """Maximize t in target - t margin = q (|u|^2 - 1) + sum r^2 (one SDP),
     then assemble and verify the certificate at BUNDLE_TOLERANCE: the gate is
@@ -177,7 +172,6 @@ def _order_certificate(target, margin, ell, margin_squares=None):
     res = find_sos_combination(
         target, sos_premises=[Polynomial.constant(d, 1.0)],
         equality_premises=[sphere_polynomial(d)], degree=ell, margin=margin,
-        config=_solver_config(),
     )
     t = res.margin_value
     if t is None:

@@ -275,6 +275,31 @@ class TestFindSosCombination:
         assert pos.margin_value == pytest.approx(0.125, abs=1e-6)
         assert neg.margin_value == pytest.approx(-0.125, abs=1e-6)
 
+    def test_residual_is_identity_coefficient_error(self):
+        # every column kind: two Gram blocks, an equality multiplier, a margin
+        u1 = Polynomial.variable(2, 0)
+        u2 = Polynomial.variable(2, 1)
+        norm2 = u1 * u1 + u2 * u2
+        one = Polynomial.constant(2, 1.0)
+        premise = 2.0 - u1 * u1
+        equality = norm2 - 1.0
+        margin = (1.0 + norm2) ** 2
+        target = u1 ** 4 - 0.5 * norm2 ** 2 + 0.3 * u1 * u2
+        res = find_sos_combination(
+            target, sos_premises=[one, premise], equality_premises=[equality],
+            degree=4, margin=margin,
+        )
+        assert res.status == "Optimal"
+        total = res.free_polys[0] * equality + float(res.margin_value) * margin
+        for (basis, G), p in zip(res.grams, [one, premise]):
+            for i, mi in enumerate(basis):
+                for j, mj in enumerate(basis):
+                    square = Polynomial(2, {mi: G[i, j]}) * Polynomial(2, {mj: 1.0})
+                    total = total + square * p
+        diff = target - total
+        expected = max((abs(c) for c in diff.terms.values()), default=0.0)
+        assert res.residual == pytest.approx(expected, abs=1e-12)
+
     def test_unmatched_coefficient_reports_infeasible(self):
         # no premise can produce an x1^3 term from even-degree squares
         u1 = Polynomial.variable(1, 0)
