@@ -9,7 +9,14 @@ ray proving infeasibility, which downstream certificate searches rely on to
 distinguish "no certificate exists" from "solver trouble".
 
 Problems are small (blocks up to a few hundred rows, a few thousand
-constraints), so everything is dense per block and deterministic.
+constraints), so everything is dense per block and deterministic.  The Schur
+matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled block by block, with a
+formula per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and Nakata,
+Math. Prog. 79, 1997).  For a row with q <= s entries in an s x s block,
+S^{-1} A_k X is a batched sum of q outer products of columns of S^{-1} and
+rows of X; a denser row uses its dense matrix.  The block's sparse column
+slice A_b then adds A_b vec(S^{-1} A_k X) to row k of M.  Newton solves with
+the Cholesky factor are blocked forward and back substitutions, O(m^2) each.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import numpy as np
 from scipy import sparse
 
 DEFAULT_CONSTRAINT_CAP = 20_000
+_CHUNK_FLOATS = 1 << 20  # floats in one Schur assembly temporary, at most
+_TRI_BLOCK = 64  # rows in one diagonal block of a triangular solve
 
 
 @dataclass
@@ -176,19 +185,10 @@ class _HsdSolver:
         self.vec_len = int(self.offsets[-1])
         self.A_sparse = self._build_sparse_rows()
         self.N = sum(self.sizes)
-        # Dense per-block constraint stacks make the Schur assembly a single
-        # batched matmul; only built while the memory footprint stays modest.
-        # Larger problems fall back to a column-wise sparse assembly driven by
-        # the per-row coordinate lists below.
-        self.A_stacks = None
-        self._row_coo = None
-        if self.m * self.vec_len <= 12_000_000:
-            self.A_stacks = []
-            for bi, s in enumerate(self.sizes):
-                cols = self.A_sparse[:, self.offsets[bi]: self.offsets[bi + 1]]
-                self.A_stacks.append(np.asarray(cols.todense()).reshape(self.m, s, s))
-        else:
-            self._row_coo = self._build_row_coo()
+        self.schur_blocks = [
+            _SchurBlock(self.A_sparse[:, lo:hi].tocsr(), s)
+            for s, lo, hi in zip(self.sizes, self.offsets[:-1], self.offsets[1:])
+        ]
 
     def _build_sparse_rows(self):
         """Rows of vec'd constraint matrices; tr(A_k M) = A_sparse[k] @ vec(M)."""
@@ -226,24 +226,6 @@ class _HsdSolver:
             (data, (rows, cols)), shape=(self.m, self.vec_len)
         )
 
-    def _build_row_coo(self):
-        """Per-constraint (block, row-idx, col-idx, values) arrays from A_sparse."""
-        csr = self.A_sparse
-        out = []
-        for k in range(self.m):
-            lo, hi = csr.indptr[k], csr.indptr[k + 1]
-            idx = csr.indices[lo:hi]
-            val = csr.data[lo:hi]
-            per_block = []
-            for bi, s in enumerate(self.sizes):
-                mask = (idx >= self.offsets[bi]) & (idx < self.offsets[bi + 1])
-                if not np.any(mask):
-                    continue
-                local = idx[mask] - self.offsets[bi]
-                per_block.append((bi, local // s, local % s, val[mask]))
-            out.append(per_block)
-        return out
-
     # -- block helpers ------------------------------------------------------
 
     def _vec(self, blocks):
@@ -254,8 +236,6 @@ class _HsdSolver:
 
     def _apply_At(self, y):
         """A^T(y) as a list of blocks."""
-        if self.m == 0:
-            return [np.zeros((s, s)) for s in self.sizes]
         flat = self.A_sparse.T @ y
         out = []
         for bi, s in enumerate(self.sizes):
@@ -303,24 +283,23 @@ class _HsdSolver:
             # second-order Mehrotra term is deliberately omitted: at these
             # problem sizes the extra solve per iteration is cheap and the
             # plain direction is markedly more robust near the cone boundary.
-            aff = self._direction(
-                X, S, y, tau, kappa, Sinv, factor, r_P, R_D, r_G,
-                sigma=0.0, eta=1.0,
-            )
-            if aff is None:
+            # Both directions share the sigma-independent half of the system.
+            base = self._newton_base(X, tau, kappa, Sinv, factor, R_D)
+            if base is None:
                 detail = "singular Newton system"
                 return self._finish("MaxIterations", detail, None, X, S, y, tau, it)
+            aff = self._direction(
+                X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
+                sigma=0.0, eta=1.0,
+            )
             alpha_aff = self._max_step(X, S, tau, kappa, aff)
             mu_aff = self._mu_after(X, S, tau, kappa, aff, alpha_aff)
             sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
             corr = self._direction(
-                X, S, y, tau, kappa, Sinv, factor, r_P, R_D, r_G,
+                X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                 sigma=sigma, eta=1.0 - sigma,
             )
-            if corr is None:
-                detail = "singular Newton system"
-                return self._finish("MaxIterations", detail, None, X, S, y, tau, it)
             alpha = cfg.step_fraction * self._max_step(X, S, tau, kappa, corr)
             alpha = min(alpha, 1.0)
             if alpha < 1e-10:
@@ -408,74 +387,56 @@ class _HsdSolver:
 
     # -- Newton system ------------------------------------------------------
 
+    def _schur_matrix(self, Sinv, X):
+        """M[i,j] = tr(A_i S^{-1} A_j X), symmetrized."""
+        M = np.zeros((self.m, self.m))
+        for blk, si, x in zip(self.schur_blocks, Sinv, X):
+            blk.add_to(M, si, x)
+        return 0.5 * (M + M.T)
+
     def _schur_factor(self, Sinv, X):
-        """Cholesky factor of M[i,j] = tr(A_i S^{-1} A_j X)."""
-        m = self.m
-        if self.A_stacks is not None:
-            tvecs = np.empty((m, self.vec_len))
-            for bi, s in enumerate(self.sizes):
-                lo, hi = self.offsets[bi], self.offsets[bi + 1]
-                stack = self.A_stacks[bi]
-                # S^{-1} A_k X for every k via two batched BLAS products
-                right = (stack.reshape(m * s, s) @ X[bi]).reshape(m, s, s)
-                left = Sinv[bi] @ right.transpose(1, 0, 2).reshape(s, m * s)
-                tvecs[:, lo:hi] = (
-                    left.reshape(s, m, s).transpose(1, 0, 2).reshape(m, s * s)
-                )
-            M = np.asarray(self.A_sparse @ tvecs.T)
-        else:
-            # column-at-a-time keeps memory at O(m^2) instead of m * vec_len
-            M = np.empty((m, m))
-            t = np.zeros(self.vec_len)
-            for l in range(m):
-                t[:] = 0.0
-                for bi, rows_idx, cols_idx, vals in self._row_coo[l]:
-                    s = self.sizes[bi]
-                    lo = self.offsets[bi]
-                    T_blk = (Sinv[bi][:, rows_idx] * vals) @ X[bi][cols_idx, :]
-                    t[lo: lo + s * s] = T_blk.ravel()
-                M[:, l] = self.A_sparse @ t
-        M = 0.5 * (M + M.T)
-        jitter = 0.0
-        base = max(np.trace(M) / max(m, 1), 1.0) if m else 1.0
+        """Cholesky factor of the Schur matrix, jittered until it factors."""
+        M = self._schur_matrix(Sinv, X)
+        diag = M.diagonal().copy()
+        base = max(np.trace(M) / max(self.m, 1), 1.0)
         for attempt in range(8):
             try:
-                return np.linalg.cholesky(M + jitter * np.eye(m)) if m else None
+                return np.linalg.cholesky(M)
             except np.linalg.LinAlgError:
-                jitter = base * (1e-14 * 10 ** attempt)
+                # the same matrix as M + jitter * I, written in place
+                np.fill_diagonal(M, diag + base * (1e-14 * 10 ** attempt))
         raise np.linalg.LinAlgError("Schur complement not PD")
 
     def _schur_solve(self, L, rhs):
-        if L is None:
-            return np.zeros(0)
-        z = np.linalg.solve(L, rhs)
-        return np.linalg.solve(L.T, z)
+        return _triangular_solve(L.T, _triangular_solve(L, rhs, lower=True), lower=False)
 
-    def _direction(self, X, S, y, tau, kappa, Sinv, factor, r_P, R_D, r_G,
-                   sigma, eta):
-        mu = (self._inner(X, S) + tau * kappa) / (self.N + 1)
-
-        Xi = [sigma * mu * si - x for si, x in zip(Sinv, X)]
-        rc_t = sigma * mu - tau * kappa
-
+    def _newton_base(self, X, tau, kappa, Sinv, factor, R_D):
+        """The sigma-independent half of the Newton system; None if singular."""
         # with P = S^{-1} C X and Q = S^{-1} R_D X:
         P = [si @ c @ x for si, c, x in zip(Sinv, self.C, X)]
         Q = [si @ r @ x for si, r, x in zip(Sinv, R_D, X)]
         g = self._apply_A(P)
         h = self._apply_A(Q)
-        A_Xi = self._apply_A(Xi)
         cbar = self._inner(self.C, P)
         e = self._inner(self.C, Q)
+        w1 = self._schur_solve(factor, self.b + g)
+        den = float((self.b - g) @ w1) + cbar + kappa / tau
+        if abs(den) < 1e-300:
+            return None
+        return g, h, e, w1, den
+
+    def _direction(self, X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
+                   sigma, eta):
+        g, h, e, w1, den = base
+        Xi = [sigma * mu * si - x for si, x in zip(Sinv, X)]
+        rc_t = sigma * mu - tau * kappa
+        A_Xi = self._apply_A(Xi)
         c_Xi = self._inner(self.C, Xi)
 
         v = eta * (h - r_P) - A_Xi
         u = -eta * r_G + c_Xi - eta * e + rc_t / tau
 
-        w1 = self._schur_solve(factor, self.b + g)
         w2 = self._schur_solve(factor, v)
-        den = float((self.b - g) @ w1) + cbar + kappa / tau
-        if abs(den) < 1e-300:
-            return None
         dtau = (u - float((self.b - g) @ w2)) / den
         dy = w1 * dtau + w2
         At_dy = self._apply_At(dy)
@@ -510,6 +471,45 @@ class _HsdSolver:
             tot += float(np.sum((x + alpha * dx) * (s + alpha * ds)))
         tot += (tau + alpha * dtau) * (kappa + alpha * dkappa)
         return tot / (self.N + 1)
+
+
+class _SchurBlock:
+    """One block's part of the Schur matrix: its rows grouped by formula."""
+
+    def __init__(self, A, s):
+        self.A = A  # this block's columns of A_sparse, m x s^2
+        self.sparse, self.dense = [], []
+        counts = np.diff(A.indptr)
+        step = max(1, _CHUNK_FLOATS // max(s * s, A.shape[0]))
+        for q in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == q)
+            for chunk in np.split(rows, range(step, len(rows), step)):
+                if q > s:
+                    self.dense.append((chunk, A[chunk].toarray().reshape(-1, s, s)))
+                    continue
+                pos = A.indptr[chunk][:, None] + np.arange(q)
+                cols = A.indices[pos]
+                self.sparse.append((chunk, cols // s, cols % s, A.data[pos][:, :, None]))
+
+    def add_to(self, M, Sinv, X):
+        """M[k] += A vec(S^{-1} A_k X) for every row k stored here."""
+        for rows, I, J, V in self.sparse:
+            T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
+            M[rows] += (self.A @ T.reshape(len(rows), -1).T).T
+        for rows, dense in self.dense:
+            T = Sinv @ dense @ X
+            M[rows] += (self.A @ T.reshape(len(rows), -1).T).T
+
+
+def _triangular_solve(T, rhs, lower):
+    """Solve T x = rhs for triangular T by blocked substitution, in O(n^2)."""
+    x = np.array(rhs, dtype=float)
+    starts = range(0, T.shape[0], _TRI_BLOCK)
+    for lo in starts if lower else reversed(starts):
+        hi = lo + _TRI_BLOCK
+        done = slice(0, lo) if lower else slice(hi, None)
+        x[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi], x[lo:hi] - T[lo:hi, done] @ x[done])
+    return x
 
 
 def _symmetrize(mat):

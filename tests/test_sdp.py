@@ -190,18 +190,104 @@ def test_entry_constraints_match_dense():
     assert np.max(np.abs(a.primal_blocks[0] - b.primal_blocks[0])) < 1e-12
 
 
-def test_forced_sparse_schur_path_agrees():
-    from robustmoments.sdp import _HsdSolver
+def _mixed_problem(rng, entry_rows):
+    """A strictly feasible problem whose rows take every Schur formula.
 
-    prob = _random_strictly_feasible(np.random.default_rng(11), [5], 7)
-    reference = solve(prob)
+    Blocks 4, 3, 1, 1.  Rows: two dense random matrices; entry rows with 1,
+    2, 3 and 4 stored entries in block 0 (an off-diagonal entry stores two);
+    one with 6 > 4 entries in block 0; one touching blocks 0, 1 and 2; two on
+    the 1x1 blocks.  With entry_rows=False every row is added as dense
+    matrices, which is the same model.
+    """
+    sizes = [4, 3, 1, 1]
+    entry_specs = [
+        [(0, 0, 0, 1.3)],
+        [(0, 1, 2, 0.8)],
+        [(0, 1, 1, 1.1), (0, 2, 3, -0.6)],
+        [(0, 0, 1, 0.9), (0, 2, 3, 0.4)],
+        [(0, 0, 1, 0.5), (0, 0, 2, -0.7), (0, 1, 3, 1.2)],
+        [(0, 2, 2, 0.7), (1, 0, 1, -1.4), (2, 0, 0, 1.0)],
+        [(3, 0, 0, 2.0)],
+        [(2, 0, 0, 1.0), (3, 0, 0, -0.5)],
+    ]
+    rows = []
+    for _ in range(2):
+        rows.append([0.5 * (a + a.T) for a in (rng.normal(size=(s, s)) for s in sizes)])
+    for spec in entry_specs:
+        mats = [np.zeros((s, s)) for s in sizes]
+        for bi, i, j, val in spec:
+            if i == j:
+                mats[bi][i, i] += val
+            else:
+                mats[bi][i, j] += 0.5 * val
+                mats[bi][j, i] += 0.5 * val
+        rows.append(mats)
+    X0 = [np.eye(s) + 0.1 * np.ones((s, s)) for s in sizes]
+    y0 = rng.normal(size=len(rows))
+    C = [np.eye(s) + sum(yk * row[bi] for yk, row in zip(y0, rows))
+         for bi, s in enumerate(sizes)]
+    prob = SdpProblem(sizes, objective=C)
+    for k, mats in enumerate(rows):
+        rhs = sum(np.sum(a * x) for a, x in zip(mats, X0))
+        if entry_rows and k >= 2:
+            prob.add_constraint_entries(entry_specs[k - 2], rhs)
+        else:
+            prob.add_constraint(mats, rhs)
+    return prob, rows
 
-    class NoStacks(_HsdSolver):
-        def __init__(self, problem, config):
-            super().__init__(problem, config)
-            self.A_stacks = None
-            self._row_coo = self._build_row_coo()
 
-    sol = NoStacks(prob, SdpConfig()).run()
-    assert sol.status == "Optimal"
-    assert abs(sol.primal_objective - reference.primal_objective) < 1e-6
+@pytest.mark.parametrize("chunk_floats", [None, 1])
+def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
+    from robustmoments import sdp
+
+    if chunk_floats is not None:  # one row per chunk
+        monkeypatch.setattr(sdp, "_CHUNK_FLOATS", chunk_floats)
+    rng = np.random.default_rng(11)
+    prob, rows = _mixed_problem(rng, entry_rows=True)
+    solver = sdp._HsdSolver(prob, SdpConfig())
+    # every formula is taken: batched entry rows with q = 1..4 and dense rows
+    qs = {I.shape[1] for blk in solver.schur_blocks for _, I, _, _ in blk.sparse}
+    assert {1, 2, 3, 4} <= qs
+    assert sum(len(dense_rows) for dense_rows, _ in solver.schur_blocks[0].dense) == 3
+
+    def pd(s):
+        G = rng.normal(size=(s, s))
+        return G @ G.T + 0.5 * np.eye(s)
+
+    Sinv = [pd(s) for s in prob.block_sizes]
+    X = [pd(s) for s in prob.block_sizes]
+    ref = np.array([
+        [
+            sum(np.trace(a @ si @ b @ x) for a, b, si, x in zip(ri, rj, Sinv, X))
+            for rj in rows
+        ]
+        for ri in rows
+    ])
+    ref = 0.5 * (ref + ref.T)
+    M = solver._schur_matrix(Sinv, X)
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mixed_rows_solve_like_dense_model():
+    entry, _ = _mixed_problem(np.random.default_rng(11), entry_rows=True)
+    dense, _ = _mixed_problem(np.random.default_rng(11), entry_rows=False)
+    a, b = solve(entry), solve(dense)
+    assert a.status == b.status == "Optimal"
+    assert abs(a.primal_objective - b.primal_objective) < 1e-6
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_triangular_solve_matches_dense_solve(lower):
+    from robustmoments.sdp import _TRI_BLOCK, _triangular_solve
+
+    rng = np.random.default_rng(5)
+    for n in (1, _TRI_BLOCK - 1, _TRI_BLOCK, _TRI_BLOCK + 1, 3 * _TRI_BLOCK + 7):
+        # unit-scale diagonal, small off-diagonal part: well conditioned
+        T = np.tril(rng.normal(size=(n, n))) / n + np.diag(1.0 + rng.random(n))
+        if not lower:
+            T = T.T
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            want = np.linalg.solve(T, rhs)
+            got = _triangular_solve(T, rhs, lower=lower)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
