@@ -45,17 +45,14 @@ class AppConfig:
     params: SubgaussParams = None
     truncate: bool = False
     seed: int = 0
-    estimator: EstimatorConfig = None
-    kappa_min: float = DEFAULT_KAPPA_MIN
 
     def __post_init__(self):
         if self.moment_source not in ("empirical", "robust"):
             raise ValueError("moment_source must be empirical or robust")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must be in [0, 1)")
-        if self.moment_source == "robust" and self.params is None \
-                and self.estimator is None:
-            raise ValueError("robust moment source needs params or estimator")
+        if self.moment_source == "robust" and self.params is None:
+            raise ValueError("robust moment source needs params")
 
 
 @dataclass
@@ -275,23 +272,18 @@ def _raw_24(data, config):
     if config.moment_source == "empirical":
         emp = empirical_moments(data, 4)
         return emp.raw(2).as_matrix(), emp.raw(4), emp.sample_size
-    est = estimate_moments(data, _estimator_config(config))
+    est = estimate_moments(
+        data, EstimatorConfig(epsilon=config.epsilon, params=config.params)
+    )
     second = est.cov_matrix() + np.outer(est.mean_hat, est.mean_hat)
     return second, est.higher_hats[4], len(data)
-
-
-def _estimator_config(config):
-    if config.estimator is not None:
-        return config.estimator
-    return EstimatorConfig(epsilon=config.epsilon, params=config.params)
 
 
 # ---------------------------------------------------------------------------
 # spherical Gaussian mixtures
 
 
-def gmm_from_moments(first, second, third, q, truth_means=None,
-                     kappa_min=DEFAULT_KAPPA_MIN, seed=0):
+def gmm_from_moments(first, second, third, q, truth_means=None, seed=0):
     """Component means of a uniform spherical mixture from raw moments."""
     m1 = np.asarray(first, dtype=float).ravel()
     d = m1.size
@@ -313,11 +305,11 @@ def gmm_from_moments(first, second, third, q, truth_means=None,
     sel = np.argsort(-lam)[:q]
     top, Vq = lam[sel], V[:, sel]
     kappa = float(top.min())
-    if kappa <= kappa_min:
+    if kappa <= DEFAULT_KAPPA_MIN:
         raise WhiteningError(
             "mean Gram eigenvalue %.3e is below %.1e; the component means "
             "are not linearly independent at this sample size"
-            % (kappa, kappa_min)
+            % (kappa, DEFAULT_KAPPA_MIN)
         )
     W = (Vq * top ** -0.5) @ Vq.T
     Shalf = (Vq * top ** 0.5) @ Vq.T
@@ -382,7 +374,9 @@ def robust_gmm(Y, q, config=None, truth_means=None):
         first, second, third = emp.mean, emp.raw(2).as_matrix(), emp.raw(3)
         n_used = emp.sample_size
     else:
-        est = estimate_moments(data, _estimator_config(config))
+        est = estimate_moments(
+            data, EstimatorConfig(epsilon=config.epsilon, params=config.params)
+        )
         first = est.mean_hat
         second = est.cov_matrix() + np.outer(est.mean_hat, est.mean_hat)
         third = est.higher_hats[3]
@@ -390,7 +384,6 @@ def robust_gmm(Y, q, config=None, truth_means=None):
     res = gmm_from_moments(
         first, second, third, q,
         truth_means=truth_means,
-        kappa_min=config.kappa_min,
         seed=config.seed,
     )
     res.diagnostics.update(sample_size=n_used, moment_source=config.moment_source)

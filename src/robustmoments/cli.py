@@ -31,6 +31,7 @@ from .corruption import (
     corrupt,
     lower_bound_gap,
     lower_bound_pair,
+    sample_array,
     sample_clean,
 )
 from .estimators import (
@@ -90,13 +91,8 @@ def _read_sample(path):
     head = text.lstrip()[:1]
     if head in ("{", "["):
         obj = json.loads(text)
-        data = obj["data"] if isinstance(obj, dict) else obj
-        arr = np.asarray(data, dtype=float)
-    else:
-        arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
+        return sample_array(obj["data"] if isinstance(obj, dict) else obj)
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def _model_from_json(obj, default_seed=0):

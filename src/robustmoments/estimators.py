@@ -21,9 +21,8 @@ from .polycore import (
     Polynomial,
     SymmetricTensor,
     empirical_moments,
-    enumerate_monomials,
-    monomial_degree,
     monomial_mul,
+    monomials_of_degree,
     multinomial,
 )
 from .sdp import SdpConfig
@@ -31,7 +30,9 @@ from .sosengine import (
     AffineEquality,
     ConstraintSystem,
     PsdVarBlock,
+    coefficient_matrix,
     solve_system,
+    sphere_polynomial,
 )
 from .subgauss import (
     SubgaussParams,
@@ -68,7 +69,6 @@ class EstimatorConfig:
     spectral_bound: float = None
     max_points: int = DEFAULT_MAX_POINTS
     max_dimension: int = DEFAULT_MAX_DIMENSION
-    sdp: SdpConfig = None
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 0.9):
@@ -179,23 +179,6 @@ def build_A(Y, epsilon, ell=4):
     return ConstraintSystem(num_vars=nv, relaxation_degree=ell, equalities=eqs)
 
 
-def _directional_square_avg(n, d):
-    """u-coefficient map of (1/n) sum_i <x_i, u>^2: beta -> Polynomial."""
-    nv = _num_vars(n, d)
-    out = {}
-    for c in range(d):
-        for cp in range(c, d):
-            beta = [0] * d
-            beta[c] += 1
-            beta[cp] += 1
-            coef = 1.0 if c == cp else 2.0
-            terms = {}
-            for i in range(n):
-                terms[_x_mono(n, d, [(i, c), (i, cp)])] = coef / n
-            out[tuple(beta)] = Polynomial(nv, terms)
-    return out
-
-
 def _map_power(base, power, nv, d):
     out = {(0,) * d: Polynomial.constant(nv, 1.0)}
     for _ in range(power):
@@ -213,9 +196,7 @@ def _sample_moment_map(n, d, order):
     """u-coefficient map of (1/n) sum_i <x_i, u>^order."""
     nv = _num_vars(n, d)
     out = {}
-    for beta in enumerate_monomials(d, order):
-        if monomial_degree(beta) != order:
-            continue
+    for beta in monomials_of_degree(d, order):
         coef = float(multinomial(beta))
         terms = {}
         for i in range(n):
@@ -230,65 +211,43 @@ def _sample_moment_map(n, d, order):
 def build_B(params, sample_size, dimension):
     """Moment-growth certificate constraints on the row variables.
 
-    For each order k', the directional 2k'-th sample moment must equal the
-    k'-th power of the scaled second moment minus an explicit sum of
-    squares, up to a multiple of (1 - |u|^2).  Eliminating u turns each
-    order into one affine equality per u-coefficient, tying row-variable
-    moments to the free multiplier coefficients p and the PSD Gram block
-    of the square term.
+    For each order k', the k'-th power of the scaled second moment minus the
+    directional 2k'-th sample moment must equal q(u)(|u|^2 - 1) plus a sum
+    of squares.  Eliminating u turns each order into one affine equality per
+    u-coefficient: a row of `sosengine.coefficient_matrix` for the premise 1
+    and the equality |u|^2 - 1, whose columns are the free coefficients of q
+    and the PSD Gram block Q{k'} of the square term, set against the
+    row-variable moments.
     """
     n, d = sample_size, dimension
     nv = _num_vars(n, d)
-    ell = params.effective_ell
-    square_avg = _directional_square_avg(n, d)
+    square_avg = _sample_moment_map(n, d, 2)
+    one, sphere = Polynomial.constant(d, 1.0), sphere_polynomial(d)
 
     affine = []
     psd_blocks = []
-    free_names = []
+    num_free = 0
     zero = Polynomial.constant(nv, 0.0)
     for kp in certification_orders(params.k):
         lhs = _sample_moment_map(n, d, 2 * kp)
         power = _map_power(square_avg, kp, nv, d)
         scale = (params.C * kp) ** kp
-        # Gram basis for the subtracted square: u-monomials up to degree kp.
-        # Rows of higher degree cannot touch any matched coefficient, so a
-        # PSD Gram would force them to zero anyway.
-        qbasis = enumerate_monomials(d, kp)
+        rows, A, (qbasis,), (p_monos,) = coefficient_matrix(d, 2 * kp, [one], [sphere])
         qname = "Q%d" % kp
         psd_blocks.append(PsdVarBlock(qname, len(qbasis)))
-        pairs = {}
-        for a in range(len(qbasis)):
-            for b in range(a, len(qbasis)):
-                key = tuple(x + y for x, y in zip(qbasis[a], qbasis[b]))
-                pairs.setdefault(key, []).append((a, b, 1.0 if a == b else 2.0))
-        p_monos = enumerate_monomials(d, max(0, 2 * kp - 2))
-        p_index = {}
-        for beta in p_monos:
-            p_index[beta] = len(free_names)
-            free_names.append("p%d_%s" % (kp, "".join(map(str, beta))))
-        for beta in enumerate_monomials(d, 2 * kp):
+        gram = [(qname, i, j) for i, j in zip(*np.triu_indices(len(qbasis)))]
+        for beta, a_row in zip(rows, A.tolist()):
             poly = lhs.get(beta, zero) - scale * power.get(beta, zero)
-            free = {}
-            if beta in p_index:
-                free[p_index[beta]] = free.get(p_index[beta], 0.0) - 1.0
-            for c in range(d):
-                if beta[c] >= 2:
-                    down = list(beta)
-                    down[c] -= 2
-                    idx = p_index.get(tuple(down))
-                    if idx is not None:
-                        free[idx] = free.get(idx, 0.0) + 1.0
-            psd = {}
-            for a, b, mult in pairs.get(beta, ()):
-                psd[(qname, a, b)] = mult
+            psd = {key: c for key, c in zip(gram, a_row) if c}
+            free = {num_free + f: c for f, c in enumerate(a_row[len(gram):]) if c}
             affine.append(AffineEquality(poly, free=free, psd=psd))
+        num_free += len(p_monos)
     return ConstraintSystem(
         num_vars=nv,
-        relaxation_degree=ell,
+        relaxation_degree=params.effective_ell,
         affine_equalities=affine,
         psd_blocks=psd_blocks,
-        num_free=len(free_names),
-        variable_names=free_names,
+        num_free=num_free,
     )
 
 
@@ -301,8 +260,6 @@ def _combine(base, extra):
     for aff in extra.affine_equalities:
         free = {idx + offset: coef for idx, coef in aff.free.items()}
         shifted.append(AffineEquality(aff.poly, free=free, psd=aff.psd))
-    names = list(base.variable_names or [""] * base.num_free)
-    names += list(extra.variable_names or [""] * extra.num_free)
     return ConstraintSystem(
         num_vars=base.num_vars,
         relaxation_degree=max(base.relaxation_degree, extra.relaxation_degree),
@@ -311,7 +268,6 @@ def _combine(base, extra):
         affine_equalities=list(base.affine_equalities) + shifted,
         psd_blocks=list(base.psd_blocks) + list(extra.psd_blocks),
         num_free=base.num_free + extra.num_free,
-        variable_names=names if any(names) else None,
     )
 
 
@@ -431,9 +387,8 @@ def estimate_moments(Y, config):
         objective_terms[sq] = objective_terms.get(sq, 0.0) + 1.0
     objective = Polynomial(system.num_vars, objective_terms)
 
-    sdp_config = config.sdp or SdpConfig(max_iters=300, tol=1e-8)
     res = solve_system(system, objective=objective, sense="min", basis=basis,
-                       config=sdp_config)
+                       config=SdpConfig(max_iters=300, tol=1e-8))
     if res.status == "Infeasible":
         raise EstimationInfeasible(
             "no pseudo-distribution satisfies the constraints "

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corruption import (
-    CorruptedSample,
     ModelSpec,
     corrupt,
     population_moments,
@@ -321,7 +320,7 @@ def _inv_sqrt(S):
 
 
 def _estimate_one(name, Y, eps, spec):
-    data = Y.data if isinstance(Y, CorruptedSample) else Y
+    data = sample_array(Y)
     if name == "Empirical":
         return _empirical_estimate(data)
     if name == "CoordMedian":

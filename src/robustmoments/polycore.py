@@ -47,11 +47,19 @@ def enumerate_monomials(dimension, max_degree, cap=DEFAULT_MONOMIAL_CAP):
         )
     out = []
     for degree in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(dimension), degree):
-            exps = [0] * dimension
-            for var in combo:
-                exps[var] += 1
-            out.append(tuple(exps))
+        out.extend(monomials_of_degree(dimension, degree))
+    return out
+
+
+def monomials_of_degree(dimension, degree):
+    """All exponent tuples of total degree exactly `degree`, in the order
+    `enumerate_monomials` lists them."""
+    out = []
+    for combo in combinations_with_replacement(range(dimension), degree):
+        exps = [0] * dimension
+        for var in combo:
+            exps[var] += 1
+        out.append(tuple(exps))
     return out
 
 

@@ -29,6 +29,7 @@ from scipy import sparse
 DEFAULT_CONSTRAINT_CAP = 20_000
 _CHUNK_FLOATS = 1 << 20  # floats in one Schur assembly temporary, at most
 _TRI_BLOCK = 64  # rows in one diagonal block of a triangular solve
+_STEP_FRACTION = 0.98  # share of the step to the cone boundary taken
 
 
 @dataclass
@@ -36,7 +37,6 @@ class SdpConfig:
     max_iters: int = 200
     tol: float = 1e-7
     constraint_cap: int = DEFAULT_CONSTRAINT_CAP
-    step_fraction: float = 0.98
 
 
 class SdpSizeError(ValueError):
@@ -48,7 +48,8 @@ class SdpProblem:
 
     constraints entries are (mats, rhs) where mats is a list with one
     symmetric matrix (or None) per block.  Matrices are checked for symmetry
-    on construction.
+    on construction.  Every constraint is stored as an entry row, the form
+    `add_constraint_entries` takes.
     """
 
     def __init__(self, block_sizes, objective=None, constraints=None):
@@ -66,13 +67,13 @@ class SdpProblem:
             self.add_constraint(mats, b)
 
     def add_constraint(self, mats, rhs):
-        row = []
-        for size, mat in zip(self.block_sizes, mats):
-            row.append(None if mat is None else _as_symmetric(mat, size))
-        if all(m is None for m in row):
-            raise ValueError("constraint touches no block")
-        self.constraints.append(row)
-        self.rhs.append(float(rhs))
+        """Dense constraint <A, X> = rhs; stored as the entry row that reads
+        a_ii on the diagonal and 2 a_ij once for each i < j."""
+        entries = []
+        for bi, (size, mat) in enumerate(zip(self.block_sizes, mats)):
+            if mat is not None:
+                entries += [(bi, *e) for e in _upper_entries(_as_symmetric(mat, size))]
+        self.add_constraint_entries(entries, rhs)
 
     def add_constraint_entries(self, entries, rhs):
         """Sparse constraint: entries are (block, i, j, value) with (i, j) unordered.
@@ -103,24 +104,21 @@ class SdpProblem:
         return len(self.constraints)
 
     def dump(self):
-        """Line-based sparse text dump for cross-checking with other solvers."""
+        """Line-based sparse text dump for cross-checking with other solvers.
+
+        Each `obj` and `con` line gives the coefficient of the symmetric
+        entry X[block][i, j], i <= j, read once, as a plain float.
+        """
         lines = [f"blocks {' '.join(str(s) for s in self.block_sizes)}"]
         for bi, mat in enumerate(self.objective):
             if mat is None:
                 continue
-            for i, j in zip(*np.nonzero(np.triu(mat))):
-                lines.append(f"obj {bi} {i} {j} {mat[i, j]!r}")
+            for i, j, coef in _upper_entries(mat):
+                lines.append(f"obj {bi} {i} {j} {float(coef)!r}")
         for ci, row in enumerate(self.constraints):
             lines.append(f"rhs {ci} {self.rhs[ci]!r}")
-            if isinstance(row, _EntryRow):
-                for (bi, i, j), val in sorted(row.entries.items()):
-                    lines.append(f"con {ci} {bi} {i} {j} {val!r}")
-                continue
-            for bi, mat in enumerate(row):
-                if mat is None:
-                    continue
-                for i, j in zip(*np.nonzero(np.triu(mat))):
-                    lines.append(f"con {ci} {bi} {i} {j} {mat[i, j]!r}")
+            for (bi, i, j), val in sorted(row.entries.items()):
+                lines.append(f"con {ci} {bi} {i} {j} {val!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -131,6 +129,13 @@ class _EntryRow:
 
     def __init__(self, entries):
         self.entries = entries
+
+
+def _upper_entries(mat):
+    """(i, j, coefficient of the entry X[i, j] read once) over the nonzero
+    upper triangle of a symmetric matrix."""
+    for i, j in zip(*np.nonzero(np.triu(mat))):
+        yield i, j, mat[i, j] if i == j else 2.0 * mat[i, j]
 
 
 def _as_symmetric(mat, size):
@@ -194,34 +199,22 @@ class _HsdSolver:
         """Rows of vec'd constraint matrices; tr(A_k M) = A_sparse[k] @ vec(M)."""
         data, rows, cols = [], [], []
         for k, row in enumerate(self.problem.constraints):
-            if isinstance(row, _EntryRow):
-                for (bi, i, j), val in row.entries.items():
-                    base = self.offsets[bi]
-                    size = self.sizes[bi]
-                    if i == j:
-                        rows.append(k)
-                        cols.append(base + i * size + i)
-                        data.append(val)
-                    else:
-                        # half on each orientation so the functional reads the
-                        # symmetric entry once
-                        rows.append(k)
-                        cols.append(base + i * size + j)
-                        data.append(0.5 * val)
-                        rows.append(k)
-                        cols.append(base + j * size + i)
-                        data.append(0.5 * val)
-                continue
-            for bi, mat in enumerate(row):
-                if mat is None:
-                    continue
-                nz_i, nz_j = np.nonzero(mat)
+            for (bi, i, j), val in row.entries.items():
                 base = self.offsets[bi]
                 size = self.sizes[bi]
-                for i, j in zip(nz_i, nz_j):
+                if i == j:
+                    rows.append(k)
+                    cols.append(base + i * size + i)
+                    data.append(val)
+                else:
+                    # half on each orientation so the functional reads the
+                    # symmetric entry once
                     rows.append(k)
                     cols.append(base + i * size + j)
-                    data.append(mat[i, j])
+                    data.append(0.5 * val)
+                    rows.append(k)
+                    cols.append(base + j * size + i)
+                    data.append(0.5 * val)
         return sparse.csr_matrix(
             (data, (rows, cols)), shape=(self.m, self.vec_len)
         )
@@ -300,7 +293,7 @@ class _HsdSolver:
                 X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                 sigma=sigma, eta=1.0 - sigma,
             )
-            alpha = cfg.step_fraction * self._max_step(X, S, tau, kappa, corr)
+            alpha = _STEP_FRACTION * self._max_step(X, S, tau, kappa, corr)
             alpha = min(alpha, 1.0)
             if alpha < 1e-10:
                 detail = "step length collapsed"
@@ -465,7 +458,7 @@ class _HsdSolver:
 
     def _mu_after(self, X, S, tau, kappa, direction, alpha):
         dX, _, dS, dtau, dkappa = direction
-        alpha = min(alpha * self.config.step_fraction, 1.0)
+        alpha = min(alpha * _STEP_FRACTION, 1.0)
         tot = 0.0
         for x, dx, s, ds in zip(X, dX, S, dS):
             tot += float(np.sum((x + alpha * dx) * (s + alpha * ds)))

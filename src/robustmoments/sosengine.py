@@ -23,6 +23,7 @@ from .polycore import (
     index_multiplicity,
     monomial_degree,
     monomial_mul,
+    monomials_of_degree,
 )
 from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem
 from .sdp import solve as sdp_solve
@@ -81,7 +82,6 @@ class ConstraintSystem:
     affine_equalities: list = field(default_factory=list)
     psd_blocks: list = field(default_factory=list)
     num_free: int = 0
-    variable_names: list | None = None
 
     def __post_init__(self):
         ell = self.relaxation_degree
@@ -623,10 +623,55 @@ class SosSearchResult:
     detail: str = ""
 
 
-def _gram_basis(nv, bound, homogeneous):
+def _multiplier_basis(nv, bound, homogeneous):
     if homogeneous:
-        return [m for m in enumerate_monomials(nv, bound) if sum(m) == bound]
-    return enumerate_monomials(nv, bound)
+        return monomials_of_degree(nv, bound) if bound >= 0 else []
+    return enumerate_monomials(nv, max(bound, 0))
+
+
+def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
+                       homogeneous=False):
+    """Coefficient-matching matrix of sum_S p_S*premise_S + sum_j q_j*eq_j.
+
+    Returns (rows, A, bases, free_monos).  Row r of A gives the coefficient
+    of the monomial rows[r] (grlex order) as a linear function of the
+    unknowns: each Gram upper-triangle entry over bases[S], weighted 2 off
+    the diagonal, then each coefficient of q_j on free_monos[j].  Each
+    multiplier takes the largest degree that keeps the identity within
+    `degree` (exactly that degree when `homogeneous`).  Both
+    `find_sos_combination` and `estimators.build_B` pose their identities on
+    this matrix.
+    """
+    # per column (monomial shift, weight, premise): its entry in the row of
+    # shift*tau is weight * premise[tau]
+    columns = []
+    bases = []
+    for p in sos_premises:
+        bound = (degree - p.degree()) // 2
+        if bound < 0 or (homogeneous and (degree - p.degree()) % 2 != 0):
+            raise ValueError("premise degree incompatible with identity degree")
+        bas = _multiplier_basis(nv, bound, homogeneous)
+        if not bas:
+            raise ValueError("empty Gram basis for a premise")
+        for i, j in zip(*np.triu_indices(len(bas))):
+            columns.append((monomial_mul(bas[i], bas[j]), 1.0 if i == j else 2.0, p))
+        bases.append(bas)
+    free_monos = []
+    for e in equality_premises:
+        monos = _multiplier_basis(nv, degree - e.degree(), homogeneous)
+        free_monos.append(monos)
+        columns.extend((m, 1.0, e) for m in monos)
+
+    entries = {}
+    for col, (shift, weight, premise) in enumerate(columns):
+        for tau, c in premise.terms.items():
+            entries[monomial_mul(shift, tau), col] = weight * c
+    rows = sorted({gamma for gamma, _ in entries}, key=_grlex_key)
+    row_of = {gamma: r for r, gamma in enumerate(rows)}
+    A = np.zeros((len(rows), len(columns)))
+    for (gamma, col), val in entries.items():
+        A[row_of[gamma], col] = val
+    return rows, A, bases, free_monos
 
 
 def find_sos_combination(target, sos_premises, equality_premises=(), degree=None,
@@ -637,14 +682,14 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     maximized when a margin polynomial is given.  Returns the raw pieces; the
     caller assembles a certificate.
 
-    Every unknown is a column of one coefficient-matching matrix A, with a
-    row per monomial in grlex order: each Gram upper-triangle entry, each
-    free coefficient, then the margin.  A's rows are the SDP constraints.
-    After the solve the identity is polished by least squares on A, with the
-    Grams projected to the PSD cone, and `residual` is the largest
-    coefficient error max|b - A x| of the polished identity.  A small
-    residual is not a certificate: what a caller assembles is gated by
-    `verify_certificate`.
+    The identity is posed on the matrix of `coefficient_matrix`, extended by
+    a margin column and by a row for each margin or target monomial that no
+    multiplier reaches; the rows of the result A are the SDP constraints.
+    After the solve the identity is polished by least squares on A, with
+    the Grams projected to the PSD cone, and
+    `residual` is the largest coefficient error max|b - A x| of the polished
+    identity.  A small residual is not a certificate: what a caller
+    assembles is gated by `verify_certificate`.
     """
     nv = target.dimension
     if degree is None:
@@ -652,44 +697,11 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     if degree % 2 != 0:
         raise ValueError("identity degree must be even")
 
-    # per column (monomial shift, weight, premise): its entry in the row of
-    # shift*tau is weight * premise[tau].  col_entries holds the column's SDP
-    # entries: one Gram entry, or for a free scalar (and the margin) the
-    # difference of a (+1, -1) pair of 1x1 blocks
-    columns = []
-    col_entries = []
-    bases = []
-    for p in sos_premises:
-        bound = (degree - p.degree()) // 2
-        if bound < 0 or (homogeneous and (degree - p.degree()) % 2 != 0):
-            raise ValueError("premise degree incompatible with identity degree")
-        bas = _gram_basis(nv, bound, homogeneous)
-        if not bas:
-            raise ValueError("empty Gram basis for a premise")
-        for i, j in zip(*np.triu_indices(len(bas))):
-            columns.append((monomial_mul(bas[i], bas[j]), 1.0 if i == j else 2.0, p))
-            col_entries.append([(len(bases), i, j, 1.0)])
-        bases.append(bas)
-    n_gram = len(columns)
-    free_monos = []
-    for e in equality_premises:
-        bound = degree - e.degree()
-        monos = [m for m in enumerate_monomials(nv, max(bound, 0))
-                 if not homogeneous or sum(m) == bound]
-        free_monos.append(monos)
-        columns.extend((m, 1.0, e) for m in monos)
-    if margin is not None:
-        columns.append((_zero_mono(nv), 1.0, margin))
-    n_free = len(columns) - n_gram
-    for k in range(n_free):
-        bp = len(bases) + 2 * k
-        col_entries.append([(bp, 0, 0, 1.0), (bp + 1, 0, 0, -1.0)])
-
-    entries = {}
-    for col, (shift, weight, premise) in enumerate(columns):
-        for tau, c in premise.terms.items():
-            entries[monomial_mul(shift, tau), col] = weight * c
-    matched = {gamma for gamma, _ in entries}
+    rows, A_sos, bases, free_monos = coefficient_matrix(
+        nv, degree, sos_premises, equality_premises, homogeneous
+    )
+    margin_terms = {} if margin is None else margin.terms
+    matched = set(rows) | set(margin_terms)
     for gamma, coef in target.terms.items():
         if gamma not in matched and abs(coef) > 1e-12:
             return SosSearchResult(
@@ -699,10 +711,23 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
             )
     gammas = sorted(matched | set(target.terms), key=_grlex_key)
     row_of = {gamma: r for r, gamma in enumerate(gammas)}
-    A = np.zeros((len(gammas), len(columns)))
-    for (gamma, col), val in entries.items():
-        A[row_of[gamma], col] = val
+    A = np.zeros((len(gammas), A_sos.shape[1] + (margin is not None)))
+    A[[row_of[gamma] for gamma in rows], :A_sos.shape[1]] = A_sos
+    for gamma, c in margin_terms.items():
+        A[row_of[gamma], -1] = c
     b = np.array([target.terms.get(gamma, 0.0) for gamma in gammas])
+
+    # each column's SDP entries: one Gram entry, or for a free scalar (and
+    # the margin) the difference of a (+1, -1) pair of 1x1 blocks
+    col_entries = [
+        [(blk, i, j, 1.0)]
+        for blk, bas in enumerate(bases) for i, j in zip(*np.triu_indices(len(bas)))
+    ]
+    n_gram = len(col_entries)
+    n_free = A.shape[1] - n_gram
+    for k in range(n_free):
+        bp = len(bases) + 2 * k
+        col_entries.append([(bp, 0, 0, 1.0), (bp + 1, 0, 0, -1.0)])
 
     block_sizes = [len(bas) for bas in bases] + [1] * (2 * n_free)
     objective = [None] * len(block_sizes)

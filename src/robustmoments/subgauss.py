@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polycore import Polynomial, empirical_moments, multinomial
+from .polycore import Polynomial, empirical_moments, monomials_of_degree, multinomial
 from .sosengine import (
     SosCertificate,
     find_sos_combination,
@@ -109,19 +109,10 @@ def _expansion_squares(d, half_degree):
     root monomial per term of the multinomial expansion."""
     out = []
     for total in range(half_degree + 1):
-        for mono in _monos_of_degree(d, total):
+        for mono in monomials_of_degree(d, total):
             coef = math.comb(half_degree, total) * multinomial(mono)
             out.append((float(coef), mono))
     return out
-
-
-def _monos_of_degree(d, total):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _monos_of_degree(d - 1, total - first):
-            yield (first,) + rest
 
 
 class _OrderData:

@@ -98,45 +98,57 @@ class TestBuildB:
             for eq in B.affine_equalities
         )
 
-    def test_numeric_roundtrip_matches_direct_equation(self):
-        # reassemble sum_beta row(x, p, G) u^beta and compare with the
-        # directly evaluated certified-moment equation at random points
-        n, d, k, C = 3, 2, 4, 1.3
+    @pytest.mark.parametrize("d,k", [(2, 4), (2, 6), (1, 6)])
+    def test_numeric_roundtrip_matches_direct_equation(self, d, k):
+        # per order k', reassemble sum_beta row(x, p, G) u^beta and compare
+        # with the directly evaluated certified-moment equation at random
+        # points; k=6 has two orders, so two Gram blocks and the second
+        # order's multiplier coefficients after the first's
+        n, C = 3, 1.3
         B = build_B(SubgaussParams(C, k), sample_size=n, dimension=d)
+        orders = list(range(2, k // 2 + 1))
+        assert [blk.name for blk in B.psd_blocks] == ["Q%d" % kp for kp in orders]
         rng = np.random.default_rng(7)
         x = rng.standard_normal((n, d))
         p = rng.standard_normal(B.num_free)
-        qsize = B.psd_blocks[0].size
-        Q = rng.standard_normal((qsize, qsize))
-        G = Q.T @ Q
-
-        qbasis = enumerate_monomials(d, k // 2)
-        p_monos = enumerate_monomials(d, k - 2)
-        betas = enumerate_monomials(d, k)
-        assert len(betas) == len(B.affine_equalities)
+        grams = {}
+        for blk in B.psd_blocks:
+            Q = rng.standard_normal((blk.size, blk.size))
+            grams[blk.name] = Q.T @ Q
 
         xvals = np.zeros(B.num_vars)
         xvals[n:] = x.ravel()
+        rows = iter(B.affine_equalities)
+        p_start = 0
+        for kp in orders:
+            qbasis = enumerate_monomials(d, kp)
+            p_monos = enumerate_monomials(d, 2 * kp - 2)
+            p_order = p[p_start: p_start + len(p_monos)]
+            p_start += len(p_monos)
+            G = grams["Q%d" % kp]
+            betas = enumerate_monomials(d, 2 * kp)
+            eqs = [next(rows) for _ in betas]
+            for _ in range(4):
+                u = rng.standard_normal(d)
+                m2 = np.mean([(row @ u) ** 2 for row in x])
+                lhs = np.mean([(row @ u) ** (2 * kp) for row in x])
+                pu = sum(
+                    c * np.prod(u ** np.array(b)) for c, b in zip(p_order, p_monos)
+                )
+                v = np.array([np.prod(u ** np.array(b)) for b in qbasis])
+                direct = lhs - (C * kp * m2) ** kp - pu * (1 - u @ u) + v @ G @ v
 
-        for _ in range(4):
-            u = rng.standard_normal(d)
-            m2 = np.mean([(row @ u) ** 2 for row in x])
-            lhs = np.mean([(row @ u) ** 4 for row in x])
-            pu = sum(
-                p[i] * np.prod(u ** np.array(b)) for i, b in enumerate(p_monos)
-            )
-            v = np.array([np.prod(u ** np.array(b)) for b in qbasis])
-            direct = lhs - (C * 2 * m2) ** 2 - pu * (1 - u @ u) + v @ G @ v
-
-            assembled = 0.0
-            for beta, eq in zip(betas, B.affine_equalities):
-                val = eq.poly.evaluate(xvals)
-                for idx, coef in eq.free.items():
-                    val += coef * p[idx]
-                for (_, i, j), coef in eq.psd.items():
-                    val += coef * G[i, j]
-                assembled += val * np.prod(u ** np.array(beta))
-            assert abs(direct - assembled) <= 1e-9
+                assembled = 0.0
+                for beta, eq in zip(betas, eqs):
+                    val = eq.poly.evaluate(xvals)
+                    for idx, coef in eq.free.items():
+                        val += coef * p[idx]
+                    for (name, i, j), coef in eq.psd.items():
+                        val += coef * grams[name][i, j]
+                    assembled += val * np.prod(u ** np.array(beta))
+                assert abs(direct - assembled) <= 1e-9
+        assert p_start == B.num_free
+        assert next(rows, None) is None
 
     def test_one_gram_block_per_order(self):
         B = build_B(SubgaussParams(1.0, 8), sample_size=2, dimension=1)

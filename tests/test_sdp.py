@@ -184,8 +184,21 @@ def test_entry_constraints_match_dense():
             prob.add_constraint([mat], rhs)
         return prob
 
-    a = solve(build(False))
-    b = solve(build(True))
+    dense, entry = build(False), build(True)
+    # one row format: identical dump text and solver data
+    assert dense.dump() == entry.dump()
+    for line in dense.dump().splitlines():
+        for field in line.split()[1:]:
+            float(field)  # every numeric field is a plain number
+    from robustmoments import sdp
+
+    A_dense = sdp._HsdSolver(dense, SdpConfig()).A_sparse
+    A_entry = sdp._HsdSolver(entry, SdpConfig()).A_sparse
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A_dense, attr), getattr(A_entry, attr))
+
+    a = solve(dense)
+    b = solve(entry)
     assert a.status == b.status == "Optimal"
     assert np.max(np.abs(a.primal_blocks[0] - b.primal_blocks[0])) < 1e-12
 
