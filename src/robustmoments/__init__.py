@@ -84,5 +84,6 @@ __all__ = [
     "sample_clean",
     "sos_norm",
     "truncate_preprocess",
+    "verify_certificate",
     "__version__",
 ]

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .corruption import CorruptedSample, sample_array
 from .polycore import (
-    EmpiricalMoments,
     Polynomial,
     SymmetricTensor,
     empirical_moments,
@@ -419,11 +418,17 @@ def estimate_moments(Y, config):
         higher[r] = _unstandardize_raw(std_raw, med, s, r)
 
     sdp = res.sdp
+    problem = res.relaxation.problem
     diagnostics = {
         "status": res.status,
         "mode": config.mode,
         "relaxation_degree": ell,
         "basis_size": len(basis),
+        "relaxation": {
+            "m": problem.num_constraints,
+            "block_sizes": list(problem.block_sizes),
+            "free_eliminated": len(res.relaxation.elimination.pivots),
+        },
         "scale": s,
         "shift": med,
         "trace_objective": res.objective_value,

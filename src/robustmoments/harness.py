@@ -15,7 +15,7 @@ import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .corruption import (
 )
 from .estimators import (
     MAD_SCALE,
-    EstimationInfeasible,
     EstimatorConfig,
     MomentEstimate,
     estimate_moments,

@@ -21,7 +21,7 @@ the Cholesky factor are blocked forward and back substitutions, O(m^2) each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse

@@ -4,7 +4,11 @@ Compiles a constraint system into a moment-matrix SDP (one PSD block for the
 main moment matrix, one localizing block per inequality, one linear equality
 per equality-times-multiplier pair), extracts pseudo-distributions from the
 solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
-verifies certificates by explicit polynomial expansion.
+verifies certificates by explicit polynomial expansion.  Free scalars (the
+affine equalities' free variables, equality-multiplier coefficients and
+margins) are eliminated from the equality rows before the solve by
+`eliminate_free` and recovered from the PSD blocks afterwards, so every SDP
+posed here has PSD blocks only.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class AffineEquality:
     (block name, i, j) with i <= j -> coefficient on that single unordered
     matrix entry.  Unlike plain polynomial equalities these are imposed once
     (no multiplier expansion): they couple pseudo-moments to auxiliary
-    variables that carry no moments of their own.
+    variables that carry no moments of their own.  `relax` eliminates the
+    free variables from these rows; they get no SDP block.
     """
 
     def __init__(self, poly, free=None, psd=None):
@@ -170,20 +175,135 @@ def pseudo_expectation(pd, f):
 
 
 # ---------------------------------------------------------------------------
+# free-scalar elimination
+
+_FREE_TOL = 1e-12  # a free column below this share of its own scale is absent
+_FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
+
+
+def _entry_key(blk, i, j):
+    return (blk, i, j) if i <= j else (blk, j, i)
+
+
+class FreeElimination:
+    """Equality rows with their free scalars removed by Gaussian elimination.
+
+    `rows` are the PSD-only rows (entries, rhs) in input order, pivot rows
+    left out, and `objective` the entries of the reduced objective (its
+    constant is dropped).  `free_values(blocks)` recovers the free scalars
+    from the PSD blocks of a solution.
+    """
+
+    def __init__(self, rows, objective, keys, pivots, num_free):
+        self.rows = rows
+        self.objective = objective
+        self.keys = keys
+        self.pivots = pivots
+        self.num_free = num_free
+
+    def free_values(self, blocks):
+        """Back-substitution in reverse pivot order; absent columns are 0."""
+        x = np.zeros(len(self.keys) + self.num_free)
+        x[:len(self.keys)] = [blocks[b][i, j] for b, i, j in self.keys]
+        for col, row, rhs in reversed(self.pivots):
+            x[col] = rhs - row @ x  # row[col] = 1 multiplies x[col] = 0 here
+        return x[len(self.keys):]
+
+
+def eliminate_free(rows, num_free, objective=None):
+    """Eliminate free scalars from equality rows over PSD blocks.
+
+    Each row is (entries, free, rhs): entries (block, i, j, value) read the
+    unordered entry X[block][i, j] once, as `SdpProblem.add_constraint_entries`
+    takes them, and free maps a free scalar's index to its coefficient, a
+    column of its own.  `objective` maps free indices to the coefficients of
+    a linear objective to minimize; the result's `objective` is its reduced
+    form on the PSD entries.
+
+    For each free column in turn the pivot is the live row with the largest
+    |coefficient| (partial pivoting); it is subtracted from every other row
+    and from the objective, and kept for back-substitution.  A column whose
+    largest remaining coefficient is below `_FREE_TOL` of its own scale is
+    absent and takes the value 0; an absent column that still has an
+    objective coefficient is unbounded and raises ValueError.  Rows are
+    neither merged nor de-duplicated here; a row that loses all its entries
+    comes back empty, for the caller to judge its rhs.  (Anjos and Burer,
+    SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
+    """
+    touched = [r for r, (_, free, _) in enumerate(rows) if free]
+    keys = sorted({_entry_key(*e[:3]) for r in touched for e in rows[r][0]})
+    col_of = {key: c for c, key in enumerate(keys)}
+    nk = len(keys)
+    A = np.zeros((len(touched), nk + num_free))
+    b = np.array([rows[r][2] for r in touched], dtype=float)
+    c = np.zeros(nk + num_free)
+    for a, r in enumerate(touched):
+        entries, free, _ = rows[r]
+        for blk, i, j, val in entries:
+            A[a, col_of[_entry_key(blk, i, j)]] += val
+        for f, val in free.items():
+            if not 0 <= f < num_free:
+                raise ValueError(f"free index {f} outside 0..{num_free - 1}")
+            A[a, nk + f] += val
+    for f, val in (objective or {}).items():
+        c[nk + f] += val
+
+    col_scale = np.max(np.abs(A), axis=0, initial=0.0)
+    c_scale = np.max(np.abs(c), initial=0.0)
+    fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
+    live = np.ones(len(touched), dtype=bool)
+    pivots = []
+    for col in range(nk, nk + num_free):
+        height = np.where(live, np.abs(A[:, col]), 0.0)
+        if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
+            if abs(c[col]) > _FREE_TOL * c_scale:
+                raise ValueError(
+                    f"free scalar {col - nk} has an objective coefficient but "
+                    "no constraint row: the objective is unbounded"
+                )
+            A[:, col] = 0.0
+            continue
+        p = int(np.argmax(height))
+        live[p] = False
+        row, rhs = A[p] / A[p, col], b[p] / A[p, col]
+        others = np.flatnonzero(live & (A[:, col] != 0.0))
+        lam = A[others, col]
+        A[others] -= np.outer(lam, row)
+        A[others, col] = 0.0
+        b[others] -= lam * rhs
+        c -= c[col] * row
+        pivots.append((col, row, rhs))
+    A[np.abs(A) <= fill_floor] = 0.0
+
+    reduced = {}
+    for a in np.flatnonzero(live):
+        nz = np.flatnonzero(A[a, :nk])
+        reduced[touched[a]] = ([(*keys[k], A[a, k]) for k in nz], b[a])
+    pivot_rows = {touched[a] for a in np.flatnonzero(~live)}
+    out_rows = [
+        reduced.get(r, (entries, rhs))
+        for r, (entries, _, rhs) in enumerate(rows) if r not in pivot_rows
+    ]
+    nz = np.flatnonzero(np.abs(c[:nk]) > _FILL_TOL * c_scale)
+    out_obj = [(*keys[k], c[k]) for k in nz]
+    return FreeElimination(out_rows, out_obj, keys, pivots, num_free)
+
+
+# ---------------------------------------------------------------------------
 # the relaxation compiler
 
 
 class MomentRelaxation:
     """A compiled system: the SDP plus the maps needed to read answers back."""
 
-    def __init__(self, system, basis, problem, positions, aux_index, free_split,
+    def __init__(self, system, basis, problem, positions, aux_index, elimination,
                  trivially_infeasible=None):
         self.system = system
         self.basis = basis
         self.problem = problem
         self.moment_positions = positions
         self.aux_block_index = aux_index
-        self.free_split = free_split
+        self.elimination = elimination
         self.trivially_infeasible = trivially_infeasible
 
     def extract(self, solution):
@@ -198,10 +318,7 @@ class MomentRelaxation:
             name: np.array(solution.primal_blocks[idx])
             for name, idx in self.aux_block_index.items()
         }
-        free = [
-            float(solution.primal_blocks[bp][0, 0] - solution.primal_blocks[bm][0, 0])
-            for bp, bm in self.free_split
-        ]
+        free = self.elimination.free_values(solution.primal_blocks).tolist()
         return pd, aux, free
 
 
@@ -252,19 +369,13 @@ def relax(system, objective=None, sense="min", basis=None,
     positions = {mono: plist[0] for mono, plist in positions_all.items()}
     representable = set(positions)
 
-    def moment_entries(terms, scale=1.0, block=0):
-        entries = []
-        for mono, coef in terms.items():
-            i, j = positions[mono]
-            entries.append((block, i, j, scale * coef))
-        return entries
-
+    # rows are (entries, free coefficients, rhs) until the free scalars go
     rows = []
-    rows.append(([(0, 0, 0, 1.0)], 1.0))
+    rows.append(([(0, 0, 0, 1.0)], {}, 1.0))
     for mono, plist in positions_all.items():
         i0, j0 = plist[0]
         for i, j in plist[1:]:
-            rows.append(([(0, i0, j0, 1.0), (0, i, j, -1.0)], 0.0))
+            rows.append(([(0, i0, j0, 1.0), (0, i, j, -1.0)], {}, 0.0))
 
     block_sizes = [bsize]
     loc_blocks = []
@@ -299,14 +410,6 @@ def relax(system, objective=None, sense="min", basis=None,
         aux_index[blk.name] = len(block_sizes)
         block_sizes.append(blk.size)
 
-    free_split = []
-    for _ in range(system.num_free):
-        bp = len(block_sizes)
-        block_sizes.append(1)
-        bm = len(block_sizes)
-        block_sizes.append(1)
-        free_split.append((bp, bm))
-
     mult_cache = {}
     for e in system.equalities:
         de = e.degree()
@@ -329,7 +432,9 @@ def relax(system, objective=None, sense="min", basis=None,
                 shifted[prod] = shifted.get(prod, 0.0) + coef
             if not ok:
                 continue
-            rows.append((moment_entries(shifted), 0.0))
+            rows.append(
+                ([(0, *positions[mono], coef) for mono, coef in shifted.items()], {}, 0.0)
+            )
 
     for aff in system.affine_equalities:
         entries = []
@@ -340,13 +445,9 @@ def relax(system, objective=None, sense="min", basis=None,
                 )
             i, j = positions[mono]
             entries.append((0, i, j, coef))
-        for fi, coef in aff.free.items():
-            bp, bm = free_split[fi]
-            entries.append((bp, 0, 0, coef))
-            entries.append((bm, 0, 0, -coef))
         for (name, i, j), coef in aff.psd.items():
             entries.append((aux_index[name], i, j, coef))
-        rows.append((entries, 0.0))
+        rows.append((entries, aff.free, 0.0))
 
     for idx, sel, g in loc_blocks:
         for a in range(len(sel)):
@@ -357,15 +458,16 @@ def relax(system, objective=None, sense="min", basis=None,
                     mono = monomial_mul(pair, gamma)
                     i, j = positions[mono]
                     entries.append((0, i, j, -coef))
-                rows.append((entries, 0.0))
+                rows.append((entries, {}, 0.0))
 
-    # merge duplicate entries within a row, drop negligible ones, dedup rows;
-    # identical rows with clashing right-hand sides mean the system contains
-    # a contradiction visible before any SDP runs
+    # after elimination: merge duplicate entries within a row, drop
+    # negligible ones, dedup rows; identical rows with clashing right-hand
+    # sides mean the system contains a contradiction visible before any SDP
+    elimination = eliminate_free(rows, system.num_free)
     trivially_infeasible = None
     seen = {}
     clean_rows = []
-    for entries, rhs in rows:
+    for entries, rhs in elimination.rows:
         acc = {}
         for blk, i, j, val in entries:
             if i > j:
@@ -414,7 +516,7 @@ def relax(system, objective=None, sense="min", basis=None,
         problem.add_constraint_entries(entries, rhs)
 
     return MomentRelaxation(
-        system, basis, problem, positions, aux_index, free_split,
+        system, basis, problem, positions, aux_index, elimination,
         trivially_infeasible,
     )
 
@@ -679,12 +781,16 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     """Search for target = sum_S p_S*premise_S + sum_j q_j*eq_j (+ t*margin).
 
     p_S are SOS (Gram PSD blocks), q_j are free polynomials, and t is
-    maximized when a margin polynomial is given.  Returns the raw pieces; the
-    caller assembles a certificate.
+    maximized when a margin polynomial is given (a zero margin raises
+    ValueError: t would be unbounded).  Returns the raw pieces; the caller
+    assembles a certificate.
 
     The identity is posed on the matrix of `coefficient_matrix`, extended by
     a margin column and by a row for each margin or target monomial that no
-    multiplier reaches; the rows of the result A are the SDP constraints.
+    multiplier reaches.  `eliminate_free` removes the free columns (the
+    coefficients of q_j and t) from A's rows, so the SDP has only the Gram
+    blocks and maximizes t as a linear objective on them; q_j and t come
+    back by back-substitution.
     After the solve the identity is polished by least squares on A, with
     the Grams projected to the PSD cone, and
     `residual` is the largest coefficient error max|b - A x| of the polished
@@ -717,31 +823,42 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         A[row_of[gamma], -1] = c
     b = np.array([target.terms.get(gamma, 0.0) for gamma in gammas])
 
-    # each column's SDP entries: one Gram entry, or for a free scalar (and
-    # the margin) the difference of a (+1, -1) pair of 1x1 blocks
-    col_entries = [
-        [(blk, i, j, 1.0)]
+    # Gram columns are SDP entries; the free columns (multiplier
+    # coefficients, then the margin) are eliminated before the solve
+    gram_keys = [
+        (blk, i, j)
         for blk, bas in enumerate(bases) for i, j in zip(*np.triu_indices(len(bas)))
     ]
-    n_gram = len(col_entries)
+    n_gram = len(gram_keys)
     n_free = A.shape[1] - n_gram
-    for k in range(n_free):
-        bp = len(bases) + 2 * k
-        col_entries.append([(bp, 0, 0, 1.0), (bp + 1, 0, 0, -1.0)])
-
-    block_sizes = [len(bas) for bas in bases] + [1] * (2 * n_free)
-    objective = [None] * len(block_sizes)
-    if margin is not None:
-        objective[-2] = np.array([[-1.0]])
-        objective[-1] = np.array([[1.0]])
-    problem = SdpProblem(block_sizes, objective=objective)
-    for r, a_row in enumerate(A):
+    entry_rows = []
+    for a_row, rhs in zip(A, b):
         cols = np.flatnonzero(a_row)
-        if cols.size:  # rows only a negligible target term reaches stay out
-            problem.add_constraint_entries(
-                [(blk, i, j, s * a_row[col])
-                 for col in cols for blk, i, j, s in col_entries[col]],
-                b[r],
+        entry_rows.append((
+            [(*gram_keys[col], a_row[col]) for col in cols if col < n_gram],
+            {col - n_gram: a_row[col] for col in cols if col >= n_gram},
+            rhs,
+        ))
+    # maximize the margin, the last free column
+    elimination = eliminate_free(
+        entry_rows, n_free, objective=None if margin is None else {n_free - 1: -1.0}
+    )
+
+    objective = [np.zeros((len(bas), len(bas))) for bas in bases]
+    for blk, i, j, val in elimination.objective:
+        objective[blk][i, j] += val / 2.0
+        objective[blk][j, i] += val / 2.0
+    problem = SdpProblem([len(bas) for bas in bases], objective=objective)
+    # a row with no entry left stays out when only a negligible target term
+    # reaches it, and is a contradiction otherwise
+    for entries, rhs in elimination.rows:
+        if entries:
+            problem.add_constraint_entries(entries, rhs)
+        elif abs(rhs) > 1e-12:
+            return SosSearchResult(
+                status="Infeasible", margin_value=None, grams=[], free_polys=[],
+                residual=float("inf"),
+                detail="the free multipliers leave a coefficient unmatched",
             )
 
     solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
@@ -752,10 +869,8 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         )
 
     X = solution.primal_blocks
-    grams = [np.array(X[blk]) for blk in range(len(bases))]
-    scalars = np.array([
-        X[bp][0, 0] - X[bp + 1][0, 0] for bp in range(len(bases), len(block_sizes), 2)
-    ])
+    grams = [np.array(G) for G in X]
+    scalars = elimination.free_values(X)
 
     def pack():
         return np.concatenate(

@@ -24,6 +24,8 @@ from robustmoments.estimators import (
     EstimationInfeasible,
     EstimatorConfig,
     IdentifiabilityError,
+    _combine,
+    _robust_standardization,
     build_A,
     build_B,
     estimate_moments,
@@ -33,6 +35,7 @@ from robustmoments.estimators import (
     truncate_preprocess,
 )
 from robustmoments.polycore import empirical_moments, enumerate_monomials
+from robustmoments.sosengine import relax
 from robustmoments.subgauss import SubgaussParams
 
 EPS12 = 1.0 / 12
@@ -154,6 +157,20 @@ class TestBuildB:
         B = build_B(SubgaussParams(1.0, 8), sample_size=2, dimension=1)
         assert sorted(b.name for b in B.psd_blocks) == ["Q2", "Q3", "Q4"]
 
+    def test_relaxation_has_no_free_blocks(self):
+        # planted n=11, d=2 sample: the moment block and Q2 only; the six
+        # sphere-multiplier coefficients are eliminated, not split into
+        # pairs of 1x1 blocks
+        bulk = np.tile(
+            np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (3, 1)
+        )[:11]
+        sample = corrupt(bulk, PointMass(np.array([70.0, 70.0])), 1 / 11, seed=1)
+        B = build_B(SubgaussParams(2.0, 4), sample_size=11, dimension=2)
+        system = _combine(build_A(sample.data, 1 / 11), B)
+        rel = relax(system, basis=estimator_basis(11, 2))
+        assert B.num_free == 6
+        assert rel.problem.block_sizes == [89, 6]
+
 
 class TestEstimatorBasis:
     @pytest.mark.parametrize(
@@ -215,12 +232,20 @@ class TestPlantedOutlier:
         assert cov == pytest.approx(0.9097, abs=1e-2)
 
     def test_diagnostics(self, planted_solution):
-        _, est = planted_solution
+        Y, est = planted_solution
         di = est.diagnostics
         assert di["status"] == "Optimal"
         assert di["moment_matrix_min_eig"] >= -1e-7
         assert di["mode"] == "FullSos"
         assert di["basis_size"] == 49
+        # Q2 over {1, u, u^2}; q's three coefficients are eliminated
+        assert di["relaxation"]["block_sizes"] == [49, 3]
+        assert di["relaxation"]["free_eliminated"] == 3
+        med, s = _robust_standardization(Y.data)
+        system = _combine(build_A((Y.data - med) / s, EPS12),
+                          build_B(SubgaussParams(1.0, 4), 12, 1))
+        m = relax(system, basis=estimator_basis(12, 1)).problem.num_constraints
+        assert di["relaxation"]["m"] == m
 
     def test_oracle_drops_exactly_the_outlier(self, planted_solution):
         Y, est = planted_solution

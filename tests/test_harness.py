@@ -9,6 +9,7 @@ only sampling noise.
 """
 
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -68,6 +69,12 @@ def test_package_exports_resolve():
     package = importlib.import_module("robustmoments")
     for name in package.__all__:
         assert hasattr(package, name), name
+    # every public name the package imports is exported
+    imported = {
+        name for name, obj in vars(package).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert imported <= set(package.__all__), imported - set(package.__all__)
 
 
 class TestBaselines:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from robustmoments import sosengine
 from robustmoments.polycore import (
     Polynomial,
     SymmetricTensor,
@@ -26,6 +27,7 @@ from robustmoments.sosengine import (
     SosCertificate,
     build_interval_certificates,
     build_toolkit_certificate,
+    eliminate_free,
     find_sos_combination,
     gram_to_sos,
     pseudo_expectation,
@@ -34,6 +36,7 @@ from robustmoments.sosengine import (
     sos_norm,
     verify_certificate,
 )
+from robustmoments.subgauss import minimal_C
 
 X = Polynomial.variable(1, 0)
 
@@ -112,6 +115,77 @@ class TestSolveSystem:
         assert res.objective_value == pytest.approx(0.5, abs=1e-5)
         assert res.free_values[0] == pytest.approx(0.5, abs=1e-5)
         assert res.aux["G"][0, 0] == pytest.approx(0.0, abs=1e-5)
+
+
+def _row_value(entries, free, blocks, z):
+    return (sum(v * blocks[b][i, j] for b, i, j, v in entries)
+            + sum(c * z[f] for f, c in free.items()))
+
+
+class TestEliminateFree:
+    def test_random_rows_hold_and_back_substitute(self):
+        rng = np.random.default_rng(5)
+        sizes, num_free = [3, 2], 4
+        blocks = []
+        for s in sizes:
+            Q = rng.standard_normal((s, s))
+            blocks.append(Q @ Q.T)
+        z = rng.standard_normal(num_free)
+        rows = []
+        for r in range(12):
+            entries = []
+            for _ in range(rng.integers(1, 5)):
+                b = int(rng.integers(len(sizes)))
+                i, j = rng.integers(sizes[b], size=2)  # either order, repeats
+                entries.append((b, int(i), int(j), float(rng.standard_normal())))
+            cols = set(rng.choice(num_free, size=2, replace=False)) | {r % num_free}
+            free = {int(f): float(rng.standard_normal()) for f in cols} if r < 8 else {}
+            rows.append((entries, free, _row_value(entries, free, blocks, z)))
+
+        elim = eliminate_free(rows, num_free)
+        assert len(elim.rows) == len(rows) - num_free
+        for entries, rhs in elim.rows:
+            assert _row_value(entries, {}, blocks, z) == pytest.approx(rhs, abs=1e-12)
+        assert np.max(np.abs(elim.free_values(blocks) - z)) <= 1e-12
+        # rows without a free column pass through untouched
+        untouched = [(e, rhs) for e, free, rhs in rows if not free]
+        assert all(row in elim.rows for row in untouched)
+
+    def test_reverse_pivot_order(self):
+        # z1 appears only beside z0: X00 + z0 = 1 and 2 z0 - z1 = 0; z0
+        # pivots on the second row, which keeps z1, so z1 must come back first
+        rows = [([(0, 0, 0, 1.0)], {0: 1.0}, 1.0), ([], {0: 2.0, 1: -1.0}, 0.0)]
+        elim = eliminate_free(rows, 2)
+        assert elim.rows == []
+        z = elim.free_values([np.array([[0.4]])])
+        assert z == pytest.approx([0.6, 1.2], abs=1e-15)
+
+    def test_rank_deficient_column_is_zero(self):
+        # z0 and z1 only ever appear as z0 + z1
+        rows = [
+            ([(0, 0, 0, 1.0)], {0: 1.0, 1: 1.0}, 1.0),
+            ([(0, 1, 1, 1.0)], {0: 2.0, 1: 2.0}, 3.0),
+        ]
+        elim = eliminate_free(rows, 2)
+        assert len(elim.rows) == 1
+        X = np.array([[0.5, 0.0], [0.0, 2.0]])  # X00 - X11 / 2 = -1/2
+        (entries, rhs), = elim.rows
+        assert _row_value(entries, {}, [X], None) == pytest.approx(rhs, abs=1e-15)
+        z = elim.free_values([X])
+        assert z[1] == 0.0
+        assert z[0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_objective_on_absent_column_is_unbounded(self):
+        rows = [([(0, 0, 0, 1.0)], {0: 1.0}, 1.0)]
+        with pytest.raises(ValueError, match="unbounded"):
+            eliminate_free(rows, 2, objective={1: -1.0})
+
+    def test_objective_moves_onto_psd_entries(self):
+        # min -z0 with X00 + 2 X01 + z0 = 1: the objective becomes X00 + 2 X01
+        rows = [([(0, 0, 0, 1.0), (0, 1, 0, 2.0)], {0: 1.0}, 1.0)]
+        elim = eliminate_free(rows, 1, objective={0: -1.0})
+        assert elim.rows == []
+        assert sorted(elim.objective) == [(0, 0, 0, 1.0), (0, 0, 1, 2.0)]
 
 
 class TestRelaxValidation:
@@ -307,6 +381,40 @@ class TestFindSosCombination:
             u1 ** 3, sos_premises=[Polynomial.constant(1, 1.0)], degree=2,
         )
         assert res.status == "Infeasible"
+
+    def test_zero_margin_is_unbounded(self):
+        u1 = Polynomial.variable(2, 0)
+        with pytest.raises(ValueError, match="unbounded"):
+            find_sos_combination(
+                u1 ** 2, sos_premises=[Polynomial.constant(2, 1.0)], degree=2,
+                margin=Polynomial.constant(2, 0.0),
+            )
+
+    def test_sdp_has_only_gram_blocks(self, monkeypatch):
+        posed = []
+        real = sosengine.sdp_solve
+
+        def capture(problem, config=None):
+            posed.append(problem)
+            return real(problem, config)
+
+        monkeypatch.setattr(sosengine, "sdp_solve", capture)
+        u1 = Polynomial.variable(2, 0)
+        u2 = Polynomial.variable(2, 1)
+        norm2 = u1 * u1 + u2 * u2
+        res = find_sos_combination(
+            u1 ** 4 - 0.5 * norm2 ** 2,
+            sos_premises=[Polynomial.constant(2, 1.0), 2.0 - u1 * u1],
+            equality_premises=[norm2 - 1.0], degree=4, margin=(1.0 + norm2) ** 2,
+        )
+        assert res.status == "Optimal"
+        assert posed[-1].block_sizes == [len(basis) for basis, _ in res.grams]
+
+        # d=3, k=6: 84 monomial rows less 35 multiplier coefficients and t
+        posed.clear()
+        minimal_C(np.random.default_rng(0).standard_normal((200, 3)), 6)
+        assert [p.num_constraints for p in posed] == [48, 48]
+        assert [p.block_sizes for p in posed] == [[20], [20]]
 
     def test_gram_split_reassembles(self):
         u1 = Polynomial.variable(2, 0)
