@@ -157,7 +157,30 @@ def estimator_basis(n, d, mode="FullSos"):
 
 def build_A(Y, epsilon, ell=4):
     """Selection constraints: boolean weights summing to (1-eps)n that pin
-    kept rows to the observations."""
+    kept rows to the observations.
+
+    At eps = 0 the equalities w_i - 1 and x_{i,c} - y_{i,c} are added as
+    well; they leave the estimator's solution unchanged and cut the moment
+    block's face (`sosengine.face_basis`) down to one dimension.  Proof, for
+    a feasible moment matrix X over `estimator_basis` and v the basis
+    evaluated at the point (w, x) = (1, y):
+    - The budget and booleanity rows give sum_i E~[(1 - w_i)^2] =
+      sum_i E~[1 - w_i] = 0.  Each term is u^T X u >= 0 with u = e_1 - e_{w_i}
+      (e_1 for the constant monomial), so X u = 0: E~[w_i b] = E~[b] for
+      every basis element b.
+    - With the selection kernel vectors, X(e_{w_i x_ic} - y_ic e_{w_i}) = 0,
+      the columns of X for 1, w_i and w_i x_ic are v, v and y_ic v: every
+      E~[b] is b at the point (E~[x_ic] = E~[w_i x_ic] = y_ic, for one).  So
+      X = v v^T + D, with D zero in those rows and columns and D PSD (take
+      z with v.z = 0 in z^T X z).
+    - The trace objective is tr(v v^T) + tr(D), least exactly at D = 0.  D
+      only tightens the other constraints: it adds a sum of squares to the
+      directional 2k'-th moment that `build_B` bounds, and a PSD matrix to
+      the covariance that the MeanOnly spectral rows bound.  So whenever the
+      system is feasible, D = 0 is, and the minimum-trace solution is the
+      point mass v v^T, which satisfies the added equalities under every
+      multiplier.
+    """
     data = sample_array(Y)
     n, d = data.shape
     if not (0.0 <= epsilon < 1.0):
@@ -175,6 +198,13 @@ def build_A(Y, epsilon, ell=4):
         for c in range(d):
             x = _x_mono(n, d, [(i, c)])
             eqs.append(Polynomial(nv, {w: float(data[i, c]), monomial_mul(w, x): -1.0}))
+    if epsilon == 0.0:
+        one = (0,) * nv
+        for i in range(n):
+            eqs.append(Polynomial(nv, {_w_mono(n, d, i): 1.0, one: -1.0}))
+            for c in range(d):
+                x = _x_mono(n, d, [(i, c)])
+                eqs.append(Polynomial(nv, {x: 1.0, one: -float(data[i, c])}))
     return ConstraintSystem(num_vars=nv, relaxation_degree=ell, equalities=eqs)
 
 
@@ -317,14 +347,14 @@ def _robust_standardization(data):
     return med, s
 
 
-def _same_row_tensor(pd, n, d, order):
+def _same_row_tensor(moment, n, d, order):
     t = SymmetricTensor(d, order)
     entries = []
     for idx in t.indices():
         total = 0.0
         for i in range(n):
             mono = _x_mono(n, d, [(i, c) for c in idx])
-            total += pd.pseudo_moments[mono]
+            total += moment(mono)
         entries.append(total / n)
     return SymmetricTensor(d, order, np.array(entries))
 
@@ -387,7 +417,7 @@ def estimate_moments(Y, config):
     objective = Polynomial(system.num_vars, objective_terms)
 
     res = solve_system(system, objective=objective, sense="min", basis=basis,
-                       config=SdpConfig(max_iters=300, tol=1e-8))
+                       config=SdpConfig(max_iters=300, tol=1e-9))
     if res.status == "Infeasible":
         raise EstimationInfeasible(
             "no pseudo-distribution satisfies the constraints "
@@ -395,9 +425,15 @@ def estimate_moments(Y, config):
             detail=res.detail,
         )
     pd = res.pseudo
+    # read moments off the Hankel-exact moment matrix, so that the estimate
+    # keeps no dict of every pseudo-moment
+    positions = res.relaxation.moment_positions
+
+    def moment(mono):
+        return float(pd.moment_matrix[positions[mono]])
 
     max_order = params.k if config.mode == "FullSos" else 2
-    std_raw = {r: _same_row_tensor(pd, n, d, r) for r in range(1, max_order + 1)}
+    std_raw = {r: _same_row_tensor(moment, n, d, r) for r in range(1, max_order + 1)}
 
     mean_std = np.array([std_raw[1].get((c,)) for c in range(d)])
     mean_hat = med + s * mean_std
@@ -408,7 +444,7 @@ def estimate_moments(Y, config):
             total = 0.0
             for i in range(n):
                 for j in range(n):
-                    total += pd.pseudo_moments[_x_mono(n, d, [(i, a), (j, b)])]
+                    total += moment(_x_mono(n, d, [(i, a), (j, b)]))
             outer[a, b] = outer[b, a] = total / (n * n)
     cov = s * s * (std_raw[2].to_dense() - outer)
     cov_hat = SymmetricTensor.from_dense(0.5 * (cov + cov.T))
@@ -418,7 +454,8 @@ def estimate_moments(Y, config):
         higher[r] = _unstandardize_raw(std_raw, med, s, r)
 
     sdp = res.sdp
-    problem = res.relaxation.problem
+    relaxation = res.relaxation
+    problem = relaxation.problem
     diagnostics = {
         "status": res.status,
         "mode": config.mode,
@@ -427,7 +464,10 @@ def estimate_moments(Y, config):
         "relaxation": {
             "m": problem.num_constraints,
             "block_sizes": list(problem.block_sizes),
-            "free_eliminated": len(res.relaxation.elimination.pivots),
+            "free_eliminated": len(relaxation.elimination.pivots),
+            "face_dim": problem.block_sizes[0],
+            "rows_vanished": relaxation.rows_vanished,
+            "rows_dependent": relaxation.rows_dependent,
         },
         "scale": s,
         "shift": med,
@@ -438,7 +478,7 @@ def estimate_moments(Y, config):
         "residuals": (sdp.primal_residual, sdp.dual_residual),
         "detail": res.detail,
         "selection_weights": np.array(
-            [pd.pseudo_moments[_w_mono(n, d, i)] for i in range(n)]
+            [moment(_w_mono(n, d, i)) for i in range(n)]
         ),
     }
     return MomentEstimate(mean_hat=mean_hat, cov_hat=cov_hat,

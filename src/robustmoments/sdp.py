@@ -17,6 +17,9 @@ S^{-1} A_k X is a batched sum of q outer products of columns of S^{-1} and
 rows of X; a denser row uses its dense matrix.  The block's sparse column
 slice A_b then adds A_b vec(S^{-1} A_k X) to row k of M.  Newton solves with
 the Cholesky factor are blocked forward and back substitutions, O(m^2) each.
+The direction taken gets one refinement step against its primal equation,
+measured on dX itself, and a solve that ends without meeting its tolerance
+returns the best iterate it saw.
 """
 
 from __future__ import annotations
@@ -190,6 +193,8 @@ class _HsdSolver:
         self.vec_len = int(self.offsets[-1])
         self.A_sparse = self._build_sparse_rows()
         self.N = sum(self.sizes)
+        self.bnorm = 1.0 + float(np.linalg.norm(self.b))
+        self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in self.C)
         self.schur_blocks = [
             _SchurBlock(self.A_sparse[:, lo:hi].tocsr(), s)
             for s, lo, hi in zip(self.sizes, self.offsets[:-1], self.offsets[1:])
@@ -246,20 +251,19 @@ class _HsdSolver:
         S = [np.eye(s) for s in self.sizes]
         y = np.zeros(self.m)
         tau, kappa = 1.0, 1.0
-        status, detail = "MaxIterations", ""
+        best = (np.inf, 0, X, S, y, tau)  # least merit seen, its iteration and iterate
         it = 0
 
         for it in range(1, cfg.max_iters + 1):
             mu = (self._inner(X, S) + tau * kappa) / (self.N + 1)
 
-            r_P = self._apply_A(X) - self.b * tau
-            At_y = self._apply_At(y)
-            R_D = [c * tau - a - s for c, a, s in zip(self.C, At_y, S)]
-            cx = self._inner(self.C, X)
-            by = float(self.b @ y)
+            r_P, R_D, cx, by, scaled = self._measure(X, S, y, tau)
             r_G = by - cx - kappa
+            merit = _merit(scaled)
+            if merit < best[0]:
+                best = (merit, it, X, S, y, tau)
 
-            term = self._check_termination(X, S, y, tau, kappa, r_P, R_D, cx, by)
+            term = self._check_termination(X, S, y, cx, by, scaled)
             if term is not None:
                 status, detail, payload = term
                 return self._finish(status, detail, payload, X, S, y, tau, it)
@@ -268,8 +272,9 @@ class _HsdSolver:
                 Sinv = [_sym_inverse(s_blk) for s_blk in S]
                 factor = self._schur_factor(Sinv, X)
             except np.linalg.LinAlgError:
-                detail = "iterate left the cone numerically"
-                return self._finish("MaxIterations", detail, None, X, S, y, tau, it)
+                return self._abnormal(
+                    "iterate left the cone numerically", best, merit, X, S, y, tau, it
+                )
 
             # affine probe: aim straight at mu = 0 to gauge achievable progress,
             # then re-solve with the centering weight that probe suggests.  The
@@ -279,8 +284,9 @@ class _HsdSolver:
             # Both directions share the sigma-independent half of the system.
             base = self._newton_base(X, tau, kappa, Sinv, factor, R_D)
             if base is None:
-                detail = "singular Newton system"
-                return self._finish("MaxIterations", detail, None, X, S, y, tau, it)
+                return self._abnormal(
+                    "singular Newton system", best, merit, X, S, y, tau, it
+                )
             aff = self._direction(
                 X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                 sigma=0.0, eta=1.0,
@@ -293,11 +299,13 @@ class _HsdSolver:
                 X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                 sigma=sigma, eta=1.0 - sigma,
             )
+            corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
             alpha = _STEP_FRACTION * self._max_step(X, S, tau, kappa, corr)
             alpha = min(alpha, 1.0)
             if alpha < 1e-10:
-                detail = "step length collapsed"
-                return self._finish("MaxIterations", detail, None, X, S, y, tau, it)
+                return self._abnormal(
+                    "step length collapsed", best, merit, X, S, y, tau, it
+                )
 
             dX, dy, dS, dtau, dkappa = corr
             X = [_symmetrize(x + alpha * dx) for x, dx in zip(X, dX)]
@@ -306,21 +314,33 @@ class _HsdSolver:
             tau += alpha * dtau
             kappa += alpha * dkappa
 
-        return self._finish("MaxIterations", "iteration limit", None, X, S, y, tau, it)
+        merit = _merit(self._measure(X, S, y, tau)[-1])
+        return self._abnormal("iteration limit", best, merit, X, S, y, tau, it)
 
     # -- termination --------------------------------------------------------
 
-    def _check_termination(self, X, S, y, tau, kappa, r_P, R_D, cx, by):
-        tol = self.config.tol
-        bnorm = 1.0 + float(np.linalg.norm(self.b))
-        cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in self.C)
-
+    def _measure(self, X, S, y, tau):
+        """Residuals of an iterate: r_P, R_D, <C,X>, <b,y> and the scaled
+        (pres_abs, pres, dres, gap) the tolerance bounds, None once tau has
+        collapsed."""
+        r_P = self._apply_A(X) - self.b * tau
+        R_D = [c * tau - a - s for c, a, s in zip(self.C, self._apply_At(y), S)]
+        cx = self._inner(self.C, X)
+        by = float(self.b @ y)
+        scaled = None
         if tau > 1e-10:
             pres_abs = float(np.linalg.norm(r_P)) / tau
-            pres = pres_abs / bnorm
-            dres = max(float(np.linalg.norm(r)) for r in R_D) / tau / cnorm
+            pres = pres_abs / self.bnorm
+            dres = max(float(np.linalg.norm(r)) for r in R_D) / tau / self.cnorm
             pobj, dobj = cx / tau, by / tau
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            scaled = (pres_abs, pres, dres, gap)
+        return r_P, R_D, cx, by, scaled
+
+    def _check_termination(self, X, S, y, cx, by, scaled):
+        tol = self.config.tol
+        if scaled is not None:
+            pres_abs, pres, dres, gap = scaled
             if (
                 pres <= tol
                 and dres <= tol
@@ -335,18 +355,27 @@ class _HsdSolver:
             cert = max(
                 float(np.linalg.norm(a + s)) for a, s in zip(At_y, S)
             ) / by
-            if cert <= tol * cnorm * 10:
+            if cert <= tol * self.cnorm * 10:
                 return ("Infeasible", "primal infeasibility certificate", (y / by, cert))
         # unbounded primal (dual infeasible): A(X) ~ 0 with <C,X> < 0
         if cx < -tol:
             cert = float(np.linalg.norm(self._apply_A(X))) / (-cx)
-            if cert <= tol * bnorm * 10:
+            if cert <= tol * self.bnorm * 10:
                 return (
                     "MaxIterations",
                     "primal appears unbounded (dual infeasible ray found)",
                     None,
                 )
         return None
+
+    def _abnormal(self, detail, best, merit, X, S, y, tau, iterations):
+        """End `MaxIterations` on the iterate of least merit seen: the last
+        one, unless an earlier one was better."""
+        best_merit, best_it, *iterate = best
+        if best_merit < merit:
+            detail += "; returned the best iterate (iteration %d)" % best_it
+            X, S, y, tau = iterate
+        return self._finish("MaxIterations", detail, None, X, S, y, tau, iterations)
 
     def _finish(self, status, detail, payload, X, S, y, tau, iterations):
         scale = tau if (status == "Optimal" and tau > 1e-10) else max(tau, 1e-10)
@@ -441,6 +470,25 @@ class _HsdSolver:
         dkappa = rc_t / tau - (kappa / tau) * dtau
         return (dX, dy, dS, dtau, dkappa)
 
+    def _refine(self, X, Sinv, factor, direction, r_P, eta):
+        """One refinement step on the primal equation A(dX) - b dtau = -eta r_P.
+
+        Near a degenerate optimum the Schur matrix loses the digits that
+        equation needs, and the primal residual stalls above the tolerance.
+        The miss e is measured on dX itself; z with M z = -e moves dy by z,
+        dS by -A^T(z) and dX by S^{-1} A^T(z) X, which removes it to first
+        order.  A miss below a thousandth of the target is left alone.
+        """
+        dX, dy, dS, dtau, dkappa = direction
+        e = self._apply_A(dX) - self.b * dtau + eta * r_P
+        if np.linalg.norm(e) <= 1e-3 * eta * np.linalg.norm(r_P):
+            return direction
+        z = -self._schur_solve(factor, e)
+        At_z = self._apply_At(z)
+        dX = [dx + _symmetrize(si @ a @ x) for dx, si, a, x in zip(dX, Sinv, At_z, X)]
+        dS = [ds - a for ds, a in zip(dS, At_z)]
+        return (dX, dy + z, dS, dtau, dkappa)
+
     # -- step sizes ---------------------------------------------------------
 
     def _max_step(self, X, S, tau, kappa, direction):
@@ -492,6 +540,11 @@ class _SchurBlock:
         for rows, dense in self.dense:
             T = Sinv @ dense @ X
             M[rows] += (self.A @ T.reshape(len(rows), -1).T).T
+
+
+def _merit(scaled):
+    """The largest scaled residual, pres, dres or gap; inf once tau collapsed."""
+    return np.inf if scaled is None else max(scaled[1:])
 
 
 def _triangular_solve(T, rhs, lower):

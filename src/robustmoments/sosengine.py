@@ -9,10 +9,21 @@ affine equalities' free variables, equality-multiplier coefficients and
 margins) are eliminated from the equality rows before the solve by
 `eliminate_free` and recovered from the PSD blocks afterwards, so every SDP
 posed here has PSD blocks only.
+
+The moment block is solved on its face.  An equality g whose product with a
+monomial m has every monomial in the basis gives a coefficient vector v with
+X v = 0 for every feasible moment matrix X, so no feasible X is strictly
+positive definite.  `face_basis` collects those vectors and returns an
+orthonormal basis V of their orthogonal complement; `relax` poses the block
+as X = V Z V^T, and `restrict_to_face` maps each equality row onto Z, leaves
+out the rows that vanish there and those the others imply, and flags a
+left-out row whose right-hand side disagrees.  `MomentRelaxation.extract`
+lifts Z back before reading moments.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -115,20 +126,32 @@ class ConstraintSystem:
 
 
 class PseudoDistribution:
-    """Level-ell pseudo-moments with their (Hankel-exact) moment matrix."""
+    """Level-ell pseudo-moments, held as their (Hankel-exact) moment matrix.
+
+    `pseudo_moments` maps each product of two basis monomials to its
+    pseudo-moment.  It is rebuilt from the moment matrix when first read,
+    so a distribution nobody reads holds only the matrix and the basis.
+    """
 
     def __init__(self, num_vars, degree, pseudo_moments, basis):
         self.num_vars = num_vars
         self.degree = degree
-        self.pseudo_moments = dict(pseudo_moments)
         self.basis = list(basis)
         size = len(self.basis)
         M = np.empty((size, size))
         for i in range(size):
             for j in range(i, size):
-                val = self.pseudo_moments[monomial_mul(self.basis[i], self.basis[j])]
+                val = pseudo_moments[monomial_mul(self.basis[i], self.basis[j])]
                 M[i, j] = M[j, i] = val
         self.moment_matrix = M
+
+    @functools.cached_property
+    def pseudo_moments(self):
+        moments = {}
+        for i, j in zip(*np.triu_indices(len(self.basis))):
+            mono = monomial_mul(self.basis[i], self.basis[j])
+            moments.setdefault(mono, float(self.moment_matrix[i, j]))
+        return moments
 
     @classmethod
     def from_support(cls, points, weights=None, degree=2, basis=None):
@@ -290,14 +313,177 @@ def eliminate_free(rows, num_free, objective=None):
 
 
 # ---------------------------------------------------------------------------
+# facial reduction of the moment block
+
+_FACE_TOL = 1e-10  # eigenvalues of K^T K below this share of the largest are 0
+_VANISH_TOL = 1e-10  # a reduced row below this share of its own scale vanishes
+_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
+_ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-reduction temporary, at most
+
+
+def face_basis(system, basis):
+    """Orthonormal basis V of the face that `system`'s equalities cut out.
+
+    For an equality g and a monomial m such that every monomial of m*g lies
+    in the basis, let v be the coefficient vector of m*g on the basis.  The
+    multiplier rows E~[b*m*g] = 0, one per basis element b, say Xv = 0, so
+    every feasible moment matrix X has the form V Z V^T with V spanning the
+    orthogonal complement of those v.  Only products whose multipliers b*m
+    all fall within the multiplier degree ell - deg g are used.  Returns None
+    when no equality yields a kernel vector.  (Permenter and Parrilo, Math.
+    Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
+    """
+    index = {b: a for a, b in enumerate(basis)}
+    top = max(monomial_degree(b) for b in basis)
+    vectors = []
+    for g in system.equalities:
+        if not g.terms:
+            continue
+        lead = next(iter(g.terms))
+        room = system.relaxation_degree - g.degree() - top
+        for b in basis:
+            m = tuple(x - y for x, y in zip(b, lead))
+            if min(m) < 0 or monomial_degree(m) > room:
+                continue
+            cols = [index.get(monomial_mul(m, gamma)) for gamma in g.terms]
+            if None in cols:
+                continue
+            v = np.zeros(len(basis))
+            v[cols] = list(g.terms.values())
+            vectors.append(v)
+    if not vectors:
+        return None
+    K = np.array(vectors)
+    lam, U = np.linalg.eigh(K.T @ K)
+    return U[:, lam <= _FACE_TOL * lam[-1]]
+
+
+def _pivoted_cholesky(G, tol):
+    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
+
+    Each step takes the row with the largest residual diagonal, its squared
+    distance from the span of the rows taken so far, and stops once that is
+    at most `tol`.  Returns (pivots in pivot order, L) with L L^T = G on the
+    pivot rows and L[:, :len(pivots)] the coordinates of every row in an
+    orthonormal basis of their span.
+    """
+    n = len(G)
+    L = np.zeros((n, n))
+    resid = G.diagonal().copy()
+    pivots = []
+    for step in range(n):
+        p = int(np.argmax(resid))
+        if resid[p] <= tol:
+            break
+        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
+        col[pivots] = 0.0
+        L[:, step] = col
+        resid -= col * col
+        resid[p] = -np.inf
+        pivots.append(p)
+    return pivots, L[:, :len(pivots)]
+
+
+def restrict_to_face(rows, V):
+    """Map equality rows through X0 = V Z V^T and keep an independent set.
+
+    Each row is (entries, rhs) with entries (block, i, j, value) on unordered
+    entries, read once.  Its block-0 part <A, X0> becomes <V^T A V, Z>,
+    written on Z's upper triangle; other blocks pass through.  A row whose
+    reduced coefficients vanish is left out, and so is a row in the span of
+    the others, found by a pivoted Cholesky of the Gram matrix of the
+    unit-scaled rows.  Returns (rows kept in input order, number vanished,
+    number dependent, reason or None): the reason names a left-out row
+    whose rhs the kept rows do not reproduce, which makes the system
+    infeasible.
+    """
+    r = V.shape[1]
+    iu, ju = np.triu_indices(r)
+    weight = np.where(iu == ju, 1.0, 2.0)
+    rhs = np.array([b for _, b in rows], dtype=float)
+    other = [[e for e in entries if e[0] != 0] for entries, _ in rows]
+    zero = [[e[1:] for e in entries if e[0] == 0] for entries, _ in rows]
+    counts = np.array([len(z) for z in zero])
+    starts = np.cumsum(counts) - counts
+    flat = np.array([e for z in zero for e in z], dtype=float).reshape(-1, 3)
+
+    # reduced block-0 coefficients of the rows that do not vanish, rows
+    # grouped by entry count: with H the sum of value/2 * V[i]^T V[j],
+    # V^T A V = H + H^T
+    reduced = {}
+    for q in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == q)
+        step = max(1, _ROW_CHUNK_FLOATS // (q * r * r))
+        for chunk in np.split(group, range(step, len(group), step)):
+            ijv = flat[starts[chunk][:, None] + np.arange(q)]  # chunk x q x 3
+            I, J, W = ijv[..., 0].astype(int), ijv[..., 1].astype(int), ijv[..., 2]
+            H = np.matmul((V[I] * (0.5 * W[..., None])).transpose(0, 2, 1), V[J])
+            coef = (H + H.transpose(0, 2, 1))[:, iu, ju] * weight
+            scale = np.max(np.abs(W), axis=1, keepdims=True)
+            coef[np.abs(coef) <= _FILL_TOL * scale] = 0.0
+            keep = np.max(np.abs(coef), axis=1) > _VANISH_TOL * scale[:, 0]
+            reduced.update(zip(chunk[keep], coef[keep]))
+    live = [k for k in range(len(rows)) if k in reduced or other[k]]
+    vanished = [k for k in range(len(rows)) if not (k in reduced or other[k])]
+    trivially_infeasible = None
+    if np.any(np.abs(rhs[vanished]) > 1e-12):
+        trivially_infeasible = "an equality vanishes on the face but demands %r" % (
+            rhs[vanished][np.argmax(np.abs(rhs[vanished]))]
+        )
+
+    # the live rows as dense vectors on (Z's upper triangle, other entries)
+    keys = sorted({e[:3] for k in live for e in other[k]})
+    col_of = {key: len(iu) + c for c, key in enumerate(keys)}
+    R = np.zeros((len(live), len(iu) + len(keys)))
+    for a, k in enumerate(live):
+        if k in reduced:
+            R[a, :len(iu)] = reduced[k]
+        for blk, i, j, v in other[k]:
+            R[a, col_of[(blk, i, j)]] += v
+    norms = np.linalg.norm(R, axis=1)
+    R /= norms[:, None]
+    b = rhs[live] / norms
+    pivots, L = _pivoted_cholesky(R @ R.T, _DEPENDENT_TOL)
+    kept = sorted(pivots)
+    dependent = sorted(set(range(len(live))) - set(pivots))
+    if len(dependent) and trivially_infeasible is None:
+        # each dependent row is alpha . (pivot rows) with Lp^T alpha = L[row]
+        alpha = np.linalg.solve(L[pivots].T, L[dependent].T)
+        want = b[pivots] @ alpha
+        spread = 1.0 + np.abs(b[pivots]) @ np.abs(alpha)
+        bad = np.abs(b[dependent] - want) > 1e-9 * spread
+        if np.any(bad):
+            row = dependent[np.argmax(bad)]
+            trivially_infeasible = (
+                "dependent equality rows demand %r and %r"
+                % (float(b[row] * norms[row]), float(want[np.argmax(bad)] * norms[row]))
+            )
+
+    out = []
+    for a in kept:
+        k = live[a]
+        nz = np.flatnonzero(reduced.get(k, ()))
+        coef = reduced[k][nz].tolist() if len(nz) else []
+        entries = list(zip([0] * len(nz), iu[nz].tolist(), ju[nz].tolist(), coef))
+        out.append((entries + other[k], rhs[k]))
+    return out, len(vanished), len(dependent), trivially_infeasible
+
+
+# ---------------------------------------------------------------------------
 # the relaxation compiler
 
 
 class MomentRelaxation:
-    """A compiled system: the SDP plus the maps needed to read answers back."""
+    """A compiled system: the SDP plus the maps needed to read answers back.
+
+    `face` is the orthonormal basis V of the moment block's face, whose SDP
+    block is Z with X0 = V Z V^T, or None when the block is X0 itself;
+    `rows_vanished` and `rows_dependent` count the rows the face left out.
+    """
 
     def __init__(self, system, basis, problem, positions, aux_index, elimination,
-                 trivially_infeasible=None):
+                 trivially_infeasible=None, face=None, rows_vanished=0,
+                 rows_dependent=0):
         self.system = system
         self.basis = basis
         self.problem = problem
@@ -305,20 +491,23 @@ class MomentRelaxation:
         self.aux_block_index = aux_index
         self.elimination = elimination
         self.trivially_infeasible = trivially_infeasible
+        self.face = face
+        self.rows_vanished = rows_vanished
+        self.rows_dependent = rows_dependent
 
     def extract(self, solution):
-        X0 = solution.primal_blocks[0]
+        blocks = list(solution.primal_blocks)
+        if self.face is not None:
+            blocks[0] = self.face @ blocks[0] @ self.face.T
+        X0 = blocks[0]
         moments = {
             mono: float(X0[i, j]) for mono, (i, j) in self.moment_positions.items()
         }
         pd = PseudoDistribution(
             self.system.num_vars, self.system.relaxation_degree, moments, self.basis
         )
-        aux = {
-            name: np.array(solution.primal_blocks[idx])
-            for name, idx in self.aux_block_index.items()
-        }
-        free = self.elimination.free_values(solution.primal_blocks).tolist()
+        aux = {name: np.array(blocks[idx]) for name, idx in self.aux_block_index.items()}
+        free = self.elimination.free_values(blocks).tolist()
         return pd, aux, free
 
 
@@ -340,6 +529,14 @@ def relax(system, objective=None, sense="min", basis=None,
     reduced basis relaxes further (only multipliers whose products remain
     representable are imposed).  Feasible X of the returned problem are the
     moment matrices of degree-ell pseudo-distributions satisfying the system.
+
+    The moment block is posed on the face the equalities cut out: X0 =
+    V Z V^T with V from `face_basis`, and block 0 of the returned problem is
+    Z.  The rows and the objective are mapped through V^T . V; the rows that
+    vanish on the face, and those linearly dependent on the rest, are left
+    out (`restrict_to_face`).  The relaxation is `trivially_infeasible`, and
+    no SDP needs solving, when the face leaves out the constant monomial or
+    a left-out row demands a right-hand side the others contradict.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
@@ -410,18 +607,28 @@ def relax(system, objective=None, sense="min", basis=None,
         aux_index[blk.name] = len(block_sizes)
         block_sizes.append(blk.size)
 
-    mult_cache = {}
+    # a multiplier of degree <= ell - deg e is imposed when every product
+    # with a term of e is representable.  The candidates are the quotients
+    # of representable monomials by e's leading term, taken in grlex order;
+    # only monomials that share a variable with that term can be multiples.
+    with_var = {}
+    for mono in representable:
+        for v, k in enumerate(mono):
+            if k:
+                with_var.setdefault(v, []).append(mono)
     for e in system.equalities:
-        de = e.degree()
-        max_deg = ell - de
-        if max_deg not in mult_cache:
-            try:
-                mult_cache[max_deg] = enumerate_monomials(
-                    nv, max_deg, cap=monomial_cap
-                )
-            except MonomialCapError as exc:
-                raise RelaxationSizeError(f"multiplier basis: {exc}") from exc
-        for mult in mult_cache[max_deg]:
+        lead = max(e.terms, key=sum, default=None)
+        if lead is None:
+            continue
+        max_deg = ell - e.degree()
+        support = [v for v, k in enumerate(lead) if k]
+        pool = with_var.get(support[0], []) if support else representable
+        candidates = set()
+        for mono in pool:
+            mult = tuple(x - y for x, y in zip(mono, lead))
+            if min(mult) >= 0 and sum(mult) <= max_deg:
+                candidates.add(mult)
+        for mult in sorted(candidates, key=_grlex_key):
             shifted = {}
             ok = True
             for gamma, coef in e.terms.items():
@@ -495,6 +702,20 @@ def relax(system, objective=None, sense="min", basis=None,
             f"(moment block of size {bsize})"
         )
 
+    V = face_basis(system, basis)
+    rows_vanished = rows_dependent = 0
+    if V is not None and np.linalg.norm(V[0]) <= _FACE_TOL:
+        V = None
+        trivially_infeasible = trivially_infeasible or (
+            "the equalities force E~[1] = 0: the face leaves out the constant"
+        )
+    elif V is not None:
+        clean_rows, rows_vanished, rows_dependent, contradiction = restrict_to_face(
+            clean_rows, V
+        )
+        trivially_infeasible = trivially_infeasible or contradiction
+        block_sizes[0] = V.shape[1]
+
     obj_terms = _objective_terms(objective, nv)
     obj_main = None
     if obj_terms:
@@ -509,6 +730,8 @@ def relax(system, objective=None, sense="min", basis=None,
             else:
                 obj_main[i, j] += sign * coef / 2.0
                 obj_main[j, i] += sign * coef / 2.0
+        if V is not None:
+            obj_main = V.T @ obj_main @ V
     objective_mats = [obj_main] + [None] * (len(block_sizes) - 1)
 
     problem = SdpProblem(block_sizes, objective=objective_mats)
@@ -517,7 +740,7 @@ def relax(system, objective=None, sense="min", basis=None,
 
     return MomentRelaxation(
         system, basis, problem, positions, aux_index, elimination,
-        trivially_infeasible,
+        trivially_infeasible, V, rows_vanished, rows_dependent,
     )
 
 
@@ -557,7 +780,10 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None,
     obj_val = None
     if objective is not None:
         terms = _objective_terms(objective, system.num_vars)
-        obj_val = math.fsum(c * pd.pseudo_moments[m] for m, c in terms.items())
+        positions = relaxation.moment_positions
+        obj_val = math.fsum(
+            c * float(pd.moment_matrix[positions[m]]) for m, c in terms.items()
+        )
     return SystemSolution(
         status=solution.status, pseudo=pd, aux=aux, free_values=free,
         objective_value=obj_val, sdp=solution, relaxation=relaxation,

@@ -35,7 +35,7 @@ from robustmoments.estimators import (
     truncate_preprocess,
 )
 from robustmoments.polycore import empirical_moments, enumerate_monomials
-from robustmoments.sosengine import relax
+from robustmoments.sosengine import face_basis, relax
 from robustmoments.subgauss import SubgaussParams
 
 EPS12 = 1.0 / 12
@@ -160,7 +160,8 @@ class TestBuildB:
     def test_relaxation_has_no_free_blocks(self):
         # planted n=11, d=2 sample: the moment block and Q2 only; the six
         # sphere-multiplier coefficients are eliminated, not split into
-        # pairs of 1x1 blocks
+        # pairs of 1x1 blocks.  The 22 selection vectors and the budget
+        # vector cut the 89 basis elements down to a face of dimension 66.
         bulk = np.tile(
             np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (3, 1)
         )[:11]
@@ -169,7 +170,34 @@ class TestBuildB:
         system = _combine(build_A(sample.data, 1 / 11), B)
         rel = relax(system, basis=estimator_basis(11, 2))
         assert B.num_free == 6
-        assert rel.problem.block_sizes == [89, 6]
+        assert rel.problem.block_sizes == [66, 6]
+        assert rel.face.shape == (89, 66)
+
+
+class TestFace:
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_true_moment_matrices_lie_in_the_face(self, eps):
+        # points on the selection variety: boolean w with (1 - eps) n ones,
+        # x = y wherever w = 1 and arbitrary elsewhere
+        n, d = 5, 2
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((n, d))
+        basis = estimator_basis(n, d)
+        V = face_basis(build_A(y, eps), basis)
+        assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+        # the budget and the n*d selection vectors; at eps = 0 one point is left
+        assert V.shape[1] == (1 if eps == 0 else len(basis) - n * d - 1)
+        rows = []
+        for _ in range(8):
+            w = np.zeros(n)
+            w[rng.choice(n, round((1 - eps) * n), replace=False)] = 1.0
+            x = np.where(w[:, None] == 1.0, y, rng.standard_normal((n, d)))
+            point = np.concatenate([w, x.ravel()])
+            rows.append([np.prod(point ** np.array(b)) for b in basis])
+        vals = np.array(rows)
+        X = (vals.T * rng.uniform(0.1, 1.0, len(rows))) @ vals
+        P = V @ V.T
+        assert np.max(np.abs(P @ X @ P - X)) <= 1e-12 * np.max(np.abs(X))
 
 
 class TestEstimatorBasis:
@@ -201,11 +229,16 @@ class TestCleanExactness:
         est = estimate_moments(
             y, EstimatorConfig(epsilon=0.0, params=SubgaussParams(3.0, 4))
         )
+        # at eps = 0 the face is the single point (w, x) = (1, y): the moment
+        # block is 1x1 and only the certificate blocks are left to solve
+        assert est.diagnostics["status"] == "Optimal"
+        assert est.diagnostics["relaxation"]["face_dim"] == 1
+        assert est.diagnostics["relaxation"]["block_sizes"][0] == 1
         emp = empirical_moments(y, 4)
-        assert np.max(np.abs(est.mean_hat - emp.mean)) <= 1e-5
-        assert np.max(np.abs(est.cov_matrix() - emp.covariance.as_matrix())) <= 1e-5
-        assert est.higher_hats[3].max_abs_diff(emp.raw(3)) <= 1e-5
-        assert est.higher_hats[4].max_abs_diff(emp.raw(4)) <= 1e-5
+        assert np.max(np.abs(est.mean_hat - emp.mean)) <= 1e-8
+        assert np.max(np.abs(est.cov_matrix() - emp.covariance.as_matrix())) <= 1e-8
+        assert est.higher_hats[3].max_abs_diff(emp.raw(3)) <= 1e-8
+        assert est.higher_hats[4].max_abs_diff(emp.raw(4)) <= 1e-8
 
 
 class TestPlantedOutlier:
@@ -238,14 +271,20 @@ class TestPlantedOutlier:
         assert di["moment_matrix_min_eig"] >= -1e-7
         assert di["mode"] == "FullSos"
         assert di["basis_size"] == 49
-        # Q2 over {1, u, u^2}; q's three coefficients are eliminated
-        assert di["relaxation"]["block_sizes"] == [49, 3]
-        assert di["relaxation"]["free_eliminated"] == 3
+        # Q2 over {1, u, u^2}; q's three coefficients are eliminated; the
+        # 12 selection vectors and the budget vector leave a 36-dimensional
+        # face of the 49 basis elements
+        rel_di = di["relaxation"]
+        assert rel_di["block_sizes"] == [36, 3]
+        assert rel_di["free_eliminated"] == 3
+        assert rel_di["face_dim"] == 36
         med, s = _robust_standardization(Y.data)
         system = _combine(build_A((Y.data - med) / s, EPS12),
                           build_B(SubgaussParams(1.0, 4), 12, 1))
-        m = relax(system, basis=estimator_basis(12, 1)).problem.num_constraints
-        assert di["relaxation"]["m"] == m
+        rel = relax(system, basis=estimator_basis(12, 1))
+        assert rel_di["m"] == rel.problem.num_constraints == 51
+        assert rel_di["rows_vanished"] == rel.rows_vanished == 613
+        assert rel_di["rows_dependent"] == rel.rows_dependent == 48
 
     def test_oracle_drops_exactly_the_outlier(self, planted_solution):
         Y, est = planted_solution

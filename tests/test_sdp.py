@@ -304,3 +304,29 @@ def test_triangular_solve_matches_dense_solve(lower):
             got = _triangular_solve(T, rhs, lower=lower)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _merit(prob, sol):
+    """The largest of the scaled residuals and the relative gap."""
+    cnorm = 1.0 + max(np.linalg.norm(c) for c in prob.objective if c is not None)
+    gap = sol.duality_gap / (1.0 + abs(sol.primal_objective) + abs(sol.dual_objective))
+    return max(sol.primal_residual / (1.0 + np.linalg.norm(prob.rhs)),
+               sol.dual_residual / cnorm, gap)
+
+
+def test_abnormal_exit_returns_the_best_iterate():
+    # X11 = 0 leaves no strictly feasible point; with an unreachable
+    # tolerance the iterates stall near the optimum and then drift away
+    prob = SdpProblem([2], objective=[np.array([[1.0, 0.0], [0.0, 0.0]])])
+    prob.add_constraint_entries([(0, 1, 1, 1.0)], 0.0)
+    prob.add_constraint_entries([(0, 0, 0, 1.0), (0, 0, 1, 1.0)], 1.0)
+    sol = solve(prob, SdpConfig(max_iters=200, tol=0.0))
+    assert sol.status == "MaxIterations"
+    assert "returned the best iterate" in sol.detail
+    assert _merit(prob, sol) <= 1e-8
+    # no shorter run ends on a better iterate
+    best = min(
+        _merit(prob, solve(prob, SdpConfig(max_iters=k, tol=0.0)))
+        for k in range(10, sol.iterations + 1, 20)
+    )
+    assert _merit(prob, sol) <= best * (1.0 + 1e-12)

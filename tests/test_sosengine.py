@@ -76,6 +76,31 @@ class TestSolveSystem:
         assert res.status == "Infeasible"
         assert res.sdp is None  # caught structurally, no solve attempted
 
+    def test_dependent_rows_with_clashing_rhs_detected_before_sdp(self):
+        # y = 1 puts e_y - e_1 in the moment matrix's kernel; on that face
+        # E~[y] = 1.5 E~[1] reads -0.5 E~[1] = 0, a multiple of E~[1] = 1
+        y = Polynomial.variable(2, 1)
+        system = ConstraintSystem(
+            2, 2, equalities=[y - 1.0], affine_equalities=[AffineEquality(y - 1.5)],
+        )
+        res = solve_system(system)
+        assert res.status == "Infeasible"
+        assert res.sdp is None
+        assert "dependent" in res.detail
+
+    def test_face_lifts_back(self):
+        # x + y = 1 at level 2 with basis {1, x, y}: the moment matrix lives
+        # on the 2-dimensional face orthogonal to (-1, 1, 1)
+        x = Polynomial.variable(2, 0)
+        y = Polynomial.variable(2, 1)
+        system = ConstraintSystem(2, 2, equalities=[x + y - 1.0])
+        res = solve_system(system, objective=x * x + y * y, sense="min")
+        assert res.status == "Optimal"
+        assert res.relaxation.problem.block_sizes == [2]
+        M = res.pseudo.moment_matrix
+        assert np.max(np.abs(M @ np.array([-1.0, 1.0, 1.0]))) <= 1e-7
+        assert res.objective_value == pytest.approx(0.5, abs=1e-6)
+
     def test_moment_matrix_psd_and_normalized(self):
         system = ConstraintSystem(1, 4, equalities=[X * X - 1.0])
         res = solve_system(system, objective=X, sense="max")
