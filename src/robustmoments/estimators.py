@@ -428,9 +428,10 @@ def estimate_moments(Y, config):
     # read moments off the Hankel-exact moment matrix, so that the estimate
     # keeps no dict of every pseudo-moment
     positions = res.relaxation.moment_positions
+    M = pd.moment_matrix
 
     def moment(mono):
-        return float(pd.moment_matrix[positions[mono]])
+        return float(M[positions[mono]])
 
     max_order = params.k if config.mode == "FullSos" else 2
     std_raw = {r: _same_row_tensor(moment, n, d, r) for r in range(1, max_order + 1)}
@@ -466,8 +467,10 @@ def estimate_moments(Y, config):
             "block_sizes": list(problem.block_sizes),
             "free_eliminated": len(relaxation.elimination.pivots),
             "face_dim": problem.block_sizes[0],
+            "rows_implied": relaxation.rows_implied,
             "rows_vanished": relaxation.rows_vanished,
             "rows_dependent": relaxation.rows_dependent,
+            "nnz": relaxation.nnz,
         },
         "scale": s,
         "shift": med,

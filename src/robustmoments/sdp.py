@@ -85,22 +85,43 @@ class SdpProblem:
         entries read the symmetric matrix entry once (not the (i,j)+(j,i) pair).
         Keeps large relaxations out of dense per-constraint storage.
         """
-        acc = {}
-        for bi, i, j, val in entries:
-            bi, i, j = int(bi), int(i), int(j)
-            if not 0 <= bi < len(self.block_sizes):
-                raise ValueError(f"block index {bi} out of range")
-            size = self.block_sizes[bi]
-            if not (0 <= i < size and 0 <= j < size):
-                raise ValueError(f"entry ({i},{j}) outside block of size {size}")
-            if i > j:
-                i, j = j, i
-            key = (bi, i, j)
-            acc[key] = acc.get(key, 0.0) + float(val)
-        if not acc:
+        self.add_constraint_rows([(entries, rhs)])
+
+    def add_constraint_rows(self, rows):
+        """Add sparse constraints (entries, rhs), as `add_constraint_entries`
+        takes them, all at once.  `entries` is a sequence of 4-tuples or a
+        k x 4 array; an entry given twice in a row is summed in the order
+        given.  Nothing is added unless every row is valid.
+        """
+        rows = list(rows)
+        parts = [np.asarray(entries, dtype=float).reshape(-1, 4) for entries, _ in rows]
+        counts = np.array([len(part) for part in parts], dtype=np.int64)
+        if np.any(counts == 0):
             raise ValueError("constraint touches no block")
-        self.constraints.append(_EntryRow(acc))
-        self.rhs.append(float(rhs))
+        arr = np.concatenate(parts + [np.zeros((0, 4))])
+        bi = arr[:, 0].astype(np.int64)
+        bad = (bi < 0) | (bi >= len(self.block_sizes))
+        if np.any(bad):
+            raise ValueError(f"block index {bi[np.argmax(bad)]} out of range")
+        sizes = np.array(self.block_sizes)[bi]
+        i, j = arr[:, 1].astype(np.int64), arr[:, 2].astype(np.int64)
+        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= sizes)
+        if np.any(bad):
+            k = np.argmax(bad)
+            raise ValueError(f"entry ({i[k]},{j[k]}) outside block of size {sizes[k]}")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # one key per (row, block, i, j), sorted in that order
+        row = np.repeat(np.arange(len(rows)), counts)
+        top = max(self.block_sizes)
+        keys = ((row * len(self.block_sizes) + bi) * top + lo) * top + hi
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # bincount adds each value in input order, starting from 0.0
+        values = np.bincount(inverse, arr[:, 3])
+        fields = (bi[first], lo[first], hi[first], values)
+        ends = np.cumsum(np.bincount(row[first], minlength=len(rows))).tolist()
+        for start, end in zip([0] + ends, ends):
+            self.constraints.append(_EntryRow(*(f[start:end] for f in fields)))
+        self.rhs.extend(float(rhs) for _, rhs in rows)
 
     @property
     def num_constraints(self):
@@ -120,18 +141,28 @@ class SdpProblem:
                 lines.append(f"obj {bi} {i} {j} {float(coef)!r}")
         for ci, row in enumerate(self.constraints):
             lines.append(f"rhs {ci} {self.rhs[ci]!r}")
-            for (bi, i, j), val in sorted(row.entries.items()):
-                lines.append(f"con {ci} {bi} {i} {j} {val!r}")
+            fields = (row.block, row.i, row.j, row.values)
+            lines.extend(
+                f"con {ci} {bi} {i} {j} {val!r}"
+                for bi, i, j, val in zip(*(f.tolist() for f in fields))
+            )
         return "\n".join(lines) + "\n"
 
 
 class _EntryRow:
-    """Compact constraint row: dict (block, i<=j) -> coefficient."""
+    """Compact constraint row: the entries X[block][i, j], i <= j, it reads,
+    sorted by (block, i, j), and their coefficients, as arrays."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("block", "i", "j", "values")
 
-    def __init__(self, entries):
-        self.entries = entries
+    def __init__(self, block, i, j, values):
+        self.block, self.i, self.j, self.values = block, i, j, values
+
+    @property
+    def entries(self):
+        """The row as a dict (block, i, j) -> coefficient."""
+        keys = zip(self.block.tolist(), self.i.tolist(), self.j.tolist())
+        return dict(zip(keys, self.values.tolist()))
 
 
 def _upper_entries(mat):
@@ -202,26 +233,23 @@ class _HsdSolver:
 
     def _build_sparse_rows(self):
         """Rows of vec'd constraint matrices; tr(A_k M) = A_sparse[k] @ vec(M)."""
-        data, rows, cols = [], [], []
-        for k, row in enumerate(self.problem.constraints):
-            for (bi, i, j), val in row.entries.items():
-                base = self.offsets[bi]
-                size = self.sizes[bi]
-                if i == j:
-                    rows.append(k)
-                    cols.append(base + i * size + i)
-                    data.append(val)
-                else:
-                    # half on each orientation so the functional reads the
-                    # symmetric entry once
-                    rows.append(k)
-                    cols.append(base + i * size + j)
-                    data.append(0.5 * val)
-                    rows.append(k)
-                    cols.append(base + j * size + i)
-                    data.append(0.5 * val)
+        rows = self.problem.constraints
+        k = np.repeat(np.arange(self.m), [len(row.values) for row in rows])
+        bi, i, j, val = (
+            np.concatenate([getattr(row, name) for row in rows] + [np.zeros(0, dtype)])
+            for name, dtype in (("block", int), ("i", int), ("j", int), ("values", float))
+        )
+        base, size = self.offsets[bi], np.array(self.sizes, dtype=int)[bi]
+        # an off-diagonal entry puts half on each orientation, so that the
+        # functional reads the symmetric entry once
+        off = i != j
         return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.m, self.vec_len)
+            (
+                np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]]),
+                (np.concatenate([k, k[off]]),
+                 np.concatenate([base + i * size + j, (base + j * size + i)[off]])),
+            ),
+            shape=(self.m, self.vec_len),
         )
 
     # -- block helpers ------------------------------------------------------

@@ -19,6 +19,14 @@ as X = V Z V^T, and `restrict_to_face` maps each equality row onto Z, leaves
 out the rows that vanish there and those the others imply, and flags a
 left-out row whose right-hand side disagrees.  `MomentRelaxation.extract`
 lifts Z back before reading moments.
+
+The face implies some rows outright, and `relax` does not build them: the
+multiplier row of g with multiplier b*m, for b in the basis and m a kernel
+multiplier of g, reads through the Hankel rows as
+    E~[b*m*g] = sum_gamma g_gamma X[b, m*gamma] = (X v)_b,
+and (X v)_b = (V Z V^T v)_b = 0 for every Z, because V^T v = 0.  The
+multiplier rows are enumerated on integer exponent arrays, with each
+monomial's bytes as its exact lookup key.
 """
 
 from __future__ import annotations
@@ -126,31 +134,59 @@ class ConstraintSystem:
 
 
 class PseudoDistribution:
-    """Level-ell pseudo-moments, held as their (Hankel-exact) moment matrix.
+    """Level-ell pseudo-moments over a monomial basis.
 
-    `pseudo_moments` maps each product of two basis monomials to its
-    pseudo-moment.  It is rebuilt from the moment matrix when first read,
-    so a distribution nobody reads holds only the matrix and the basis.
+    The (Hankel-exact) moment matrix is held as its packed upper triangle
+    and the basis as one small-integer exponent array, about half the memory
+    of the full matrix and the basis tuples; `moment_matrix` and `basis`
+    rebuild them on each read.  `pseudo_moments` maps each product of two
+    basis monomials to its pseudo-moment; it is built when first read.
     """
 
     def __init__(self, num_vars, degree, pseudo_moments, basis):
+        basis = list(basis)
+        iu, ju = np.triu_indices(len(basis))
+        upper = [
+            pseudo_moments[monomial_mul(basis[i], basis[j])]
+            for i, j in zip(iu.tolist(), ju.tolist())
+        ]
+        self._store(num_vars, degree, basis, np.array(upper, dtype=float))
+
+    @classmethod
+    def from_upper_triangle(cls, num_vars, degree, basis, upper):
+        """The distribution whose Hankel-exact moment matrix over `basis` has
+        the upper triangle `upper`, packed row by row as `np.triu_indices`
+        orders it."""
+        pd = cls.__new__(cls)
+        pd._store(num_vars, degree, basis, upper)
+        return pd
+
+    def _store(self, num_vars, degree, basis, upper):
         self.num_vars = num_vars
         self.degree = degree
-        self.basis = list(basis)
-        size = len(self.basis)
+        top = max((max(b) for b in basis), default=0)
+        self._exponents = np.array(basis, dtype=np.min_scalar_type(top))
+        self._upper = upper
+
+    @property
+    def basis(self):
+        return list(map(tuple, self._exponents.tolist()))
+
+    @property
+    def moment_matrix(self):
+        size = len(self._exponents)
         M = np.empty((size, size))
-        for i in range(size):
-            for j in range(i, size):
-                val = pseudo_moments[monomial_mul(self.basis[i], self.basis[j])]
-                M[i, j] = M[j, i] = val
-        self.moment_matrix = M
+        iu, ju = np.triu_indices(size)
+        M[iu, ju] = M[ju, iu] = self._upper
+        return M
 
     @functools.cached_property
     def pseudo_moments(self):
+        basis = self.basis
         moments = {}
-        for i, j in zip(*np.triu_indices(len(self.basis))):
-            mono = monomial_mul(self.basis[i], self.basis[j])
-            moments.setdefault(mono, float(self.moment_matrix[i, j]))
+        iu, ju = np.triu_indices(len(basis))
+        for i, j, val in zip(iu.tolist(), ju.tolist(), self._upper.tolist()):
+            moments.setdefault(monomial_mul(basis[i], basis[j]), val)
         return moments
 
     @classmethod
@@ -321,6 +357,42 @@ _DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
 _ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-reduction temporary, at most
 
 
+def _exponents(monos, nv):
+    """The monomials as rows of an integer exponent array."""
+    return np.array(monos, dtype=np.int64).reshape(-1, nv)
+
+
+def _row_keys(E):
+    """One exact key per row of a 2-D integer array: the row's bytes, as a
+    numpy void scalar.  Equal keys are equal rows, so nothing can collide."""
+    E = np.ascontiguousarray(E, dtype=np.int64)
+    return E.view(np.dtype((np.void, E.shape[1] * E.itemsize))).reshape(len(E))
+
+
+class _MonomialTable:
+    """Exact lookup of exponent rows among the rows of a fixed array.
+
+    The row keys are sorted stably, so a row that occurs more than once is
+    found at its first occurrence.
+    """
+
+    def __init__(self, E):
+        self.width = E.shape[1]
+        keys = _row_keys(E)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def find(self, E):
+        """Index of each row of E (any leading shape) in the table, -1 where
+        it is absent."""
+        if not len(self.keys):
+            return np.full(E.shape[:-1], -1)
+        q = _row_keys(E.reshape(-1, self.width))
+        pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
+        found = np.where(self.keys[pos] == q, self.order[pos], -1)
+        return found.reshape(E.shape[:-1])
+
+
 def face_basis(system, basis):
     """Orthonormal basis V of the face that `system`'s equalities cut out.
 
@@ -329,33 +401,38 @@ def face_basis(system, basis):
     multiplier rows E~[b*m*g] = 0, one per basis element b, say Xv = 0, so
     every feasible moment matrix X has the form V Z V^T with V spanning the
     orthogonal complement of those v.  Only products whose multipliers b*m
-    all fall within the multiplier degree ell - deg g are used.  Returns None
-    when no equality yields a kernel vector.  (Permenter and Parrilo, Math.
-    Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
+    all fall within the multiplier degree ell - deg g are used.  (Permenter
+    and Parrilo, Math. Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
+
+    Returns (V, multipliers): V is None when no equality yields a kernel
+    vector, and multipliers[k] holds the kernel multipliers m of the k-th
+    equality, one exponent row each.  Once X = V Z V^T, the multiplier row
+    of g with multiplier b*m is implied: read through the Hankel rows it is
+    sum_gamma g_gamma X[b, m*gamma] = (X v)_b, which V^T v = 0 makes 0.
+    `relax` does not build those rows.
     """
-    index = {b: a for a, b in enumerate(basis)}
-    top = max(monomial_degree(b) for b in basis)
-    vectors = []
+    nv = system.num_vars
+    B = _exponents(basis, nv)
+    table = _MonomialTable(B)
+    top = int(B.sum(axis=1).max())
+    vectors, multipliers = [], []
     for g in system.equalities:
-        if not g.terms:
-            continue
-        lead = next(iter(g.terms))
+        terms = _exponents(list(g.terms), nv)
         room = system.relaxation_degree - g.degree() - top
-        for b in basis:
-            m = tuple(x - y for x, y in zip(b, lead))
-            if min(m) < 0 or monomial_degree(m) > room:
-                continue
-            cols = [index.get(monomial_mul(m, gamma)) for gamma in g.terms]
-            if None in cols:
-                continue
-            v = np.zeros(len(basis))
-            v[cols] = list(g.terms.values())
-            vectors.append(v)
-    if not vectors:
-        return None
-    K = np.array(vectors)
+        m = B - terms[:1] if len(terms) else terms
+        m = m[(m.min(axis=1) >= 0) & (m.sum(axis=1) <= room)]
+        cols = table.find(m[:, None, :] + terms[None, :, :])
+        ok = np.all(cols >= 0, axis=1)
+        m, cols = m[ok], cols[ok]
+        v = np.zeros((len(m), len(basis)))
+        v[np.arange(len(m))[:, None], cols] = list(g.terms.values())
+        vectors.append(v)
+        multipliers.append(m)
+    K = np.concatenate(vectors) if vectors else np.zeros((0, len(basis)))
+    if not len(K):
+        return None, multipliers
     lam, U = np.linalg.eigh(K.T @ K)
-    return U[:, lam <= _FACE_TOL * lam[-1]]
+    return U[:, lam <= _FACE_TOL * lam[-1]], multipliers
 
 
 def _pivoted_cholesky(G, tol):
@@ -392,10 +469,10 @@ def restrict_to_face(rows, V):
     written on Z's upper triangle; other blocks pass through.  A row whose
     reduced coefficients vanish is left out, and so is a row in the span of
     the others, found by a pivoted Cholesky of the Gram matrix of the
-    unit-scaled rows.  Returns (rows kept in input order, number vanished,
-    number dependent, reason or None): the reason names a left-out row
-    whose rhs the kept rows do not reproduce, which makes the system
-    infeasible.
+    unit-scaled rows.  Returns (rows kept in input order, each with its
+    entries as a k x 4 array, number vanished, number dependent, reason or
+    None): the reason names a left-out row whose rhs the kept rows do not
+    reproduce, which makes the system infeasible.
     """
     r = V.shape[1]
     iu, ju = np.triu_indices(r)
@@ -414,7 +491,7 @@ def restrict_to_face(rows, V):
     for q in np.unique(counts[counts > 0]):
         group = np.flatnonzero(counts == q)
         step = max(1, _ROW_CHUNK_FLOATS // (q * r * r))
-        for chunk in np.split(group, range(step, len(group), step)):
+        for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
             ijv = flat[starts[chunk][:, None] + np.arange(q)]  # chunk x q x 3
             I, J, W = ijv[..., 0].astype(int), ijv[..., 1].astype(int), ijv[..., 2]
             H = np.matmul((V[I] * (0.5 * W[..., None])).transpose(0, 2, 1), V[J])
@@ -441,9 +518,9 @@ def restrict_to_face(rows, V):
         for blk, i, j, v in other[k]:
             R[a, col_of[(blk, i, j)]] += v
     norms = np.linalg.norm(R, axis=1)
-    R /= norms[:, None]
+    unit = R / norms[:, None]
     b = rhs[live] / norms
-    pivots, L = _pivoted_cholesky(R @ R.T, _DEPENDENT_TOL)
+    pivots, L = _pivoted_cholesky(unit @ unit.T, _DEPENDENT_TOL)
     kept = sorted(pivots)
     dependent = sorted(set(range(len(live))) - set(pivots))
     if len(dependent) and trivially_infeasible is None:
@@ -459,13 +536,16 @@ def restrict_to_face(rows, V):
                 % (float(b[row] * norms[row]), float(want[np.argmax(bad)] * norms[row]))
             )
 
+    # the kept rows, each as an array of entries: Z's, then the others
+    Z = R[kept, :len(iu)]
+    at, col = np.nonzero(Z)
+    on_z = np.column_stack([np.zeros(len(col)), iu[col], ju[col], Z[at, col]])
+    ends = np.cumsum(np.bincount(at, minlength=len(kept))).tolist()
     out = []
-    for a in kept:
+    for a, start, end in zip(kept, [0] + ends, ends):
         k = live[a]
-        nz = np.flatnonzero(reduced.get(k, ()))
-        coef = reduced[k][nz].tolist() if len(nz) else []
-        entries = list(zip([0] * len(nz), iu[nz].tolist(), ju[nz].tolist(), coef))
-        out.append((entries + other[k], rhs[k]))
+        entries = np.concatenate([on_z[start:end], np.reshape(other[k], (-1, 4))])
+        out.append((entries, rhs[k]))
     return out, len(vanished), len(dependent), trivially_infeasible
 
 
@@ -476,35 +556,42 @@ def restrict_to_face(rows, V):
 class MomentRelaxation:
     """A compiled system: the SDP plus the maps needed to read answers back.
 
-    `face` is the orthonormal basis V of the moment block's face, whose SDP
-    block is Z with X0 = V Z V^T, or None when the block is X0 itself;
-    `rows_vanished` and `rows_dependent` count the rows the face left out.
+    `moment_positions` maps each representable monomial to the entry (i, j),
+    i <= j, of the moment matrix that holds it, and `moment_gather` gives,
+    for each upper-triangle entry in row-major order, the flat index of the
+    entry that holds its monomial: X0.ravel()[moment_gather] is the packed
+    upper triangle of the Hankel-exact moment matrix.  `face` is the orthonormal basis V
+    of the moment block's face, whose SDP block is Z with X0 = V Z V^T, or
+    None when the block is X0 itself.  `rows_implied` counts the multiplier
+    rows not built because the face implies them, `rows_vanished` and
+    `rows_dependent` the built rows the face left out, and `nnz` the entries
+    stored in the SDP's rows.
     """
 
-    def __init__(self, system, basis, problem, positions, aux_index, elimination,
-                 trivially_infeasible=None, face=None, rows_vanished=0,
-                 rows_dependent=0):
+    def __init__(self, system, basis, problem, positions, gather, aux_index,
+                 elimination, trivially_infeasible=None, face=None, rows_implied=0,
+                 rows_vanished=0, rows_dependent=0):
         self.system = system
         self.basis = basis
         self.problem = problem
         self.moment_positions = positions
+        self.moment_gather = gather
         self.aux_block_index = aux_index
         self.elimination = elimination
         self.trivially_infeasible = trivially_infeasible
         self.face = face
+        self.rows_implied = rows_implied
         self.rows_vanished = rows_vanished
         self.rows_dependent = rows_dependent
+        self.nnz = sum(len(row.values) for row in problem.constraints)
 
     def extract(self, solution):
         blocks = list(solution.primal_blocks)
         if self.face is not None:
             blocks[0] = self.face @ blocks[0] @ self.face.T
-        X0 = blocks[0]
-        moments = {
-            mono: float(X0[i, j]) for mono, (i, j) in self.moment_positions.items()
-        }
-        pd = PseudoDistribution(
-            self.system.num_vars, self.system.relaxation_degree, moments, self.basis
+        pd = PseudoDistribution.from_upper_triangle(
+            self.system.num_vars, self.system.relaxation_degree, self.basis,
+            blocks[0].ravel()[self.moment_gather],
         )
         aux = {name: np.array(blocks[idx]) for name, idx in self.aux_block_index.items()}
         free = self.elimination.free_values(blocks).tolist()
@@ -532,11 +619,15 @@ def relax(system, objective=None, sense="min", basis=None,
 
     The moment block is posed on the face the equalities cut out: X0 =
     V Z V^T with V from `face_basis`, and block 0 of the returned problem is
-    Z.  The rows and the objective are mapped through V^T . V; the rows that
-    vanish on the face, and those linearly dependent on the rest, are left
-    out (`restrict_to_face`).  The relaxation is `trivially_infeasible`, and
-    no SDP needs solving, when the face leaves out the constant monomial or
-    a left-out row demands a right-hand side the others contradict.
+    Z.  The multiplier rows E~[b*m*g] = 0 with b in the basis and m a kernel
+    multiplier of g are not built: with the Hankel rows each reads
+    (X0 v)_b = 0, which V^T v = 0 makes hold for every Z (`rows_implied`
+    counts them).  The rows built and the objective are mapped through
+    V^T . V; the rows that vanish on the face, and those linearly dependent
+    on the rest, are left out (`restrict_to_face`).  The relaxation is
+    `trivially_infeasible`, and no SDP needs solving, when the face leaves
+    out the constant monomial or a left-out row demands a right-hand side
+    the others contradict.  The constraint cap counts the rows built.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
@@ -558,21 +649,31 @@ def relax(system, objective=None, sense="min", basis=None,
             f"({monomial_cap} entries)"
         )
 
-    positions_all = {}
-    for i in range(bsize):
-        for j in range(i, bsize):
-            mono = monomial_mul(basis[i], basis[j])
-            positions_all.setdefault(mono, []).append((i, j))
-    positions = {mono: plist[0] for mono, plist in positions_all.items()}
-    representable = set(positions)
+    # the moment matrix's upper-triangle pairs (i, j) in row-major order;
+    # each monomial sits at the first pair that gives it, and a Hankel row
+    # equates every later pair with that one
+    B = _exponents(basis, nv)
+    iu, ju = np.triu_indices(bsize)
+    products = B[iu] + B[ju]
+    pairs = _MonomialTable(products)
+    first = pairs.find(products)
+    canon = np.flatnonzero(first == np.arange(len(iu)))
+    monos = products[canon]
+    iu_list, ju_list = iu.tolist(), ju.tolist()
+    positions = {
+        mono: (iu_list[p], ju_list[p])
+        for mono, p in zip(map(tuple, monos.tolist()), canon.tolist())
+    }
+    gather = iu[first] * bsize + ju[first]
 
     # rows are (entries, free coefficients, rhs) until the free scalars go
     rows = []
     rows.append(([(0, 0, 0, 1.0)], {}, 1.0))
-    for mono, plist in positions_all.items():
-        i0, j0 = plist[0]
-        for i, j in plist[1:]:
-            rows.append(([(0, i0, j0, 1.0), (0, i, j, -1.0)], {}, 0.0))
+    later = np.flatnonzero(first != np.arange(len(iu)))
+    later = later[np.argsort(first[later], kind="stable")]
+    for p, q in zip(first[later].tolist(), later.tolist()):
+        entries = [(0, iu_list[p], ju_list[p], 1.0), (0, iu_list[q], ju_list[q], -1.0)]
+        rows.append((entries, {}, 0.0))
 
     block_sizes = [bsize]
     loc_blocks = []
@@ -587,7 +688,7 @@ def relax(system, objective=None, sense="min", basis=None,
             for other in sel + [b]:
                 prod = monomial_mul(b, other)
                 for gamma in g.terms:
-                    if monomial_mul(prod, gamma) not in representable:
+                    if monomial_mul(prod, gamma) not in positions:
                         ok = False
                         break
                 if not ok:
@@ -609,44 +710,33 @@ def relax(system, objective=None, sense="min", basis=None,
 
     # a multiplier of degree <= ell - deg e is imposed when every product
     # with a term of e is representable.  The candidates are the quotients
-    # of representable monomials by e's leading term, taken in grlex order;
-    # only monomials that share a variable with that term can be multiples.
-    with_var = {}
-    for mono in representable:
-        for v, k in enumerate(mono):
-            if k:
-                with_var.setdefault(v, []).append(mono)
-    for e in system.equalities:
-        lead = max(e.terms, key=sum, default=None)
-        if lead is None:
+    # of representable monomials by e's leading term, in grlex order.  A
+    # multiplier b*m with b in the basis and m a kernel multiplier of e
+    # (`face_basis`) gives a row the face implies; it is not built.
+    V, kernel = face_basis(system, basis)
+    rows_implied = 0
+    for e, K in zip(system.equalities, kernel):
+        if not e.terms:
             continue
-        max_deg = ell - e.degree()
-        support = [v for v, k in enumerate(lead) if k]
-        pool = with_var.get(support[0], []) if support else representable
-        candidates = set()
-        for mono in pool:
-            mult = tuple(x - y for x, y in zip(mono, lead))
-            if min(mult) >= 0 and sum(mult) <= max_deg:
-                candidates.add(mult)
-        for mult in sorted(candidates, key=_grlex_key):
-            shifted = {}
-            ok = True
-            for gamma, coef in e.terms.items():
-                prod = monomial_mul(mult, gamma)
-                if prod not in representable:
-                    ok = False
-                    break
-                shifted[prod] = shifted.get(prod, 0.0) + coef
-            if not ok:
-                continue
-            rows.append(
-                ([(0, *positions[mono], coef) for mono, coef in shifted.items()], {}, 0.0)
-            )
+        terms = _exponents(list(e.terms), nv)
+        lead = terms[np.argmax(terms.sum(axis=1))]
+        mult = monos - lead
+        mult = mult[(mult.min(axis=1) >= 0) & (mult.sum(axis=1) <= ell - e.degree())]
+        mult = mult[np.lexsort([*(-mult[:, ::-1].T), mult.sum(axis=1)])]
+        at = pairs.find(mult[:, None, :] + terms[None, :, :])
+        built = np.all(at >= 0, axis=1)
+        implied = _MonomialTable((B[:, None, :] + K[None, :, :]).reshape(-1, nv))
+        skip = built & (implied.find(mult) >= 0)
+        rows_implied += int(np.count_nonzero(skip))
+        coefs = list(e.terms.values())
+        for p in at[built & ~skip].tolist():
+            entries = [(0, iu_list[q], ju_list[q], c) for q, c in zip(p, coefs)]
+            rows.append((entries, {}, 0.0))
 
     for aff in system.affine_equalities:
         entries = []
         for mono, coef in aff.poly.terms.items():
-            if mono not in representable:
+            if mono not in positions:
                 raise ValueError(
                     f"affine equality references unrepresentable monomial {mono}"
                 )
@@ -702,7 +792,6 @@ def relax(system, objective=None, sense="min", basis=None,
             f"(moment block of size {bsize})"
         )
 
-    V = face_basis(system, basis)
     rows_vanished = rows_dependent = 0
     if V is not None and np.linalg.norm(V[0]) <= _FACE_TOL:
         V = None
@@ -722,7 +811,7 @@ def relax(system, objective=None, sense="min", basis=None,
         sign = -1.0 if sense == "max" else 1.0
         obj_main = np.zeros((bsize, bsize))
         for mono, coef in obj_terms.items():
-            if mono not in representable:
+            if mono not in positions:
                 raise ValueError(f"objective monomial {mono} not representable")
             i, j = positions[mono]
             if i == j:
@@ -735,12 +824,11 @@ def relax(system, objective=None, sense="min", basis=None,
     objective_mats = [obj_main] + [None] * (len(block_sizes) - 1)
 
     problem = SdpProblem(block_sizes, objective=objective_mats)
-    for entries, rhs in clean_rows:
-        problem.add_constraint_entries(entries, rhs)
+    problem.add_constraint_rows(clean_rows)
 
     return MomentRelaxation(
-        system, basis, problem, positions, aux_index, elimination,
-        trivially_infeasible, V, rows_vanished, rows_dependent,
+        system, basis, problem, positions, gather, aux_index, elimination,
+        trivially_infeasible, V, rows_implied, rows_vanished, rows_dependent,
     )
 
 
@@ -781,9 +869,8 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None,
     if objective is not None:
         terms = _objective_terms(objective, system.num_vars)
         positions = relaxation.moment_positions
-        obj_val = math.fsum(
-            c * float(pd.moment_matrix[positions[m]]) for m, c in terms.items()
-        )
+        M = pd.moment_matrix
+        obj_val = math.fsum(c * float(M[positions[m]]) for m, c in terms.items())
     return SystemSolution(
         status=solution.status, pseudo=pd, aux=aux, free_values=free,
         objective_value=obj_val, sdp=solution, relaxation=relaxation,
@@ -1077,15 +1164,15 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     problem = SdpProblem([len(bas) for bas in bases], objective=objective)
     # a row with no entry left stays out when only a negligible target term
     # reaches it, and is a contradiction otherwise
-    for entries, rhs in elimination.rows:
-        if entries:
-            problem.add_constraint_entries(entries, rhs)
-        elif abs(rhs) > 1e-12:
-            return SosSearchResult(
-                status="Infeasible", margin_value=None, grams=[], free_polys=[],
-                residual=float("inf"),
-                detail="the free multipliers leave a coefficient unmatched",
-            )
+    if any(not entries and abs(rhs) > 1e-12 for entries, rhs in elimination.rows):
+        return SosSearchResult(
+            status="Infeasible", margin_value=None, grams=[], free_polys=[],
+            residual=float("inf"),
+            detail="the free multipliers leave a coefficient unmatched",
+        )
+    problem.add_constraint_rows(
+        (entries, rhs) for entries, rhs in elimination.rows if entries
+    )
 
     solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
     if solution.status == "Infeasible":

@@ -34,8 +34,13 @@ from robustmoments.estimators import (
     identifiability_oracle,
     truncate_preprocess,
 )
-from robustmoments.polycore import empirical_moments, enumerate_monomials
-from robustmoments.sosengine import face_basis, relax
+from robustmoments.polycore import empirical_moments, enumerate_monomials, monomial_mul
+from robustmoments.sosengine import (
+    ConstraintSystem,
+    face_basis,
+    relax,
+    sphere_polynomial,
+)
 from robustmoments.subgauss import SubgaussParams
 
 EPS12 = 1.0 / 12
@@ -183,7 +188,7 @@ class TestFace:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((n, d))
         basis = estimator_basis(n, d)
-        V = face_basis(build_A(y, eps), basis)
+        V, _ = face_basis(build_A(y, eps), basis)
         assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
         # the budget and the n*d selection vectors; at eps = 0 one point is left
         assert V.shape[1] == (1 if eps == 0 else len(basis) - n * d - 1)
@@ -198,6 +203,89 @@ class TestFace:
         X = (vals.T * rng.uniform(0.1, 1.0, len(rows))) @ vals
         P = V @ V.T
         assert np.max(np.abs(P @ X @ P - X)) <= 1e-12 * np.max(np.abs(X))
+
+
+def _every_multiplier_row(system, rel):
+    """Each row E~[mult * g] = 0 a compiler without the face would build: one
+    per equality g and monomial mult of degree <= ell - deg g whose products
+    with g's terms are all representable, as coefficients on the flat
+    moment matrix, each monomial read at its position."""
+    positions, size = rel.moment_positions, len(rel.basis)
+    rows = []
+    for g in system.equalities:
+        lead = max(g.terms, key=sum)
+        for mono in positions:
+            mult = tuple(a - b for a, b in zip(mono, lead))
+            if min(mult) < 0 or sum(mult) > system.relaxation_degree - g.degree():
+                continue
+            prods = [monomial_mul(mult, gamma) for gamma in g.terms]
+            if all(p in positions for p in prods):
+                row = np.zeros(size * size)
+                for p, c in zip(prods, g.terms.values()):
+                    i, j = positions[p]
+                    row[i * size + j] += c
+                rows.append(row)
+    return np.array(rows)
+
+
+def _planted_selection():
+    y = np.random.default_rng(5).standard_normal((6, 1))
+    y[2] = 40.0
+    return build_A(y, 1 / 6), estimator_basis(6, 1)
+
+
+def _clean_selection():
+    y = np.random.default_rng(6).standard_normal((5, 2))
+    return build_A(y, 0.0), estimator_basis(5, 2)
+
+
+def _sphere():
+    return ConstraintSystem(3, 4, equalities=[sphere_polynomial(3)]), None
+
+
+class TestImpliedRows:
+    @pytest.mark.parametrize("make", [_planted_selection, _clean_selection, _sphere])
+    def test_rows_left_unbuilt_hold_on_the_face(self, make):
+        # every Z that meets the rows kept lifts to an X = V Z V^T that meets
+        # every multiplier row, the ones left unbuilt included
+        system, basis = make()
+        rel = relax(system, basis=basis)
+        assert rel.rows_implied > 0 and rel.trivially_infeasible is None
+        r = rel.problem.block_sizes[0]
+        iu, ju = np.triu_indices(r)
+        col = {(i, j): k for k, (i, j) in enumerate(zip(iu.tolist(), ju.tolist()))}
+        A = np.zeros((rel.problem.num_constraints, len(iu)))
+        for a, row in enumerate(rel.problem.constraints):
+            for (_, i, j), val in row.entries.items():
+                A[a, col[(i, j)]] = val
+        b = np.array(rel.problem.rhs)
+        # a solution of the kept rows plus random directions of their null space
+        z0 = np.linalg.lstsq(A, b, rcond=None)[0]
+        _, sv, Vt = np.linalg.svd(A)
+        null = Vt[int(np.sum(sv > 1e-10 * sv[0])):]
+        rng = np.random.default_rng(0)
+        rows = _every_multiplier_row(system, rel)
+        for _ in range(3):
+            z = z0 + rng.standard_normal(len(null)) @ null
+            Z = np.zeros((r, r))
+            Z[iu, ju] = Z[ju, iu] = z
+            X = (rel.face @ Z @ rel.face.T).ravel()
+            assert np.max(np.abs(A @ z - b)) <= 1e-9 * (1 + np.max(np.abs(b)))
+            scale = np.abs(rows).sum(axis=1) * np.max(np.abs(X))
+            assert np.all(np.abs(rows @ X) <= 1e-9 * scale)
+        assert len(rows) >= rel.rows_implied
+
+    def test_clean_relaxation_builds_no_implied_row(self):
+        # n=11, d=1 at eps = 0: 2916 of the 2949 multiplier rows are E~[b*m*g]
+        # with m a kernel multiplier of g.  Of the rows still built, only the
+        # 33 Hankel rows and the 33 other multiplier rows vanish on the face.
+        y = np.random.default_rng(0).standard_normal((11, 1))
+        system = build_A(y, 0.0)
+        rel = relax(system, basis=estimator_basis(11, 1))
+        assert len(_every_multiplier_row(system, rel)) == 2949
+        assert rel.rows_implied == 2916
+        assert rel.rows_vanished == 66 and rel.rows_dependent == 0
+        assert rel.problem.num_constraints == 1
 
 
 class TestEstimatorBasis:
@@ -283,8 +371,13 @@ class TestPlantedOutlier:
                           build_B(SubgaussParams(1.0, 4), 12, 1))
         rel = relax(system, basis=estimator_basis(12, 1))
         assert rel_di["m"] == rel.problem.num_constraints == 51
-        assert rel_di["rows_vanished"] == rel.rows_vanished == 613
-        assert rel_di["rows_dependent"] == rel.rows_dependent == 48
+        # the 637 multiplier rows the face implies are never built; of the
+        # rows built, none vanishes on the face and 24 depend on the rest
+        assert rel_di["rows_implied"] == rel.rows_implied == 637
+        assert rel_di["rows_vanished"] == rel.rows_vanished == 0
+        assert rel_di["rows_dependent"] == rel.rows_dependent == 24
+        stored = sum(len(row.entries) for row in rel.problem.constraints)
+        assert rel_di["nnz"] == rel.nnz == stored
 
     def test_oracle_drops_exactly_the_outlier(self, planted_solution):
         Y, est = planted_solution

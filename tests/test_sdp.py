@@ -203,6 +203,37 @@ def test_entry_constraints_match_dense():
     assert np.max(np.abs(a.primal_blocks[0] - b.primal_blocks[0])) < 1e-12
 
 
+def test_constraint_rows_in_one_batch_match_rows_added_singly():
+    rows = [
+        ([(0, 0, 0, 0.1), (0, 1, 0, 2.0), (0, 0, 0, 0.2), (0, 0, 0, 0.3)], 1.0),
+        (np.array([[1.0, 0.0, 0.0, -0.5], [0.0, 2.0, 2.0, 4.0]]), 0.0),
+        ([(0, 2, 1, 1.5), (0, 1, 2, 0.5)], 2.0),
+    ]
+    single = SdpProblem([3, 1])
+    for entries, rhs in rows:
+        single.add_constraint_entries(entries, rhs)
+    batch = SdpProblem([3, 1])
+    batch.add_constraint_rows(rows)
+    assert batch.dump() == single.dump()
+    # a repeated entry is summed in the order given: 0.1 + 0.2 + 0.3 is
+    # 0.6000000000000001, where 0.1 + (0.2 + 0.3) would give 0.6
+    assert batch.constraints[0].entries == {(0, 0, 0): 0.1 + 0.2 + 0.3, (0, 0, 1): 2.0}
+    assert batch.constraints[2].entries == {(0, 1, 2): 2.0}
+    from robustmoments import sdp
+
+    A = sdp._HsdSolver(batch, SdpConfig()).A_sparse.toarray()
+    assert A[2, 5] == A[2, 7] == 1.0  # X[1, 2] and X[2, 1], half each
+    # a batch with an invalid row adds nothing
+    for bad, match in [
+        ([(0, 3, 0, 1.0)], "outside block"),
+        ([(2, 0, 0, 1.0)], "out of range"),
+        ([], "touches no block"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            batch.add_constraint_rows([([(0, 0, 0, 1.0)], 0.0), (bad, 0.0)])
+    assert batch.num_constraints == len(batch.rhs) == 3
+
+
 def _mixed_problem(rng, entry_rows):
     """A strictly feasible problem whose rows take every Schur formula.
 

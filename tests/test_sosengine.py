@@ -111,6 +111,21 @@ class TestSolveSystem:
         M = pd.moment_matrix
         assert np.array_equal(M, M.T)
 
+    def test_extract_reads_the_moment_matrix_by_position(self):
+        # the gathered moment matrix equals the one the constructor builds
+        # from the pseudo-moments at each monomial's position
+        x = Polynomial.variable(2, 0)
+        y = Polynomial.variable(2, 1)
+        system = ConstraintSystem(2, 4, equalities=[x * x + y * y - 1.0])
+        res = solve_system(system, objective=x * y * y, sense="max")
+        rel = res.relaxation
+        X0 = rel.face @ res.sdp.primal_blocks[0] @ rel.face.T
+        moments = {mono: X0[i, j] for mono, (i, j) in rel.moment_positions.items()}
+        built = PseudoDistribution(2, 4, moments, rel.basis)
+        assert np.array_equal(res.pseudo.moment_matrix, built.moment_matrix)
+        assert res.pseudo.pseudo_moments == built.pseudo_moments
+        assert res.pseudo.basis == built.basis
+
     def test_reduced_basis_diagonal_quadratic(self):
         # basis {1, x, y} at level 4: min x^2 + y^2 given x + y = 1 is 1/2
         x = Polynomial.variable(2, 0)
