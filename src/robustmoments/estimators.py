@@ -465,7 +465,7 @@ def estimate_moments(Y, config):
         "relaxation": {
             "m": problem.num_constraints,
             "block_sizes": list(problem.block_sizes),
-            "free_eliminated": len(relaxation.elimination.pivots),
+            "free_eliminated": len(relaxation.presolved.pivots),
             "face_dim": problem.block_sizes[0],
             "rows_implied": relaxation.rows_implied,
             "rows_vanished": relaxation.rows_vanished,

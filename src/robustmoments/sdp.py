@@ -39,7 +39,6 @@ _STEP_FRACTION = 0.98  # share of the step to the cone boundary taken
 class SdpConfig:
     max_iters: int = 200
     tol: float = 1e-7
-    constraint_cap: int = DEFAULT_CONSTRAINT_CAP
 
 
 class SdpSizeError(ValueError):
@@ -202,9 +201,9 @@ class SdpSolution:
 
 def solve(problem, config=None):
     config = config or SdpConfig()
-    if problem.num_constraints > config.constraint_cap:
+    if problem.num_constraints > DEFAULT_CONSTRAINT_CAP:
         raise SdpSizeError(
-            f"{problem.num_constraints} constraints exceed cap {config.constraint_cap}"
+            f"{problem.num_constraints} constraints exceed cap {DEFAULT_CONSTRAINT_CAP}"
         )
     return _HsdSolver(problem, config).run()
 

@@ -4,21 +4,24 @@ Compiles a constraint system into a moment-matrix SDP (one PSD block for the
 main moment matrix, one localizing block per inequality, one linear equality
 per equality-times-multiplier pair), extracts pseudo-distributions from the
 solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
-verifies certificates by explicit polynomial expansion.  Free scalars (the
-affine equalities' free variables, equality-multiplier coefficients and
-margins) are eliminated from the equality rows before the solve by
-`eliminate_free` and recovered from the PSD blocks afterwards, so every SDP
-posed here has PSD blocks only.
+verifies certificates by explicit polynomial expansion.
+
+Both SDP builders, `relax` and `find_sos_combination`, write their equality
+rows as one dense matrix whose columns are the SDP entries and then the
+free scalars (the affine equalities' free variables, equality-multiplier
+coefficients and margins), and hand it to `presolve`.  It eliminates the
+free scalars, which come back from the PSD blocks after the solve, and
+leaves out the rows that vanish and those the others imply, naming any
+contradiction among them; so every SDP posed here has PSD blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
 X v = 0 for every feasible moment matrix X, so no feasible X is strictly
 positive definite.  `face_basis` collects those vectors and returns an
-orthonormal basis V of their orthogonal complement; `relax` poses the block
-as X = V Z V^T, and `restrict_to_face` maps each equality row onto Z, leaves
-out the rows that vanish there and those the others imply, and flags a
-left-out row whose right-hand side disagrees.  `MomentRelaxation.extract`
-lifts Z back before reading moments.
+orthonormal basis V of their orthogonal complement (the identity when there
+are none); `relax` poses the block as X = V Z V^T and maps each row onto Z
+before the presolve.  `MomentRelaxation.extract` lifts Z back before
+reading moments.
 
 The face implies some rows outright, and `relax` does not build them: the
 multiplier row of g with multiplier b*m, for b in the basis and m a kernel
@@ -234,127 +237,195 @@ def pseudo_expectation(pd, f):
 
 
 # ---------------------------------------------------------------------------
-# free-scalar elimination
+# the presolve every SDP here is posed through
 
 _FREE_TOL = 1e-12  # a free column below this share of its own scale is absent
 _FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
+_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
 
 
-def _entry_key(blk, i, j):
-    return (blk, i, j) if i <= j else (blk, j, i)
+def _entry_columns(sizes):
+    """(block, i, j) arrays over the SDP entry columns: each block's upper
+    triangle in row-major order, block by block, so sorted by (block, i, j)."""
+    iu, ju = (np.concatenate(t) for t in zip(*(np.triu_indices(s) for s in sizes)))
+    blk = np.repeat(np.arange(len(sizes)), [s * (s + 1) // 2 for s in sizes])
+    return blk, iu, ju
 
 
-class FreeElimination:
-    """Equality rows with their free scalars removed by Gaussian elimination.
+def _entry_values(blocks):
+    """The entries of PSD blocks in `_entry_columns` order."""
+    return np.concatenate([X[np.triu_indices(len(X))] for X in blocks])
 
-    `rows` are the PSD-only rows (entries, rhs) in input order, pivot rows
-    left out, and `objective` the entries of the reduced objective (its
-    constant is dropped).  `free_values(blocks)` recovers the free scalars
-    from the PSD blocks of a solution.
+
+def _pivoted_cholesky(G, tol):
+    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
+
+    Each step takes the row with the largest residual diagonal, its squared
+    distance from the span of the rows taken so far, and stops once that is
+    at most `tol`.  Returns (pivots in pivot order, L) with L L^T = G on the
+    pivot rows and L[:, :len(pivots)] the coordinates of every row in an
+    orthonormal basis of their span.
+    """
+    n = len(G)
+    L = np.zeros((n, n))
+    resid = G.diagonal().copy()
+    pivots = []
+    for step in range(n):
+        p = int(np.argmax(resid))
+        if resid[p] <= tol:
+            break
+        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
+        col[pivots] = 0.0
+        L[:, step] = col
+        resid -= col * col
+        resid[p] = -np.inf
+        pivots.append(p)
+    return pivots, L[:, :len(pivots)]
+
+
+@dataclass
+class Presolved:
+    """Equality rows on SDP entries, as `presolve` leaves them.
+
+    `rows` (dense, on the entry columns) and `rhs` are the rows kept, in
+    input order, and `objective` the reduced objective on the entry columns,
+    its constant dropped.  `pivots` hold (free column, pivot row, rhs) for
+    back-substitution.  `vanished` and `dependent` count the rows left out,
+    and `contradiction` names a left-out row whose rhs the kept rows do not
+    reproduce, or is None.
     """
 
-    def __init__(self, rows, objective, keys, pivots, num_free):
-        self.rows = rows
-        self.objective = objective
-        self.keys = keys
-        self.pivots = pivots
-        self.num_free = num_free
+    rows: np.ndarray
+    rhs: np.ndarray
+    objective: np.ndarray
+    pivots: list
+    num_free: int
+    vanished: int
+    dependent: int
+    contradiction: str | None
 
-    def free_values(self, blocks):
-        """Back-substitution in reverse pivot order; absent columns are 0."""
-        x = np.zeros(len(self.keys) + self.num_free)
-        x[:len(self.keys)] = [blocks[b][i, j] for b, i, j in self.keys]
+    def free_values(self, x):
+        """The free scalars at entry values x, by back-substitution in
+        reverse pivot order; absent columns are 0."""
+        y = np.concatenate([x, np.zeros(self.num_free)])
         for col, row, rhs in reversed(self.pivots):
-            x[col] = rhs - row @ x  # row[col] = 1 multiplies x[col] = 0 here
-        return x[len(self.keys):]
+            y[col] = rhs - row @ y  # row[col] = 1 multiplies y[col] = 0 here
+        return y[len(x):]
 
 
-def eliminate_free(rows, num_free, objective=None):
-    """Eliminate free scalars from equality rows over PSD blocks.
+def presolve(A, b, num_free, objective=None):
+    """Reduce the equality rows A y = b, y = (x, z), to rows on x alone.
 
-    Each row is (entries, free, rhs): entries (block, i, j, value) read the
-    unordered entry X[block][i, j] once, as `SdpProblem.add_constraint_entries`
-    takes them, and free maps a free scalar's index to its coefficient, a
-    column of its own.  `objective` maps free indices to the coefficients of
-    a linear objective to minimize; the result's `objective` is its reduced
-    form on the PSD entries.
+    The columns of A are the SDP entries x, each read once as
+    `SdpProblem.add_constraint_entries` reads it, then `num_free` free
+    scalars z.  `objective` is a linear objective on y to minimize, or None.
+    The rows that hold a free column are reduced in A in place.
 
     For each free column in turn the pivot is the live row with the largest
     |coefficient| (partial pivoting); it is subtracted from every other row
     and from the objective, and kept for back-substitution.  A column whose
     largest remaining coefficient is below `_FREE_TOL` of its own scale is
     absent and takes the value 0; an absent column that still has an
-    objective coefficient is unbounded and raises ValueError.  Rows are
-    neither merged nor de-duplicated here; a row that loses all its entries
-    comes back empty, for the caller to judge its rhs.  (Anjos and Burer,
-    SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
-    """
-    touched = [r for r, (_, free, _) in enumerate(rows) if free]
-    keys = sorted({_entry_key(*e[:3]) for r in touched for e in rows[r][0]})
-    col_of = {key: c for c, key in enumerate(keys)}
-    nk = len(keys)
-    A = np.zeros((len(touched), nk + num_free))
-    b = np.array([rows[r][2] for r in touched], dtype=float)
-    c = np.zeros(nk + num_free)
-    for a, r in enumerate(touched):
-        entries, free, _ = rows[r]
-        for blk, i, j, val in entries:
-            A[a, col_of[_entry_key(blk, i, j)]] += val
-        for f, val in free.items():
-            if not 0 <= f < num_free:
-                raise ValueError(f"free index {f} outside 0..{num_free - 1}")
-            A[a, nk + f] += val
-    for f, val in (objective or {}).items():
-        c[nk + f] += val
+    objective coefficient is unbounded and raises ValueError.  (Anjos and
+    Burer, SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
 
-    col_scale = np.max(np.abs(A), axis=0, initial=0.0)
+    Of the rows left, those with no coefficient vanish, and those in the
+    span of the others are dependent, found by a pivoted Cholesky of the
+    Gram matrix of the unit-scaled rows; both are left out.  A left-out row
+    whose rhs the kept rows do not reproduce makes the system infeasible.
+    """
+    width = A.shape[1]
+    n = width - num_free
+    b = np.array(b, dtype=float)
+    c = np.zeros(width) if objective is None else np.array(objective, dtype=float)
+    touched = np.flatnonzero(np.any(A[:, n:] != 0.0, axis=1))
+    T, bt = A[touched], b[touched]
+    col_scale = np.max(np.abs(T), axis=0, initial=0.0)
     c_scale = np.max(np.abs(c), initial=0.0)
     fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
     live = np.ones(len(touched), dtype=bool)
     pivots = []
-    for col in range(nk, nk + num_free):
-        height = np.where(live, np.abs(A[:, col]), 0.0)
+    for col in range(n, width):
+        height = np.where(live, np.abs(T[:, col]), 0.0)
         if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
             if abs(c[col]) > _FREE_TOL * c_scale:
                 raise ValueError(
-                    f"free scalar {col - nk} has an objective coefficient but "
+                    f"free scalar {col - n} has an objective coefficient but "
                     "no constraint row: the objective is unbounded"
                 )
-            A[:, col] = 0.0
+            T[:, col] = 0.0
             continue
         p = int(np.argmax(height))
         live[p] = False
-        row, rhs = A[p] / A[p, col], b[p] / A[p, col]
-        others = np.flatnonzero(live & (A[:, col] != 0.0))
-        lam = A[others, col]
-        A[others] -= np.outer(lam, row)
-        A[others, col] = 0.0
-        b[others] -= lam * rhs
+        row, rhs = T[p] / T[p, col], bt[p] / T[p, col]
+        others = np.flatnonzero(live & (T[:, col] != 0.0))
+        lam = T[others, col]
+        T[others] -= np.outer(lam, row)
+        T[others, col] = 0.0
+        bt[others] -= lam * rhs
         c -= c[col] * row
         pivots.append((col, row, rhs))
-    A[np.abs(A) <= fill_floor] = 0.0
+    T[np.abs(T) <= fill_floor] = 0.0
+    A[touched], b[touched] = T, bt
+    c[np.abs(c) <= _FILL_TOL * c_scale] = 0.0
 
-    reduced = {}
-    for a in np.flatnonzero(live):
-        nz = np.flatnonzero(A[a, :nk])
-        reduced[touched[a]] = ([(*keys[k], A[a, k]) for k in nz], b[a])
-    pivot_rows = {touched[a] for a in np.flatnonzero(~live)}
-    out_rows = [
-        reduced.get(r, (entries, rhs))
-        for r, (entries, _, rhs) in enumerate(rows) if r not in pivot_rows
-    ]
-    nz = np.flatnonzero(np.abs(c[:nk]) > _FILL_TOL * c_scale)
-    out_obj = [(*keys[k], c[k]) for k in nz]
-    return FreeElimination(out_rows, out_obj, keys, pivots, num_free)
+    left = np.ones(len(A), dtype=bool)
+    left[touched[~live]] = False
+    X = A[:, :n]
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    vanished = np.flatnonzero(left & (norms == 0.0))
+    contradiction = None
+    if np.any(np.abs(b[vanished]) > 1e-12):
+        contradiction = "an equality row vanishes but demands %r" % (
+            b[vanished][np.argmax(np.abs(b[vanished]))]
+        )
+    rest = np.flatnonzero(left & (norms > 0.0))
+    unit = X[rest] / norms[rest, None]
+    bu = b[rest] / norms[rest]
+    kept, L = _pivoted_cholesky(unit @ unit.T, _DEPENDENT_TOL)
+    dependent = sorted(set(range(len(rest))) - set(kept))
+    if dependent and contradiction is None:
+        # each dependent row is alpha . (kept rows) with Lk^T alpha = L[row]
+        alpha = np.linalg.solve(L[kept].T, L[dependent].T)
+        want = bu[kept] @ alpha
+        spread = 1.0 + np.abs(bu[kept]) @ np.abs(alpha)
+        bad = np.abs(bu[dependent] - want) > 1e-9 * spread
+        if np.any(bad):
+            k = np.argmax(bad)
+            scale = norms[rest[dependent[k]]]
+            contradiction = "dependent equality rows demand %r and %r" % (
+                float(bu[dependent[k]] * scale), float(want[k] * scale)
+            )
+    kept = rest[sorted(kept)]
+    return Presolved(
+        X[kept], b[kept], c[:n], pivots, num_free, len(vanished), len(dependent),
+        contradiction,
+    )
+
+
+def _pose(sizes, presolved):
+    """The SDP over PSD blocks of `sizes` whose rows and objective are those
+    of `presolved`, on the entry columns of `_entry_columns(sizes)`."""
+    blk, iu, ju = _entry_columns(sizes)
+    objective = [np.zeros((s, s)) for s in sizes]
+    for k, C in enumerate(objective):
+        on = blk == k
+        C[iu[on], ju[on]] += presolved.objective[on] / 2.0
+        C[ju[on], iu[on]] += presolved.objective[on] / 2.0
+    problem = SdpProblem(sizes, objective=objective)
+    at, col = np.nonzero(presolved.rows)
+    entries = np.column_stack([blk[col], iu[col], ju[col], presolved.rows[at, col]])
+    ends = np.cumsum(np.bincount(at, minlength=len(presolved.rows)))[:-1]
+    problem.add_constraint_rows(zip(np.split(entries, ends), presolved.rhs))
+    return problem
 
 
 # ---------------------------------------------------------------------------
 # facial reduction of the moment block
 
 _FACE_TOL = 1e-10  # eigenvalues of K^T K below this share of the largest are 0
-_VANISH_TOL = 1e-10  # a reduced row below this share of its own scale vanishes
-_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
-_ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-reduction temporary, at most
+_VANISH_TOL = 1e-10  # a mapped row below this share of its own scale vanishes
+_ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-mapping temporary, at most
 
 
 def _exponents(monos, nv):
@@ -404,11 +475,11 @@ def face_basis(system, basis):
     all fall within the multiplier degree ell - deg g are used.  (Permenter
     and Parrilo, Math. Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
 
-    Returns (V, multipliers): V is None when no equality yields a kernel
-    vector, and multipliers[k] holds the kernel multipliers m of the k-th
-    equality, one exponent row each.  Once X = V Z V^T, the multiplier row
-    of g with multiplier b*m is implied: read through the Hankel rows it is
-    sum_gamma g_gamma X[b, m*gamma] = (X v)_b, which V^T v = 0 makes 0.
+    Returns (V, multipliers): V is the identity when no equality yields a
+    kernel vector, and multipliers[k] holds the kernel multipliers m of the
+    k-th equality, one exponent row each.  Once X = V Z V^T, the multiplier
+    row of g with multiplier b*m is implied: read through the Hankel rows it
+    is sum_gamma g_gamma X[b, m*gamma] = (X v)_b, which V^T v = 0 makes 0.
     `relax` does not build those rows.
     """
     nv = system.num_vars
@@ -430,64 +501,44 @@ def face_basis(system, basis):
         multipliers.append(m)
     K = np.concatenate(vectors) if vectors else np.zeros((0, len(basis)))
     if not len(K):
-        return None, multipliers
+        return np.eye(len(basis)), multipliers
     lam, U = np.linalg.eigh(K.T @ K)
     return U[:, lam <= _FACE_TOL * lam[-1]], multipliers
 
 
-def _pivoted_cholesky(G, tol):
-    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
+def _face_rows(rows, V, sizes, num_free):
+    """The rows as one dense matrix for `presolve`, and their rhs.
 
-    Each step takes the row with the largest residual diagonal, its squared
-    distance from the span of the rows taken so far, and stops once that is
-    at most `tol`.  Returns (pivots in pivot order, L) with L L^T = G on the
-    pivot rows and L[:, :len(pivots)] the coordinates of every row in an
-    orthonormal basis of their span.
-    """
-    n = len(G)
-    L = np.zeros((n, n))
-    resid = G.diagonal().copy()
-    pivots = []
-    for step in range(n):
-        p = int(np.argmax(resid))
-        if resid[p] <= tol:
-            break
-        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
-        col[pivots] = 0.0
-        L[:, step] = col
-        resid -= col * col
-        resid[p] = -np.inf
-        pivots.append(p)
-    return pivots, L[:, :len(pivots)]
-
-
-def restrict_to_face(rows, V):
-    """Map equality rows through X0 = V Z V^T and keep an independent set.
-
-    Each row is (entries, rhs) with entries (block, i, j, value) on unordered
-    entries, read once.  Its block-0 part <A, X0> becomes <V^T A V, Z>,
-    written on Z's upper triangle; other blocks pass through.  A row whose
-    reduced coefficients vanish is left out, and so is a row in the span of
-    the others, found by a pivoted Cholesky of the Gram matrix of the
-    unit-scaled rows.  Returns (rows kept in input order, each with its
-    entries as a k x 4 array, number vanished, number dependent, reason or
-    None): the reason names a left-out row whose rhs the kept rows do not
-    reproduce, which makes the system infeasible.
+    Each row is (entries, free, rhs): entries (block, i, j, value) read the
+    unordered entry X[block][i, j] once, and free maps a free scalar's index
+    to its coefficient.  The columns are the entries of the blocks of
+    `sizes`, as `_entry_columns` orders them, then the free scalars.  Block
+    0 is Z with X0 = V Z V^T, so a row's block-0 part <A, X0> becomes
+    <V^T A V, Z>, on Z's upper triangle; a part below `_VANISH_TOL` of its
+    own scale vanishes on the face and is zeroed.
     """
     r = V.shape[1]
     iu, ju = np.triu_indices(r)
     weight = np.where(iu == ju, 1.0, 2.0)
-    rhs = np.array([b for _, b in rows], dtype=float)
-    other = [[e for e in entries if e[0] != 0] for entries, _ in rows]
-    zero = [[e[1:] for e in entries if e[0] == 0] for entries, _ in rows]
+    offsets = np.cumsum([0] + [s * (s + 1) // 2 for s in sizes]).tolist()
+    R = np.zeros((len(rows), offsets[-1] + num_free))
+    zero = []
+    for a, (entries, free, _) in enumerate(rows):
+        zero.append([e[1:] for e in entries if e[0] == 0])
+        for blk, i, j, v in entries:
+            if blk != 0:
+                i, j = min(i, j), max(i, j)
+                R[a, offsets[blk] + i * (2 * sizes[blk] - i + 1) // 2 + j - i] += v
+        for f, v in free.items():
+            if not 0 <= f < num_free:
+                raise ValueError(f"free index {f} outside 0..{num_free - 1}")
+            R[a, offsets[-1] + f] += v
     counts = np.array([len(z) for z in zero])
     starts = np.cumsum(counts) - counts
     flat = np.array([e for z in zero for e in z], dtype=float).reshape(-1, 3)
 
-    # reduced block-0 coefficients of the rows that do not vanish, rows
-    # grouped by entry count: with H the sum of value/2 * V[i]^T V[j],
-    # V^T A V = H + H^T
-    reduced = {}
+    # rows grouped by block-0 entry count: with H the sum of
+    # value/2 * V[i]^T V[j], V^T A V = H + H^T
     for q in np.unique(counts[counts > 0]):
         group = np.flatnonzero(counts == q)
         step = max(1, _ROW_CHUNK_FLOATS // (q * r * r))
@@ -498,55 +549,9 @@ def restrict_to_face(rows, V):
             coef = (H + H.transpose(0, 2, 1))[:, iu, ju] * weight
             scale = np.max(np.abs(W), axis=1, keepdims=True)
             coef[np.abs(coef) <= _FILL_TOL * scale] = 0.0
-            keep = np.max(np.abs(coef), axis=1) > _VANISH_TOL * scale[:, 0]
-            reduced.update(zip(chunk[keep], coef[keep]))
-    live = [k for k in range(len(rows)) if k in reduced or other[k]]
-    vanished = [k for k in range(len(rows)) if not (k in reduced or other[k])]
-    trivially_infeasible = None
-    if np.any(np.abs(rhs[vanished]) > 1e-12):
-        trivially_infeasible = "an equality vanishes on the face but demands %r" % (
-            rhs[vanished][np.argmax(np.abs(rhs[vanished]))]
-        )
-
-    # the live rows as dense vectors on (Z's upper triangle, other entries)
-    keys = sorted({e[:3] for k in live for e in other[k]})
-    col_of = {key: len(iu) + c for c, key in enumerate(keys)}
-    R = np.zeros((len(live), len(iu) + len(keys)))
-    for a, k in enumerate(live):
-        if k in reduced:
-            R[a, :len(iu)] = reduced[k]
-        for blk, i, j, v in other[k]:
-            R[a, col_of[(blk, i, j)]] += v
-    norms = np.linalg.norm(R, axis=1)
-    unit = R / norms[:, None]
-    b = rhs[live] / norms
-    pivots, L = _pivoted_cholesky(unit @ unit.T, _DEPENDENT_TOL)
-    kept = sorted(pivots)
-    dependent = sorted(set(range(len(live))) - set(pivots))
-    if len(dependent) and trivially_infeasible is None:
-        # each dependent row is alpha . (pivot rows) with Lp^T alpha = L[row]
-        alpha = np.linalg.solve(L[pivots].T, L[dependent].T)
-        want = b[pivots] @ alpha
-        spread = 1.0 + np.abs(b[pivots]) @ np.abs(alpha)
-        bad = np.abs(b[dependent] - want) > 1e-9 * spread
-        if np.any(bad):
-            row = dependent[np.argmax(bad)]
-            trivially_infeasible = (
-                "dependent equality rows demand %r and %r"
-                % (float(b[row] * norms[row]), float(want[np.argmax(bad)] * norms[row]))
-            )
-
-    # the kept rows, each as an array of entries: Z's, then the others
-    Z = R[kept, :len(iu)]
-    at, col = np.nonzero(Z)
-    on_z = np.column_stack([np.zeros(len(col)), iu[col], ju[col], Z[at, col]])
-    ends = np.cumsum(np.bincount(at, minlength=len(kept))).tolist()
-    out = []
-    for a, start, end in zip(kept, [0] + ends, ends):
-        k = live[a]
-        entries = np.concatenate([on_z[start:end], np.reshape(other[k], (-1, 4))])
-        out.append((entries, rhs[k]))
-    return out, len(vanished), len(dependent), trivially_infeasible
+            coef[np.max(np.abs(coef), axis=1) <= _VANISH_TOL * scale[:, 0]] = 0.0
+            R[chunk, :len(iu)] = coef
+    return R, np.array([rhs for *_, rhs in rows], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -560,41 +565,38 @@ class MomentRelaxation:
     i <= j, of the moment matrix that holds it, and `moment_gather` gives,
     for each upper-triangle entry in row-major order, the flat index of the
     entry that holds its monomial: X0.ravel()[moment_gather] is the packed
-    upper triangle of the Hankel-exact moment matrix.  `face` is the orthonormal basis V
-    of the moment block's face, whose SDP block is Z with X0 = V Z V^T, or
-    None when the block is X0 itself.  `rows_implied` counts the multiplier
-    rows not built because the face implies them, `rows_vanished` and
-    `rows_dependent` the built rows the face left out, and `nnz` the entries
-    stored in the SDP's rows.
+    upper triangle of the Hankel-exact moment matrix.  `face` is the
+    orthonormal basis V of the moment block's face, whose SDP block is Z
+    with X0 = V Z V^T.  `presolved` is what `presolve` left of the rows.
+    `rows_implied` counts the multiplier rows not built because the face
+    implies them, `rows_vanished` and `rows_dependent` the built rows the
+    presolve left out, and `nnz` the entries stored in the SDP's rows.
     """
 
     def __init__(self, system, basis, problem, positions, gather, aux_index,
-                 elimination, trivially_infeasible=None, face=None, rows_implied=0,
-                 rows_vanished=0, rows_dependent=0):
+                 presolved, face, rows_implied, trivially_infeasible):
         self.system = system
         self.basis = basis
         self.problem = problem
         self.moment_positions = positions
         self.moment_gather = gather
         self.aux_block_index = aux_index
-        self.elimination = elimination
-        self.trivially_infeasible = trivially_infeasible
+        self.presolved = presolved
         self.face = face
         self.rows_implied = rows_implied
-        self.rows_vanished = rows_vanished
-        self.rows_dependent = rows_dependent
+        self.rows_vanished = presolved.vanished
+        self.rows_dependent = presolved.dependent
+        self.trivially_infeasible = trivially_infeasible or presolved.contradiction
         self.nnz = sum(len(row.values) for row in problem.constraints)
 
     def extract(self, solution):
-        blocks = list(solution.primal_blocks)
-        if self.face is not None:
-            blocks[0] = self.face @ blocks[0] @ self.face.T
+        blocks = solution.primal_blocks
+        free = self.presolved.free_values(_entry_values(blocks)).tolist()
         pd = PseudoDistribution.from_upper_triangle(
             self.system.num_vars, self.system.relaxation_degree, self.basis,
-            blocks[0].ravel()[self.moment_gather],
+            (self.face @ blocks[0] @ self.face.T).ravel()[self.moment_gather],
         )
         aux = {name: np.array(blocks[idx]) for name, idx in self.aux_block_index.items()}
-        free = self.elimination.free_values(blocks).tolist()
         return pd, aux, free
 
 
@@ -608,8 +610,7 @@ def _objective_terms(objective, nv):
     return {tuple(m): float(c) for m, c in objective.items()}
 
 
-def relax(system, objective=None, sense="min", basis=None,
-          monomial_cap=DEFAULT_MONOMIAL_CAP, constraint_cap=DEFAULT_CONSTRAINT_CAP):
+def relax(system, objective=None, sense="min", basis=None):
     """Compile a constraint system into a moment-matrix SDP.
 
     `basis` overrides the default full monomial basis of degree ell/2; a
@@ -622,18 +623,19 @@ def relax(system, objective=None, sense="min", basis=None,
     Z.  The multiplier rows E~[b*m*g] = 0 with b in the basis and m a kernel
     multiplier of g are not built: with the Hankel rows each reads
     (X0 v)_b = 0, which V^T v = 0 makes hold for every Z (`rows_implied`
-    counts them).  The rows built and the objective are mapped through
-    V^T . V; the rows that vanish on the face, and those linearly dependent
-    on the rest, are left out (`restrict_to_face`).  The relaxation is
+    counts them).  The rows built, and the objective as one more row, are
+    mapped onto Z in one dense matrix (`_face_rows`), and `presolve`
+    eliminates the free scalars and leaves out the rows that vanish on the
+    face and those dependent on the rest.  The relaxation is
     `trivially_infeasible`, and no SDP needs solving, when the face leaves
-    out the constant monomial or a left-out row demands a right-hand side
-    the others contradict.  The constraint cap counts the rows built.
+    out the constant monomial or the presolve finds a contradiction.  The
+    constraint cap counts the rows built.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
     if basis is None:
         try:
-            basis = enumerate_monomials(nv, ell // 2, cap=monomial_cap)
+            basis = enumerate_monomials(nv, ell // 2)
         except MonomialCapError as exc:
             raise RelaxationSizeError(f"moment-matrix basis: {exc}") from exc
     else:
@@ -643,10 +645,10 @@ def relax(system, objective=None, sense="min", basis=None,
         if basis[0] != _zero_mono(nv):
             raise ValueError("basis must start with the constant monomial")
     bsize = len(basis)
-    if bsize * (bsize + 1) // 2 > monomial_cap:
+    if bsize * (bsize + 1) // 2 > DEFAULT_MONOMIAL_CAP:
         raise RelaxationSizeError(
             f"moment matrix over {bsize} basis monomials exceeds the cap "
-            f"({monomial_cap} entries)"
+            f"({DEFAULT_MONOMIAL_CAP} entries)"
         )
 
     # the moment matrix's upper-triangle pairs (i, j) in row-major order;
@@ -666,7 +668,7 @@ def relax(system, objective=None, sense="min", basis=None,
     }
     gather = iu[first] * bsize + ju[first]
 
-    # rows are (entries, free coefficients, rhs) until the free scalars go
+    # rows are (entries, free coefficients, rhs), as `_face_rows` takes them
     rows = []
     rows.append(([(0, 0, 0, 1.0)], {}, 1.0))
     later = np.flatnonzero(first != np.arange(len(iu)))
@@ -757,78 +759,31 @@ def relax(system, objective=None, sense="min", basis=None,
                     entries.append((0, i, j, -coef))
                 rows.append((entries, {}, 0.0))
 
-    # after elimination: merge duplicate entries within a row, drop
-    # negligible ones, dedup rows; identical rows with clashing right-hand
-    # sides mean the system contains a contradiction visible before any SDP
-    elimination = eliminate_free(rows, system.num_free)
-    trivially_infeasible = None
-    seen = {}
-    clean_rows = []
-    for entries, rhs in elimination.rows:
-        acc = {}
-        for blk, i, j, val in entries:
-            if i > j:
-                i, j = j, i
-            key = (blk, i, j)
-            acc[key] = acc.get(key, 0.0) + val
-        acc = {k: v for k, v in acc.items() if abs(v) > 1e-15}
-        if not acc:
-            if abs(rhs) > 1e-12 and trivially_infeasible is None:
-                trivially_infeasible = "an equality reduced to 0 = %r" % rhs
-            continue
-        sig = tuple(sorted((k, v) for k, v in acc.items()))
-        if sig in seen:
-            if abs(seen[sig] - rhs) > 1e-9 and trivially_infeasible is None:
-                trivially_infeasible = (
-                    "identical constraint rows demand %r and %r" % (seen[sig], rhs)
-                )
-            continue
-        seen[sig] = rhs
-        clean_rows.append(([(b, i, j, v) for (b, i, j), v in acc.items()], rhs))
-
-    if len(clean_rows) > constraint_cap:
+    if len(rows) > DEFAULT_CONSTRAINT_CAP:
         raise RelaxationSizeError(
-            f"{len(clean_rows)} linear constraints exceed the cap {constraint_cap} "
+            f"{len(rows)} linear constraints exceed the cap {DEFAULT_CONSTRAINT_CAP} "
             f"(moment block of size {bsize})"
         )
-
-    rows_vanished = rows_dependent = 0
-    if V is not None and np.linalg.norm(V[0]) <= _FACE_TOL:
-        V = None
-        trivially_infeasible = trivially_infeasible or (
+    trivially_infeasible = None
+    if np.linalg.norm(V[0]) <= _FACE_TOL:
+        # no SDP to solve; the block is posed whole, for the record
+        V = np.eye(bsize)
+        trivially_infeasible = (
             "the equalities force E~[1] = 0: the face leaves out the constant"
         )
-    elif V is not None:
-        clean_rows, rows_vanished, rows_dependent, contradiction = restrict_to_face(
-            clean_rows, V
-        )
-        trivially_infeasible = trivially_infeasible or contradiction
-        block_sizes[0] = V.shape[1]
+    block_sizes[0] = V.shape[1]
 
-    obj_terms = _objective_terms(objective, nv)
-    obj_main = None
-    if obj_terms:
-        sign = -1.0 if sense == "max" else 1.0
-        obj_main = np.zeros((bsize, bsize))
-        for mono, coef in obj_terms.items():
-            if mono not in positions:
-                raise ValueError(f"objective monomial {mono} not representable")
-            i, j = positions[mono]
-            if i == j:
-                obj_main[i, i] += sign * coef
-            else:
-                obj_main[i, j] += sign * coef / 2.0
-                obj_main[j, i] += sign * coef / 2.0
-        if V is not None:
-            obj_main = V.T @ obj_main @ V
-    objective_mats = [obj_main] + [None] * (len(block_sizes) - 1)
-
-    problem = SdpProblem(block_sizes, objective=objective_mats)
-    problem.add_constraint_rows(clean_rows)
-
+    sign = -1.0 if sense == "max" else 1.0
+    entries = []
+    for mono, coef in _objective_terms(objective, nv).items():
+        if mono not in positions:
+            raise ValueError(f"objective monomial {mono} not representable")
+        entries.append((0, *positions[mono], sign * coef))
+    R, b = _face_rows(rows + [(entries, {}, 0.0)], V, block_sizes, system.num_free)
+    presolved = presolve(R[:-1], b[:-1], system.num_free, objective=R[-1])
     return MomentRelaxation(
-        system, basis, problem, positions, gather, aux_index, elimination,
-        trivially_infeasible, V, rows_implied, rows_vanished, rows_dependent,
+        system, basis, _pose(block_sizes, presolved), positions, gather, aux_index,
+        presolved, V, rows_implied, trivially_infeasible,
     )
 
 
@@ -844,13 +799,8 @@ class SystemSolution:
     detail: str = ""
 
 
-def solve_system(system, objective=None, sense="min", basis=None, config=None,
-                 monomial_cap=DEFAULT_MONOMIAL_CAP,
-                 constraint_cap=DEFAULT_CONSTRAINT_CAP):
-    relaxation = relax(
-        system, objective=objective, sense=sense, basis=basis,
-        monomial_cap=monomial_cap, constraint_cap=constraint_cap,
-    )
+def solve_system(system, objective=None, sense="min", basis=None, config=None):
+    relaxation = relax(system, objective=objective, sense=sense, basis=basis)
     if relaxation.trivially_infeasible is not None:
         return SystemSolution(
             status="Infeasible", pseudo=None, aux={}, free_values=[],
@@ -1100,15 +1050,15 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
 
     The identity is posed on the matrix of `coefficient_matrix`, extended by
     a margin column and by a row for each margin or target monomial that no
-    multiplier reaches.  `eliminate_free` removes the free columns (the
-    coefficients of q_j and t) from A's rows, so the SDP has only the Gram
-    blocks and maximizes t as a linear objective on them; q_j and t come
-    back by back-substitution.
-    After the solve the identity is polished by least squares on A, with
-    the Grams projected to the PSD cone, and
-    `residual` is the largest coefficient error max|b - A x| of the polished
-    identity.  A small residual is not a certificate: what a caller
-    assembles is gated by `verify_certificate`.
+    multiplier reaches.  `presolve` takes that matrix: it removes the free
+    columns (the coefficients of q_j and t), so the SDP has only the Gram
+    blocks and maximizes t as a linear objective on them, and it names a
+    coefficient the identity cannot match; q_j and t come back by
+    back-substitution.  After the solve the identity is polished by least
+    squares on A, with the Grams projected to the PSD cone, and `residual`
+    is the largest coefficient error max|b - A x| of the polished identity.
+    A small residual is not a certificate: what a caller assembles is gated
+    by `verify_certificate`.
     """
     nv = target.dimension
     if degree is None:
@@ -1120,15 +1070,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         nv, degree, sos_premises, equality_premises, homogeneous
     )
     margin_terms = {} if margin is None else margin.terms
-    matched = set(rows) | set(margin_terms)
-    for gamma, coef in target.terms.items():
-        if gamma not in matched and abs(coef) > 1e-12:
-            return SosSearchResult(
-                status="Infeasible", margin_value=None, grams=[],
-                free_polys=[], residual=float("inf"),
-                detail=f"coefficient of {gamma} cannot be matched",
-            )
-    gammas = sorted(matched | set(target.terms), key=_grlex_key)
+    gammas = sorted(set(rows) | set(margin_terms) | set(target.terms), key=_grlex_key)
     row_of = {gamma: r for r, gamma in enumerate(gammas)}
     A = np.zeros((len(gammas), A_sos.shape[1] + (margin is not None)))
     A[[row_of[gamma] for gamma in rows], :A_sos.shape[1]] = A_sos
@@ -1136,45 +1078,21 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         A[row_of[gamma], -1] = c
     b = np.array([target.terms.get(gamma, 0.0) for gamma in gammas])
 
-    # Gram columns are SDP entries; the free columns (multiplier
-    # coefficients, then the margin) are eliminated before the solve
-    gram_keys = [
-        (blk, i, j)
-        for blk, bas in enumerate(bases) for i, j in zip(*np.triu_indices(len(bas)))
-    ]
-    n_gram = len(gram_keys)
-    n_free = A.shape[1] - n_gram
-    entry_rows = []
-    for a_row, rhs in zip(A, b):
-        cols = np.flatnonzero(a_row)
-        entry_rows.append((
-            [(*gram_keys[col], a_row[col]) for col in cols if col < n_gram],
-            {col - n_gram: a_row[col] for col in cols if col >= n_gram},
-            rhs,
-        ))
-    # maximize the margin, the last free column
-    elimination = eliminate_free(
-        entry_rows, n_free, objective=None if margin is None else {n_free - 1: -1.0}
-    )
-
-    objective = [np.zeros((len(bas), len(bas))) for bas in bases]
-    for blk, i, j, val in elimination.objective:
-        objective[blk][i, j] += val / 2.0
-        objective[blk][j, i] += val / 2.0
-    problem = SdpProblem([len(bas) for bas in bases], objective=objective)
-    # a row with no entry left stays out when only a negligible target term
-    # reaches it, and is a contradiction otherwise
-    if any(not entries and abs(rhs) > 1e-12 for entries, rhs in elimination.rows):
+    # the Gram entries, then the free columns: multiplier coefficients and
+    # the margin, which is maximized
+    sizes = [len(bas) for bas in bases]
+    n_gram = sum(s * (s + 1) // 2 for s in sizes)
+    objective = np.zeros(A.shape[1])
+    if margin is not None:
+        objective[-1] = -1.0
+    presolved = presolve(A.copy(), b, A.shape[1] - n_gram, objective)
+    if presolved.contradiction is not None:
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
-            residual=float("inf"),
-            detail="the free multipliers leave a coefficient unmatched",
+            residual=float("inf"), detail=presolved.contradiction,
         )
-    problem.add_constraint_rows(
-        (entries, rhs) for entries, rhs in elimination.rows if entries
-    )
 
-    solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
+    solution = sdp_solve(_pose(sizes, presolved), SdpConfig(tol=1e-9, max_iters=300))
     if solution.status == "Infeasible":
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
@@ -1183,12 +1101,10 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
 
     X = solution.primal_blocks
     grams = [np.array(G) for G in X]
-    scalars = elimination.free_values(X)
+    scalars = presolved.free_values(_entry_values(grams))
 
     def pack():
-        return np.concatenate(
-            [G[np.triu_indices(len(G))] for G in grams] + [scalars]
-        )
+        return np.concatenate([_entry_values(grams), scalars])
 
     vec = pack()
     for _ in range(3):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from robustmoments.sdp import SdpConfig, SdpProblem, SdpSizeError, solve
+from robustmoments.sdp import (
+    DEFAULT_CONSTRAINT_CAP,
+    SdpConfig,
+    SdpProblem,
+    SdpSizeError,
+    solve,
+)
 
 
 def _random_strictly_feasible(rng, sizes, m):
@@ -120,10 +126,11 @@ def test_symmetry_enforced():
 
 def test_constraint_cap():
     prob = SdpProblem([1], objective=[np.array([[1.0]])])
-    for k in range(5):
-        prob.add_constraint([np.array([[1.0]])], 1.0)
+    prob.add_constraint_rows(
+        ([(0, 0, 0, 1.0)], 1.0) for _ in range(DEFAULT_CONSTRAINT_CAP + 1)
+    )
     with pytest.raises(SdpSizeError):
-        solve(prob, SdpConfig(constraint_cap=3))
+        solve(prob)
 
 
 def test_max_iters_returned_not_raised():

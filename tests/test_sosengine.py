@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmoments import sosengine
 from robustmoments.polycore import (
@@ -27,9 +29,9 @@ from robustmoments.sosengine import (
     SosCertificate,
     build_interval_certificates,
     build_toolkit_certificate,
-    eliminate_free,
     find_sos_combination,
     gram_to_sos,
+    presolve,
     pseudo_expectation,
     relax,
     solve_system,
@@ -82,6 +84,18 @@ class TestSolveSystem:
         y = Polynomial.variable(2, 1)
         system = ConstraintSystem(
             2, 2, equalities=[y - 1.0], affine_equalities=[AffineEquality(y - 1.5)],
+        )
+        res = solve_system(system)
+        assert res.status == "Infeasible"
+        assert res.sdp is None
+        assert "dependent" in res.detail
+
+    def test_contradictory_rows_without_a_face_detected_before_sdp(self):
+        # no equality, so no face: E~[x] = E~[1] = 1 and E~[x] = 2 E~[1]
+        # are dependent rows that the presolve finds clashing
+        system = ConstraintSystem(
+            1, 2,
+            affine_equalities=[AffineEquality(X - 1.0), AffineEquality(X - 2.0)],
         )
         res = solve_system(system)
         assert res.status == "Infeasible"
@@ -157,12 +171,7 @@ class TestSolveSystem:
         assert res.aux["G"][0, 0] == pytest.approx(0.0, abs=1e-5)
 
 
-def _row_value(entries, free, blocks, z):
-    return (sum(v * blocks[b][i, j] for b, i, j, v in entries)
-            + sum(c * z[f] for f, c in free.items()))
-
-
-class TestEliminateFree:
+class TestPresolve:
     def test_random_rows_hold_and_back_substitute(self):
         rng = np.random.default_rng(5)
         sizes, num_free = [3, 2], 4
@@ -170,62 +179,98 @@ class TestEliminateFree:
         for s in sizes:
             Q = rng.standard_normal((s, s))
             blocks.append(Q @ Q.T)
+        x = sosengine._entry_values(blocks)
+        col = {key: k for k, key in enumerate(zip(*sosengine._entry_columns(sizes)))}
         z = rng.standard_normal(num_free)
-        rows = []
+        A = np.zeros((12, len(x) + num_free))
         for r in range(12):
-            entries = []
             for _ in range(rng.integers(1, 5)):
                 b = int(rng.integers(len(sizes)))
-                i, j = rng.integers(sizes[b], size=2)  # either order, repeats
-                entries.append((b, int(i), int(j), float(rng.standard_normal())))
-            cols = set(rng.choice(num_free, size=2, replace=False)) | {r % num_free}
-            free = {int(f): float(rng.standard_normal()) for f in cols} if r < 8 else {}
-            rows.append((entries, free, _row_value(entries, free, blocks, z)))
+                i, j = sorted(rng.integers(sizes[b], size=2))  # repeats
+                A[r, col[(b, i, j)]] += rng.standard_normal()
+            if r < 8:
+                cols = set(rng.choice(num_free, size=2, replace=False)) | {r % num_free}
+                A[r, len(x) + np.array(sorted(cols))] = rng.standard_normal(len(cols))
+        rhs = A @ np.concatenate([x, z])
 
-        elim = eliminate_free(rows, num_free)
-        assert len(elim.rows) == len(rows) - num_free
-        for entries, rhs in elim.rows:
-            assert _row_value(entries, {}, blocks, z) == pytest.approx(rhs, abs=1e-12)
-        assert np.max(np.abs(elim.free_values(blocks) - z)) <= 1e-12
+        pre = presolve(A.copy(), rhs, num_free)
+        assert len(pre.rhs) == len(A) - num_free
+        assert pre.vanished == pre.dependent == 0
+        assert np.max(np.abs(pre.rows @ x - pre.rhs)) <= 1e-12
+        assert np.max(np.abs(pre.free_values(x) - z)) <= 1e-12
         # rows without a free column pass through untouched
-        untouched = [(e, rhs) for e, free, rhs in rows if not free]
-        assert all(row in elim.rows for row in untouched)
+        assert np.array_equal(pre.rows[-4:], A[8:, :len(x)])
+        assert np.array_equal(pre.rhs[-4:], rhs[8:])
 
     def test_reverse_pivot_order(self):
         # z1 appears only beside z0: X00 + z0 = 1 and 2 z0 - z1 = 0; z0
         # pivots on the second row, which keeps z1, so z1 must come back first
-        rows = [([(0, 0, 0, 1.0)], {0: 1.0}, 1.0), ([], {0: 2.0, 1: -1.0}, 0.0)]
-        elim = eliminate_free(rows, 2)
-        assert elim.rows == []
-        z = elim.free_values([np.array([[0.4]])])
-        assert z == pytest.approx([0.6, 1.2], abs=1e-15)
+        pre = presolve(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]]), [1.0, 0.0], 2)
+        assert len(pre.rows) == 0
+        assert pre.free_values(np.array([0.4])) == pytest.approx([0.6, 1.2], abs=1e-15)
 
     def test_rank_deficient_column_is_zero(self):
-        # z0 and z1 only ever appear as z0 + z1
-        rows = [
-            ([(0, 0, 0, 1.0)], {0: 1.0, 1: 1.0}, 1.0),
-            ([(0, 1, 1, 1.0)], {0: 2.0, 1: 2.0}, 3.0),
-        ]
-        elim = eliminate_free(rows, 2)
-        assert len(elim.rows) == 1
-        X = np.array([[0.5, 0.0], [0.0, 2.0]])  # X00 - X11 / 2 = -1/2
-        (entries, rhs), = elim.rows
-        assert _row_value(entries, {}, [X], None) == pytest.approx(rhs, abs=1e-15)
-        z = elim.free_values([X])
+        # columns X00, X01, X11, z0, z1; z0 and z1 only ever appear as z0 + z1
+        A = np.array([[1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0, 2.0]])
+        pre = presolve(A, [1.0, 3.0], 2)
+        assert len(pre.rows) == 1
+        x = np.array([0.5, 0.0, 2.0])  # X00 - X11 / 2 = -1/2
+        assert pre.rows[0] @ x == pytest.approx(pre.rhs[0], abs=1e-15)
+        z = pre.free_values(x)
         assert z[1] == 0.0
         assert z[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_objective_on_absent_column_is_unbounded(self):
-        rows = [([(0, 0, 0, 1.0)], {0: 1.0}, 1.0)]
         with pytest.raises(ValueError, match="unbounded"):
-            eliminate_free(rows, 2, objective={1: -1.0})
+            presolve(np.array([[1.0, 1.0, 0.0]]), [1.0], 2, objective=[0.0, 0.0, -1.0])
 
     def test_objective_moves_onto_psd_entries(self):
         # min -z0 with X00 + 2 X01 + z0 = 1: the objective becomes X00 + 2 X01
-        rows = [([(0, 0, 0, 1.0), (0, 1, 0, 2.0)], {0: 1.0}, 1.0)]
-        elim = eliminate_free(rows, 1, objective={0: -1.0})
-        assert elim.rows == []
-        assert sorted(elim.objective) == [(0, 0, 0, 1.0), (0, 0, 1, 2.0)]
+        pre = presolve(np.array([[1.0, 2.0, 0.0, 1.0]]), [1.0], 1,
+                       objective=[0.0, 0.0, 0.0, -1.0])
+        assert len(pre.rows) == 0
+        assert pre.objective.tolist() == [1.0, 2.0, 0.0]
+
+    def test_vanished_row(self):
+        A = np.array([[1.0, 0.0], [0.0, 0.0]])
+        pre = presolve(A.copy(), [1.0, 1e-13], 0)
+        assert pre.vanished == 1 and pre.contradiction is None
+        assert pre.rows.tolist() == [[1.0, 0.0]]
+        pre = presolve(A.copy(), [1.0, 0.5], 0)
+        assert "vanishes" in pre.contradiction
+
+    def test_dependent_rows(self):
+        A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+        pre = presolve(A.copy(), [1.0, 2.0, 3.0], 0)
+        assert pre.dependent == 1 and pre.contradiction is None
+        assert len(pre.rows) == 2
+        pre = presolve(A.copy(), [1.0, 3.0, 3.0], 0)
+        assert "dependent" in pre.contradiction
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(0, 3),
+    extra=st.integers(1, 3),
+)
+def test_presolve_on_random_consistent_systems(seed, n, k, extra):
+    # A x + F z = b with more rows than unknowns; some rows hold no free column
+    rng = np.random.default_rng(seed)
+    m = n + k + extra
+    A = rng.standard_normal((m, n))
+    F = rng.standard_normal((m, k)) * (rng.random((m, 1)) < 0.7)
+    x, z = rng.standard_normal(n), rng.standard_normal(k)
+    M = np.hstack([A, F])
+    b = M @ np.concatenate([x, z])
+    pre = presolve(M.copy(), b, k)
+    assert pre.contradiction is None
+    assert np.max(np.abs(pre.rows @ x - pre.rhs)) <= 1e-9 * (1 + np.max(np.abs(b)))
+    if k and np.linalg.matrix_rank(F) == k:
+        err = np.max(np.abs(pre.free_values(x) - z), initial=0.0)
+        assert err <= 1e-12 * np.linalg.cond(F) * (1 + np.max(np.abs(b)))
+    # moving b off the range of [A F] leaves a clash the presolve names
+    U = np.linalg.svd(M)[0]
+    assert presolve(M.copy(), b + U[:, -1], k).contradiction is not None
 
 
 class TestRelaxValidation:
@@ -243,9 +288,11 @@ class TestRelaxValidation:
             relax(system, basis=[(1,), (0,)])
 
     def test_monomial_cap_enforced(self):
-        system = ConstraintSystem(3, 6)
+        # 30 variables at level 8: C(34, 4) = 46376 basis monomials, above
+        # the default cap, refused before any is enumerated
+        system = ConstraintSystem(30, 8)
         with pytest.raises(RelaxationSizeError):
-            relax(system, monomial_cap=10)
+            relax(system)
 
 
 class TestPseudoDistribution:
