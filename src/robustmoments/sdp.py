@@ -9,22 +9,33 @@ ray proving infeasibility, which downstream certificate searches rely on to
 distinguish "no certificate exists" from "solver trouble".
 
 Problems are small (blocks up to a few hundred rows, a few thousand
-constraints), so everything is dense per block and deterministic.  The Schur
-matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled block by block, with a
-formula per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and Nakata,
-Math. Prog. 79, 1997).  For a row with q <= s entries in an s x s block,
-S^{-1} A_k X is a batched sum of q outer products of columns of S^{-1} and
-rows of X; a denser row uses its dense matrix.  The block's sparse column
-slice A_b then adds A_b vec(S^{-1} A_k X) to row k of M.  Newton solves with
-the Cholesky factor are blocked forward and back substitutions, O(m^2) each.
-The direction taken gets one refinement step against its primal equation,
-measured on dX itself, and a solve that ends without meeting its tolerance
-returns the best iterate it saw.
+constraints), so everything is dense per block and deterministic.
+
+A problem keeps one format from its builders to the solver: one sparse row
+matrix A on the packed entries of X (each block's upper triangle, row-major,
+block by block; `pack` and `unpack` convert), with A[k] . pack(X) = <A_k, X>.
+The solver expands A once per solve onto vec(X), each off-diagonal
+coefficient split half and half between X[i, j] and X[j, i], and keeps the
+transpose beside it.
+
+The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled block by block,
+with a formula per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and
+Nakata, Math. Prog. 79, 1997).  For a row with q <= s entries in an s x s
+block, S^{-1} A_k X is a batched sum of q outer products of columns of
+S^{-1} and rows of X; a denser row uses its dense matrix.  The block's
+sparse column slice A_b then adds A_b vec(S^{-1} A_k X) to row k of M.
+Newton solves with the Cholesky factor are blocked forward and back
+substitutions, O(m^2) each.  Each iteration factors every X and S block
+once; the inverse factors give S^{-1} and both step lengths.  The direction
+taken gets one refinement step against its primal equation, measured on dX
+itself, and a solve that ends without meeting its tolerance returns the
+best iterate it saw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -45,37 +56,87 @@ class SdpSizeError(ValueError):
     """Problem exceeds the configured desk-scale caps."""
 
 
-class SdpProblem:
-    """Standard-form SDP data.
+def pack(blocks, off=1):
+    """The packed entry columns of symmetric blocks: each block's upper
+    triangle, row-major, block by block.  Off-diagonal entries are scaled
+    by `off`; 2 turns matrices A into the coefficients of <A, X>.  Leading
+    axes of the blocks are kept, so a stack of blocks packs one by one."""
+    parts = []
+    for X in blocks:
+        iu, ju = np.triu_indices(X.shape[-1])
+        parts.append(X[..., iu, ju] * np.where(iu == ju, 1, off))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
-    constraints entries are (mats, rhs) where mats is a list with one
-    symmetric matrix (or None) per block.  Matrices are checked for symmetry
-    on construction.  Every constraint is stored as an entry row, the form
-    `add_constraint_entries` takes.
+
+def unpack(vec, sizes, off=1):
+    """The symmetric blocks of `sizes` whose packed entry columns are `vec`,
+    with off-diagonal columns scaled by `off`; 1/2 turns coefficients of
+    <A, X> back into the matrices A."""
+    blocks, start = [], 0
+    for s in sizes:
+        iu, ju = np.triu_indices(s)
+        part = vec[start:start + len(iu)] * np.where(iu == ju, 1, off)
+        start += len(iu)
+        blocks.append(np.zeros_like(part, shape=(s, s)))
+        blocks[-1][iu, ju] = blocks[-1][ju, iu] = part
+    return blocks
+
+
+def _columns(sizes):
+    """(block, i, j) arrays over the packed entry columns."""
+    grids = [(np.full((s, s), b), *np.indices((s, s))) for b, s in enumerate(sizes)]
+    return [pack(grid) for grid in zip(*grids)]
+
+
+class SdpProblem:
+    """Standard-form SDP data on the packed entry columns.
+
+    `A` is the sparse (CSR) m x width row matrix, `rhs` the m right-hand
+    sides and `c` the objective: row k says A[k] . pack(X) = rhs[k], and the
+    objective is c . pack(X).  The constructor takes one symmetric matrix
+    (or None) per block, as `add_constraint` does; `from_packed` takes rows
+    already on the packed columns.  `objective` and `constraints` read the
+    data back as matrices and entry rows.
     """
 
     def __init__(self, block_sizes, objective=None, constraints=None):
         self.block_sizes = [int(s) for s in block_sizes]
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
-        nb = len(self.block_sizes)
-        self.objective = []
-        objective = objective if objective is not None else [None] * nb
-        for size, mat in zip(self.block_sizes, objective):
-            self.objective.append(_as_symmetric(mat, size))
-        self.constraints = []
-        self.rhs = []
+        self.c = self._coefficients([] if objective is None else objective)
+        self.A = sparse.csr_matrix((0, len(self.c)))
+        self.rhs = np.zeros(0)
         for mats, b in constraints or []:
             self.add_constraint(mats, b)
 
+    @classmethod
+    def from_packed(cls, block_sizes, A, rhs, c):
+        """The problem with rows A (dense or sparse), right-hand sides rhs
+        and objective c, all on the packed entry columns, taken as given."""
+        problem = cls(block_sizes)
+        if np.shape(A) != (len(rhs), len(problem.c)) or np.shape(c) != problem.c.shape:
+            raise ValueError("rows, rhs and objective do not fit the block sizes")
+        problem.A = sparse.csr_matrix(A, dtype=float)
+        problem.A.sum_duplicates()  # one sorted entry per column, as dump reads it
+        problem.rhs, problem.c = np.array(rhs, dtype=float), np.array(c, dtype=float)
+        return problem
+
+    def _coefficients(self, mats):
+        """The packed coefficients of sum_b <mats[b], X_b>; None is zero."""
+        mats = list(mats) + [None] * (len(self.block_sizes) - len(mats))
+        return pack(
+            [np.zeros((s, s)) if mat is None else _as_symmetric(mat, s)
+             for s, mat in zip(self.block_sizes, mats)],
+            off=2.0,
+        )
+
     def add_constraint(self, mats, rhs):
-        """Dense constraint <A, X> = rhs; stored as the entry row that reads
-        a_ii on the diagonal and 2 a_ij once for each i < j."""
-        entries = []
-        for bi, (size, mat) in enumerate(zip(self.block_sizes, mats)):
-            if mat is not None:
-                entries += [(bi, *e) for e in _upper_entries(_as_symmetric(mat, size))]
-        self.add_constraint_entries(entries, rhs)
+        """Dense constraint <A, X> = rhs, one symmetric matrix (or None) per
+        block; stored as the packed row that reads a_ii on the diagonal and
+        2 a_ij once for each i < j."""
+        row = self._coefficients(mats)
+        entries = np.column_stack([*_columns(self.block_sizes), row])
+        self.add_constraint_entries(entries[row != 0], rhs)
 
     def add_constraint_entries(self, entries, rhs):
         """Sparse constraint: entries are (block, i, j, value) with (i, j) unordered.
@@ -109,22 +170,43 @@ class SdpProblem:
             k = np.argmax(bad)
             raise ValueError(f"entry ({i[k]},{j[k]}) outside block of size {sizes[k]}")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        # one key per (row, block, i, j), sorted in that order
+        start = np.cumsum([0] + [s * (s + 1) // 2 for s in self.block_sizes])
+        col = start[bi] + lo * (2 * sizes - lo + 1) // 2 + hi - lo  # packed column
         row = np.repeat(np.arange(len(rows)), counts)
-        top = max(self.block_sizes)
-        keys = ((row * len(self.block_sizes) + bi) * top + lo) * top + hi
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(
+            row * start[-1] + col, return_index=True, return_inverse=True
+        )
         # bincount adds each value in input order, starting from 0.0
         values = np.bincount(inverse, arr[:, 3])
-        fields = (bi[first], lo[first], hi[first], values)
-        ends = np.cumsum(np.bincount(row[first], minlength=len(rows))).tolist()
-        for start, end in zip([0] + ends, ends):
-            self.constraints.append(_EntryRow(*(f[start:end] for f in fields)))
-        self.rhs.extend(float(rhs) for _, rhs in rows)
+        A = sparse.csr_matrix((values, (row[first], col[first])), shape=(len(rows), start[-1]))
+        self.A = sparse.vstack([self.A, A], format="csr")
+        self.rhs = np.concatenate([self.rhs, [float(rhs) for _, rhs in rows]])
 
     @property
     def num_constraints(self):
-        return len(self.constraints)
+        return self.A.shape[0]
+
+    @property
+    def objective(self):
+        """The objective as one symmetric matrix per block."""
+        return unpack(self.c, self.block_sizes, off=0.5)
+
+    @property
+    def constraints(self):
+        """The rows of A, each with `entries`: a dict (block, i, j) ->
+        coefficient, i <= j, as `add_constraint_entries` reads them.  Built
+        on each read; the solver does not use them."""
+        return [SimpleNamespace(entries=row) for row in self._entries(self.A)]
+
+    def _entries(self, M):
+        """Each row of the sparse matrix M on the packed columns as a dict
+        (block, i, j) -> coefficient, in column order."""
+        keys = list(zip(*(c.tolist() for c in _columns(self.block_sizes))))
+        ends, cols, vals = M.indptr.tolist(), M.indices.tolist(), M.data.tolist()
+        return [
+            dict(zip((keys[c] for c in cols[lo:hi]), vals[lo:hi]))
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
 
     def dump(self):
         """Line-based sparse text dump for cross-checking with other solvers.
@@ -133,47 +215,15 @@ class SdpProblem:
         entry X[block][i, j], i <= j, read once, as a plain float.
         """
         lines = [f"blocks {' '.join(str(s) for s in self.block_sizes)}"]
-        for bi, mat in enumerate(self.objective):
-            if mat is None:
-                continue
-            for i, j, coef in _upper_entries(mat):
-                lines.append(f"obj {bi} {i} {j} {float(coef)!r}")
-        for ci, row in enumerate(self.constraints):
-            lines.append(f"rhs {ci} {self.rhs[ci]!r}")
-            fields = (row.block, row.i, row.j, row.values)
-            lines.extend(
-                f"con {ci} {bi} {i} {j} {val!r}"
-                for bi, i, j, val in zip(*(f.tolist() for f in fields))
-            )
+        (objective,) = self._entries(sparse.csr_matrix(self.c))
+        lines.extend(f"obj {b} {i} {j} {v!r}" for (b, i, j), v in objective.items())
+        for ci, (row, rhs) in enumerate(zip(self._entries(self.A), self.rhs.tolist())):
+            lines.append(f"rhs {ci} {rhs!r}")
+            lines.extend(f"con {ci} {b} {i} {j} {v!r}" for (b, i, j), v in row.items())
         return "\n".join(lines) + "\n"
 
 
-class _EntryRow:
-    """Compact constraint row: the entries X[block][i, j], i <= j, it reads,
-    sorted by (block, i, j), and their coefficients, as arrays."""
-
-    __slots__ = ("block", "i", "j", "values")
-
-    def __init__(self, block, i, j, values):
-        self.block, self.i, self.j, self.values = block, i, j, values
-
-    @property
-    def entries(self):
-        """The row as a dict (block, i, j) -> coefficient."""
-        keys = zip(self.block.tolist(), self.i.tolist(), self.j.tolist())
-        return dict(zip(keys, self.values.tolist()))
-
-
-def _upper_entries(mat):
-    """(i, j, coefficient of the entry X[i, j] read once) over the nonzero
-    upper triangle of a symmetric matrix."""
-    for i, j in zip(*np.nonzero(np.triu(mat))):
-        yield i, j, mat[i, j] if i == j else 2.0 * mat[i, j]
-
-
 def _as_symmetric(mat, size):
-    if mat is None:
-        return None
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (size, size):
         raise ValueError(f"matrix shape {mat.shape} does not match block size {size}")
@@ -210,18 +260,15 @@ def solve(problem, config=None):
 
 class _HsdSolver:
     def __init__(self, problem, config):
-        self.problem = problem
         self.config = config
         self.sizes = problem.block_sizes
         self.m = problem.num_constraints
         self.b = np.array(problem.rhs, dtype=float)
-        self.C = [
-            np.zeros((s, s)) if mat is None else mat
-            for s, mat in zip(self.sizes, problem.objective)
-        ]
+        self.C = problem.objective
         self.offsets = np.cumsum([0] + [s * s for s in self.sizes])
         self.vec_len = int(self.offsets[-1])
-        self.A_sparse = self._build_sparse_rows()
+        self.A_sparse = self._vec_rows(problem.A)
+        self.At = self.A_sparse.T.tocsr()
         self.N = sum(self.sizes)
         self.bnorm = 1.0 + float(np.linalg.norm(self.b))
         self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in self.C)
@@ -230,23 +277,18 @@ class _HsdSolver:
             for s, lo, hi in zip(self.sizes, self.offsets[:-1], self.offsets[1:])
         ]
 
-    def _build_sparse_rows(self):
-        """Rows of vec'd constraint matrices; tr(A_k M) = A_sparse[k] @ vec(M)."""
-        rows = self.problem.constraints
-        k = np.repeat(np.arange(self.m), [len(row.values) for row in rows])
-        bi, i, j, val = (
-            np.concatenate([getattr(row, name) for row in rows] + [np.zeros(0, dtype)])
-            for name, dtype in (("block", int), ("i", int), ("j", int), ("values", float))
-        )
-        base, size = self.offsets[bi], np.array(self.sizes, dtype=int)[bi]
+    def _vec_rows(self, A):
+        """The packed rows A on vec'd blocks: tr(A_k M) = A_sparse[k] @ vec(M)."""
+        flat = [lo + np.arange(s * s).reshape(s, s) for lo, s in zip(self.offsets, self.sizes)]
+        ij, ji = pack(flat)[A.indices], pack([f.T for f in flat])[A.indices]
+        k, val = np.repeat(np.arange(self.m), np.diff(A.indptr)), A.data
         # an off-diagonal entry puts half on each orientation, so that the
         # functional reads the symmetric entry once
-        off = i != j
+        off = ij != ji
         return sparse.csr_matrix(
             (
                 np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]]),
-                (np.concatenate([k, k[off]]),
-                 np.concatenate([base + i * size + j, (base + j * size + i)[off]])),
+                (np.concatenate([k, k[off]]), np.concatenate([ij, ji[off]])),
             ),
             shape=(self.m, self.vec_len),
         )
@@ -261,11 +303,8 @@ class _HsdSolver:
 
     def _apply_At(self, y):
         """A^T(y) as a list of blocks."""
-        flat = self.A_sparse.T @ y
-        out = []
-        for bi, s in enumerate(self.sizes):
-            out.append(flat[self.offsets[bi]: self.offsets[bi + 1]].reshape(s, s))
-        return out
+        parts = np.split(self.At @ y, self.offsets[1:-1])
+        return [part.reshape(s, s) for part, s in zip(parts, self.sizes)]
 
     def _inner(self, blocks1, blocks2):
         return float(sum(np.sum(a * b) for a, b in zip(blocks1, blocks2)))
@@ -296,7 +335,11 @@ class _HsdSolver:
                 return self._finish(status, detail, payload, X, S, y, tau, it)
 
             try:
-                Sinv = [_sym_inverse(s_blk) for s_blk in S]
+                # one inverse factor per block serves Sinv and both step lengths;
+                # an X block that fails Cholesky falls back, an S block ends the solve
+                LX = [_inverse_cholesky(x) for x in X]
+                LS = [np.linalg.inv(np.linalg.cholesky(s_blk)) for s_blk in S]
+                Sinv = [inv_L.T @ inv_L for inv_L in LS]
                 factor = self._schur_factor(Sinv, X)
             except np.linalg.LinAlgError:
                 return self._abnormal(
@@ -318,7 +361,7 @@ class _HsdSolver:
                 X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                 sigma=0.0, eta=1.0,
             )
-            alpha_aff = self._max_step(X, S, tau, kappa, aff)
+            alpha_aff = self._max_step(LX, LS, tau, kappa, aff)
             mu_aff = self._mu_after(X, S, tau, kappa, aff, alpha_aff)
             sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
@@ -327,7 +370,7 @@ class _HsdSolver:
                 sigma=sigma, eta=1.0 - sigma,
             )
             corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
-            alpha = _STEP_FRACTION * self._max_step(X, S, tau, kappa, corr)
+            alpha = _STEP_FRACTION * self._max_step(LX, LS, tau, kappa, corr)
             alpha = min(alpha, 1.0)
             if alpha < 1e-10:
                 return self._abnormal(
@@ -405,7 +448,7 @@ class _HsdSolver:
         return self._finish("MaxIterations", detail, None, X, S, y, tau, iterations)
 
     def _finish(self, status, detail, payload, X, S, y, tau, iterations):
-        scale = tau if (status == "Optimal" and tau > 1e-10) else max(tau, 1e-10)
+        scale = max(tau, 1e-10)
         Xh = [x / scale for x in X]
         yh = y / scale
         Sh = [s / scale for s in S]
@@ -518,13 +561,16 @@ class _HsdSolver:
 
     # -- step sizes ---------------------------------------------------------
 
-    def _max_step(self, X, S, tau, kappa, direction):
+    def _max_step(self, LX, LS, tau, kappa, direction):
+        """Largest step to the boundary of the cones.  For a block B with
+        inverse Cholesky factor L^{-1}, B + alpha dB stays PSD while alpha
+        <= -1 / lambda_min(L^{-1} dB L^{-T}), if that eigenvalue is < 0."""
         dX, _, dS, dtau, dkappa = direction
         alpha = 1e30
-        for x, dx in zip(X, dX):
-            alpha = min(alpha, _cone_step(x, dx))
-        for s, ds in zip(S, dS):
-            alpha = min(alpha, _cone_step(s, ds))
+        for inv_L, d in zip(LX + LS, dX + dS):
+            lam = float(np.linalg.eigvalsh(_symmetrize(inv_L @ d @ inv_L.T)).min())
+            if lam < 0:
+                alpha = min(alpha, -1.0 / lam)
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:
@@ -589,24 +635,13 @@ def _symmetrize(mat):
     return 0.5 * (mat + mat.T)
 
 
-def _sym_inverse(mat):
-    L = np.linalg.cholesky(mat)
-    inv_L = np.linalg.inv(L)
-    return inv_L.T @ inv_L
-
-
-def _cone_step(blk, dblk):
-    """Largest alpha with blk + alpha*dblk still PSD (up to the boundary)."""
+def _inverse_cholesky(mat):
+    """The inverse of the Cholesky factor L of a positive definite matrix;
+    one that fails Cholesky is first moved to eigenvalues >= 1e-14."""
     try:
-        L = np.linalg.cholesky(blk)
+        L = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        # fall back: perturb slightly toward PD
-        w, V = np.linalg.eigh(blk)
+        w, V = np.linalg.eigh(mat)
         w = np.clip(w, 1e-14, None)
         L = np.linalg.cholesky(V @ np.diag(w) @ V.T)
-    Linv = np.linalg.inv(L)
-    G = _symmetrize(Linv @ dblk @ Linv.T)
-    lam = float(np.linalg.eigvalsh(G).min())
-    if lam >= 0:
-        return 1e30
-    return -1.0 / lam
+    return np.linalg.inv(L)

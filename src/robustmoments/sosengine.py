@@ -7,12 +7,13 @@ solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
 verifies certificates by explicit polynomial expansion.
 
 Both SDP builders, `relax` and `find_sos_combination`, write their equality
-rows as one dense matrix whose columns are the SDP entries and then the
-free scalars (the affine equalities' free variables, equality-multiplier
+rows as one dense matrix on the packed SDP entries (`sdp.pack`) and then
+the free scalars (the affine equalities' free variables, equality-multiplier
 coefficients and margins), and hand it to `presolve`.  It eliminates the
 free scalars, which come back from the PSD blocks after the solve, and
 leaves out the rows that vanish and those the others imply, naming any
-contradiction among them; so every SDP posed here has PSD blocks only.
+contradiction among them; `SdpProblem.from_packed` takes what is left, so
+every SDP posed here has PSD blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
@@ -51,7 +52,7 @@ from .polycore import (
     monomial_mul,
     monomials_of_degree,
 )
-from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem
+from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack
 from .sdp import solve as sdp_solve
 
 
@@ -148,18 +149,13 @@ class PseudoDistribution:
 
     def __init__(self, num_vars, degree, pseudo_moments, basis):
         basis = list(basis)
-        iu, ju = np.triu_indices(len(basis))
-        upper = [
-            pseudo_moments[monomial_mul(basis[i], basis[j])]
-            for i, j in zip(iu.tolist(), ju.tolist())
-        ]
-        self._store(num_vars, degree, basis, np.array(upper, dtype=float))
+        M = [[pseudo_moments[monomial_mul(a, b)] for b in basis] for a in basis]
+        self._store(num_vars, degree, basis, pack([np.array(M, dtype=float)]))
 
     @classmethod
     def from_upper_triangle(cls, num_vars, degree, basis, upper):
         """The distribution whose Hankel-exact moment matrix over `basis` has
-        the upper triangle `upper`, packed row by row as `np.triu_indices`
-        orders it."""
+        the upper triangle `upper`, packed as `sdp.pack` packs it."""
         pd = cls.__new__(cls)
         pd._store(num_vars, degree, basis, upper)
         return pd
@@ -177,11 +173,7 @@ class PseudoDistribution:
 
     @property
     def moment_matrix(self):
-        size = len(self._exponents)
-        M = np.empty((size, size))
-        iu, ju = np.triu_indices(size)
-        M[iu, ju] = M[ju, iu] = self._upper
-        return M
+        return unpack(self._upper, [len(self._exponents)])[0]
 
     @functools.cached_property
     def pseudo_moments(self):
@@ -244,19 +236,6 @@ _FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
 _DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
 
 
-def _entry_columns(sizes):
-    """(block, i, j) arrays over the SDP entry columns: each block's upper
-    triangle in row-major order, block by block, so sorted by (block, i, j)."""
-    iu, ju = (np.concatenate(t) for t in zip(*(np.triu_indices(s) for s in sizes)))
-    blk = np.repeat(np.arange(len(sizes)), [s * (s + 1) // 2 for s in sizes])
-    return blk, iu, ju
-
-
-def _entry_values(blocks):
-    """The entries of PSD blocks in `_entry_columns` order."""
-    return np.concatenate([X[np.triu_indices(len(X))] for X in blocks])
-
-
 def _pivoted_cholesky(G, tol):
     """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
 
@@ -287,12 +266,12 @@ def _pivoted_cholesky(G, tol):
 class Presolved:
     """Equality rows on SDP entries, as `presolve` leaves them.
 
-    `rows` (dense, on the entry columns) and `rhs` are the rows kept, in
-    input order, and `objective` the reduced objective on the entry columns,
-    its constant dropped.  `pivots` hold (free column, pivot row, rhs) for
-    back-substitution.  `vanished` and `dependent` count the rows left out,
-    and `contradiction` names a left-out row whose rhs the kept rows do not
-    reproduce, or is None.
+    `rows` (dense, on the packed entry columns) and `rhs` are the rows kept,
+    in input order, and `objective` the reduced objective on those columns,
+    its constant dropped: what `SdpProblem.from_packed` takes.  `pivots`
+    hold (free column, pivot row, rhs) for back-substitution.  `vanished`
+    and `dependent` count the rows left out, and `contradiction` names a
+    left-out row whose rhs the kept rows do not reproduce, or is None.
     """
 
     rows: np.ndarray
@@ -316,10 +295,10 @@ class Presolved:
 def presolve(A, b, num_free, objective=None):
     """Reduce the equality rows A y = b, y = (x, z), to rows on x alone.
 
-    The columns of A are the SDP entries x, each read once as
-    `SdpProblem.add_constraint_entries` reads it, then `num_free` free
-    scalars z.  `objective` is a linear objective on y to minimize, or None.
-    The rows that hold a free column are reduced in A in place.
+    The columns of A are the SDP entries x, packed as `sdp.pack` packs
+    them, then `num_free` free scalars z.  `objective` is a linear
+    objective on y to minimize, or None.  The rows that hold a free column
+    are reduced in A in place.
 
     For each free column in turn the pivot is the live row with the largest
     |coefficient| (partial pivoting); it is subtracted from every other row
@@ -401,23 +380,6 @@ def presolve(A, b, num_free, objective=None):
         X[kept], b[kept], c[:n], pivots, num_free, len(vanished), len(dependent),
         contradiction,
     )
-
-
-def _pose(sizes, presolved):
-    """The SDP over PSD blocks of `sizes` whose rows and objective are those
-    of `presolved`, on the entry columns of `_entry_columns(sizes)`."""
-    blk, iu, ju = _entry_columns(sizes)
-    objective = [np.zeros((s, s)) for s in sizes]
-    for k, C in enumerate(objective):
-        on = blk == k
-        C[iu[on], ju[on]] += presolved.objective[on] / 2.0
-        C[ju[on], iu[on]] += presolved.objective[on] / 2.0
-    problem = SdpProblem(sizes, objective=objective)
-    at, col = np.nonzero(presolved.rows)
-    entries = np.column_stack([blk[col], iu[col], ju[col], presolved.rows[at, col]])
-    ends = np.cumsum(np.bincount(at, minlength=len(presolved.rows)))[:-1]
-    problem.add_constraint_rows(zip(np.split(entries, ends), presolved.rhs))
-    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -511,28 +473,26 @@ def _face_rows(rows, V, sizes, num_free):
 
     Each row is (entries, free, rhs): entries (block, i, j, value) read the
     unordered entry X[block][i, j] once, and free maps a free scalar's index
-    to its coefficient.  The columns are the entries of the blocks of
-    `sizes`, as `_entry_columns` orders them, then the free scalars.  Block
-    0 is Z with X0 = V Z V^T, so a row's block-0 part <A, X0> becomes
-    <V^T A V, Z>, on Z's upper triangle; a part below `_VANISH_TOL` of its
-    own scale vanishes on the face and is zeroed.
+    to its coefficient.  The columns are the packed entries of the blocks of
+    `sizes`, then the free scalars.  Block 0 is Z with X0 = V Z V^T, so a
+    row's block-0 part <A, X0> becomes <V^T A V, Z>, on Z's upper triangle;
+    a part below `_VANISH_TOL` of its own scale vanishes on the face and is
+    zeroed.
     """
     r = V.shape[1]
-    iu, ju = np.triu_indices(r)
-    weight = np.where(iu == ju, 1.0, 2.0)
-    offsets = np.cumsum([0] + [s * (s + 1) // 2 for s in sizes]).tolist()
-    R = np.zeros((len(rows), offsets[-1] + num_free))
+    width = sum(s * (s + 1) // 2 for s in sizes)
+    column = unpack(np.arange(width), sizes)  # the packed column of X[blk][i, j]
+    R = np.zeros((len(rows), width + num_free))
     zero = []
     for a, (entries, free, _) in enumerate(rows):
         zero.append([e[1:] for e in entries if e[0] == 0])
         for blk, i, j, v in entries:
             if blk != 0:
-                i, j = min(i, j), max(i, j)
-                R[a, offsets[blk] + i * (2 * sizes[blk] - i + 1) // 2 + j - i] += v
+                R[a, column[blk][i, j]] += v
         for f, v in free.items():
             if not 0 <= f < num_free:
                 raise ValueError(f"free index {f} outside 0..{num_free - 1}")
-            R[a, offsets[-1] + f] += v
+            R[a, width + f] += v
     counts = np.array([len(z) for z in zero])
     starts = np.cumsum(counts) - counts
     flat = np.array([e for z in zero for e in z], dtype=float).reshape(-1, 3)
@@ -546,11 +506,12 @@ def _face_rows(rows, V, sizes, num_free):
             ijv = flat[starts[chunk][:, None] + np.arange(q)]  # chunk x q x 3
             I, J, W = ijv[..., 0].astype(int), ijv[..., 1].astype(int), ijv[..., 2]
             H = np.matmul((V[I] * (0.5 * W[..., None])).transpose(0, 2, 1), V[J])
-            coef = (H + H.transpose(0, 2, 1))[:, iu, ju] * weight
+            H += H.transpose(0, 2, 1)  # V^T A V, without a second chunk-sized copy
+            coef = pack([H], off=2.0)
             scale = np.max(np.abs(W), axis=1, keepdims=True)
             coef[np.abs(coef) <= _FILL_TOL * scale] = 0.0
             coef[np.max(np.abs(coef), axis=1) <= _VANISH_TOL * scale[:, 0]] = 0.0
-            R[chunk, :len(iu)] = coef
+            R[chunk, :coef.shape[1]] = coef
     return R, np.array([rhs for *_, rhs in rows], dtype=float)
 
 
@@ -568,9 +529,11 @@ class MomentRelaxation:
     upper triangle of the Hankel-exact moment matrix.  `face` is the
     orthonormal basis V of the moment block's face, whose SDP block is Z
     with X0 = V Z V^T.  `presolved` is what `presolve` left of the rows.
+    `problem` is posed on `presolved`'s rows, rhs and objective as they are.
     `rows_implied` counts the multiplier rows not built because the face
     implies them, `rows_vanished` and `rows_dependent` the built rows the
-    presolve left out, and `nnz` the entries stored in the SDP's rows.
+    presolve left out, and `nnz` the entries stored in the SDP's row matrix
+    `problem.A`.
     """
 
     def __init__(self, system, basis, problem, positions, gather, aux_index,
@@ -587,11 +550,11 @@ class MomentRelaxation:
         self.rows_vanished = presolved.vanished
         self.rows_dependent = presolved.dependent
         self.trivially_infeasible = trivially_infeasible or presolved.contradiction
-        self.nnz = sum(len(row.values) for row in problem.constraints)
+        self.nnz = problem.A.nnz
 
     def extract(self, solution):
         blocks = solution.primal_blocks
-        free = self.presolved.free_values(_entry_values(blocks)).tolist()
+        free = self.presolved.free_values(pack(blocks)).tolist()
         pd = PseudoDistribution.from_upper_triangle(
             self.system.num_vars, self.system.relaxation_degree, self.basis,
             (self.face @ blocks[0] @ self.face.T).ravel()[self.moment_gather],
@@ -781,8 +744,11 @@ def relax(system, objective=None, sense="min", basis=None):
         entries.append((0, *positions[mono], sign * coef))
     R, b = _face_rows(rows + [(entries, {}, 0.0)], V, block_sizes, system.num_free)
     presolved = presolve(R[:-1], b[:-1], system.num_free, objective=R[-1])
+    problem = SdpProblem.from_packed(
+        block_sizes, presolved.rows, presolved.rhs, presolved.objective
+    )
     return MomentRelaxation(
-        system, basis, _pose(block_sizes, presolved), positions, gather, aux_index,
+        system, basis, problem, positions, gather, aux_index,
         presolved, V, rows_implied, trivially_infeasible,
     )
 
@@ -1081,32 +1047,30 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     # the Gram entries, then the free columns: multiplier coefficients and
     # the margin, which is maximized
     sizes = [len(bas) for bas in bases]
-    n_gram = sum(s * (s + 1) // 2 for s in sizes)
+    num_free = sum(len(monos) for monos in free_monos) + (margin is not None)
+    n_gram = A.shape[1] - num_free
     objective = np.zeros(A.shape[1])
     if margin is not None:
         objective[-1] = -1.0
-    presolved = presolve(A.copy(), b, A.shape[1] - n_gram, objective)
+    presolved = presolve(A.copy(), b, num_free, objective)
     if presolved.contradiction is not None:
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
             residual=float("inf"), detail=presolved.contradiction,
         )
 
-    solution = sdp_solve(_pose(sizes, presolved), SdpConfig(tol=1e-9, max_iters=300))
+    problem = SdpProblem.from_packed(
+        sizes, presolved.rows, presolved.rhs, presolved.objective
+    )
+    solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
     if solution.status == "Infeasible":
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
             residual=float("inf"), detail=solution.detail,
         )
 
-    X = solution.primal_blocks
-    grams = [np.array(G) for G in X]
-    scalars = presolved.free_values(_entry_values(grams))
-
-    def pack():
-        return np.concatenate([_entry_values(grams), scalars])
-
-    vec = pack()
+    grams = [np.array(G) for G in solution.primal_blocks]
+    vec = np.concatenate([pack(grams), presolved.free_values(pack(grams))])
     for _ in range(3):
         resid = b - A @ vec
         if np.max(np.abs(resid), initial=0.0) < 1e-14:
@@ -1114,17 +1078,11 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         delta, *_ = np.linalg.lstsq(A, resid, rcond=None)
         vec = vec + delta
         # unpack, project grams to the PSD cone, repack
-        grams, k = [], 0
-        for bas in bases:
-            n = len(bas)
-            upper = np.triu_indices(n)
-            H = np.zeros((n, n))
-            H[upper] = H.T[upper] = vec[k: k + len(upper[0])]
-            k += len(upper[0])
+        grams = []
+        for H in unpack(vec[:n_gram], sizes):
             w, V = np.linalg.eigh(H)
             grams.append((V * np.clip(w, 0.0, None)) @ V.T)
-        scalars = vec[n_gram:]
-        vec = pack()
+        vec = np.concatenate([pack(grams), vec[n_gram:]])
 
     free_polys, k = [], n_gram
     for monos in free_monos:

@@ -35,6 +35,7 @@ from robustmoments.estimators import (
     truncate_preprocess,
 )
 from robustmoments.polycore import empirical_moments, enumerate_monomials, monomial_mul
+from robustmoments.sdp import unpack
 from robustmoments.sosengine import (
     ConstraintSystem,
     face_basis,
@@ -252,13 +253,8 @@ class TestImpliedRows:
         rel = relax(system, basis=basis)
         assert rel.rows_implied > 0 and rel.trivially_infeasible is None
         r = rel.problem.block_sizes[0]
-        iu, ju = np.triu_indices(r)
-        col = {(i, j): k for k, (i, j) in enumerate(zip(iu.tolist(), ju.tolist()))}
-        A = np.zeros((rel.problem.num_constraints, len(iu)))
-        for a, row in enumerate(rel.problem.constraints):
-            for (_, i, j), val in row.entries.items():
-                A[a, col[(i, j)]] = val
-        b = np.array(rel.problem.rhs)
+        assert rel.problem.block_sizes == [r]
+        A, b = rel.problem.A.toarray(), rel.problem.rhs
         # a solution of the kept rows plus random directions of their null space
         z0 = np.linalg.lstsq(A, b, rcond=None)[0]
         _, sv, Vt = np.linalg.svd(A)
@@ -267,8 +263,7 @@ class TestImpliedRows:
         rows = _every_multiplier_row(system, rel)
         for _ in range(3):
             z = z0 + rng.standard_normal(len(null)) @ null
-            Z = np.zeros((r, r))
-            Z[iu, ju] = Z[ju, iu] = z
+            (Z,) = unpack(z, [r])
             X = (rel.face @ Z @ rel.face.T).ravel()
             assert np.max(np.abs(A @ z - b)) <= 1e-9 * (1 + np.max(np.abs(b)))
             scale = np.abs(rows).sum(axis=1) * np.max(np.abs(X))
@@ -376,8 +371,8 @@ class TestPlantedOutlier:
         assert rel_di["rows_implied"] == rel.rows_implied == 637
         assert rel_di["rows_vanished"] == rel.rows_vanished == 0
         assert rel_di["rows_dependent"] == rel.rows_dependent == 24
-        stored = sum(len(row.entries) for row in rel.problem.constraints)
-        assert rel_di["nnz"] == rel.nnz == stored
+        # every entry stored in the row matrix is a nonzero
+        assert rel_di["nnz"] == rel.nnz == rel.problem.A.count_nonzero()
 
     def test_oracle_drops_exactly_the_outlier(self, planted_solution):
         Y, est = planted_solution

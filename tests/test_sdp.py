@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robustmoments.sdp import (
     DEFAULT_CONSTRAINT_CAP,
     SdpConfig,
     SdpProblem,
     SdpSizeError,
+    pack,
     solve,
+    unpack,
 )
 
 
@@ -368,3 +372,192 @@ def test_abnormal_exit_returns_the_best_iterate():
         for k in range(10, sol.iterations + 1, 20)
     )
     assert _merit(prob, sol) <= best * (1.0 + 1e-12)
+
+
+# -- the packed format -------------------------------------------------------
+
+
+def _symmetric(rng, s):
+    G = rng.normal(size=(s, s))
+    return G + G.T
+
+
+def test_pack_unpack_round_trip():
+    rng = np.random.default_rng(2)
+    sizes = [3, 1, 4]
+    blocks = [_symmetric(rng, s) for s in sizes]
+    vec = pack(blocks)
+    assert len(vec) == 6 + 1 + 10
+    assert vec[:6].tolist() == blocks[0][np.triu_indices(3)].tolist()
+    for got, want in zip(unpack(vec, sizes), blocks):
+        assert np.array_equal(got, want)
+    assert np.array_equal(pack(unpack(vec, sizes)), vec)
+    # off = 2 gives the coefficients of <A, X>, and off = 1/2 takes them back
+    for got, want in zip(unpack(pack(blocks, off=2.0), sizes, off=0.5), blocks):
+        assert np.array_equal(got, want)
+    X = [_symmetric(rng, s) for s in sizes]
+    inner = sum(np.sum(a * x) for a, x in zip(blocks, X))
+    assert pack(blocks, off=2.0) @ pack(X) == pytest.approx(inner, rel=1e-12)
+    # a stack of blocks packs one by one
+    stack = np.stack([blocks[0], 2 * blocks[0]])
+    assert np.array_equal(pack([stack]), np.stack([vec[:6], 2 * vec[:6]]))
+
+
+def test_packed_rows_are_the_dense_functional():
+    rng = np.random.default_rng(4)
+    prob, rows = _mixed_problem(rng, entry_rows=True)
+    assert prob.A.shape == (len(rows), 10 + 6 + 1 + 1)
+    X = [_symmetric(rng, s) for s in prob.block_sizes]
+    dense = [sum(np.sum(a * x) for a, x in zip(row, X)) for row in rows]
+    assert np.max(np.abs(prob.A @ pack(X) - dense)) <= 1e-12 * np.max(np.abs(dense))
+    C = prob.objective
+    assert prob.c @ pack(X) == pytest.approx(sum(np.sum(c * x) for c, x in zip(C, X)))
+    # the entry rows read back from A as the entries given
+    assert prob.constraints[2].entries == {(0, 0, 0): 1.3}
+    assert prob.constraints[5].entries == {(0, 0, 1): 0.9, (0, 2, 3): 0.4}
+    assert prob.constraints[7].entries == {(0, 2, 2): 0.7, (1, 0, 1): -1.4, (2, 0, 0): 1.0}
+
+
+def test_solver_adjoint_identity():
+    from robustmoments import sdp
+
+    rng = np.random.default_rng(8)
+    prob, rows = _mixed_problem(rng, entry_rows=True)
+    solver = sdp._HsdSolver(prob, SdpConfig())
+    y = rng.normal(size=prob.num_constraints)
+    X = [_symmetric(rng, s) for s in prob.block_sizes]
+    At_y = solver._apply_At(y)
+    # y . A(X) = <A^T(y), X>, and A^T(y) is sum_k y_k A_k of the dense model
+    lhs = y @ solver._apply_A(X)
+    assert lhs == pytest.approx(sum(np.sum(a * x) for a, x in zip(At_y, X)), rel=1e-12)
+    for bi, block in enumerate(At_y):
+        want = sum(yk * row[bi] for yk, row in zip(y, rows))
+        assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_from_packed_takes_rows_as_given():
+    A = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0]])
+    prob = SdpProblem.from_packed([2, 1], A, [1.0, 2.0], [1.0, 0.0, 1.0, 0.5])
+    assert np.array_equal(prob.A.toarray(), A)
+    assert prob.A.nnz == 4
+    assert prob.dump() == (
+        "blocks 2 1\n"
+        "obj 0 0 0 1.0\nobj 0 1 1 1.0\nobj 1 0 0 0.5\n"
+        "rhs 0 1.0\ncon 0 0 0 0 1.0\ncon 0 0 1 1 2.0\n"
+        "rhs 1 2.0\ncon 1 0 0 1 3.0\ncon 1 1 0 0 1.0\n"
+    )
+    with pytest.raises(ValueError, match="do not fit"):
+        SdpProblem.from_packed([2], A, [1.0, 2.0], np.zeros(4))
+    with pytest.raises(ValueError, match="do not fit"):
+        SdpProblem.from_packed([2, 1], A, [1.0], np.zeros(4))
+
+
+# -- properties of the solver on random problems --------------------------------
+
+
+def _random_rows(rng, sizes, kinds):
+    """One row per kind, as (entries or None, dense model matrices): True
+    makes a row of 1-3 (block, i, j, value) entries, False a dense row."""
+    rows = []
+    for entry in kinds:
+        mats = [np.zeros((s, s)) for s in sizes]
+        if not entry:
+            mats = [0.5 * _symmetric(rng, s) for s in sizes]
+            rows.append((None, mats))
+            continue
+        entries = []
+        for _ in range(rng.integers(1, 4)):
+            b = int(rng.integers(len(sizes)))
+            i, j = (int(v) for v in rng.integers(sizes[b], size=2))
+            val = float(rng.normal())
+            entries.append((b, i, j, val))
+            mats[b][i, j] += val if i == j else 0.5 * val
+            mats[b][j, i] += 0.0 if i == j else 0.5 * val
+        rows.append((entries, mats))
+    return rows
+
+
+def _problem(sizes, C, rows, rhs):
+    prob = SdpProblem(sizes, objective=C)
+    for (entries, mats), b in zip(rows, rhs):
+        if entries is None:
+            prob.add_constraint(mats, b)
+        else:
+            prob.add_constraint_entries(entries, b)
+    return prob
+
+
+def _pd(rng, s):
+    G = rng.normal(size=(s, s))
+    return G @ G.T / s + 0.5 * np.eye(s)
+
+
+_PROBLEM_SHAPES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    kinds=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(**_PROBLEM_SHAPES)
+def test_random_feasible_problems_meet_kkt(seed, sizes, kinds):
+    # rows A_k, a strictly feasible X0 and a dual pair (y0, S0 > 0) fix
+    # b = A(X0) and C = S0 + A^T(y0)
+    rng = np.random.default_rng(seed)
+    rows = _random_rows(rng, sizes, kinds)
+    X0 = [_pd(rng, s) for s in sizes]
+    y0 = rng.normal(size=len(rows))
+    rhs = [sum(np.sum(a * x) for a, x in zip(mats, X0)) for _, mats in rows]
+    C = [_pd(rng, s) + sum(yk * mats[bi] for yk, (_, mats) in zip(y0, rows))
+         for bi, s in enumerate(sizes)]
+    prob = _problem(sizes, C, rows, rhs)
+    assume(np.linalg.matrix_rank(prob.A.toarray()) == len(rows))
+
+    sol = solve(prob)
+    assert sol.status == "Optimal"
+    X, y = sol.primal_blocks, sol.dual
+    # primal: A(X) = b with X >= 0, on the dense model
+    primal = [sum(np.sum(a * x) for a, x in zip(mats, X)) for _, mats in rows]
+    assert np.max(np.abs(np.subtract(primal, rhs))) <= 1e-6 * (1 + np.max(np.abs(rhs)))
+    assert sol.primal_residual <= 1e-6 * (1 + np.linalg.norm(rhs))
+    assert min(np.linalg.eigvalsh(x).min() for x in X) >= -1e-9
+    assert sol.min_eigenvalue >= -1e-9
+    # dual: C - A^T(y) = S + R_D with S >= 0 and R_D within the tolerance
+    cnorm = 1 + max(np.linalg.norm(c) for c in C)
+    for bi, c in enumerate(C):
+        slack = c - sum(yk * mats[bi] for yk, (_, mats) in zip(y, rows))
+        assert np.linalg.eigvalsh(slack).min() >= -1e-6 * cnorm
+    assert sol.dual_residual <= 1e-6 * cnorm
+    # gap: <C, X> = b . y
+    pobj = sum(np.sum(c * x) for c, x in zip(C, X))
+    dobj = float(np.dot(rhs, y))
+    assert abs(pobj - dobj) <= 1e-6 * (1 + abs(pobj) + abs(dobj))
+    assert sol.duality_gap == pytest.approx(abs(pobj - dobj), abs=1e-9 * (1 + abs(pobj)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(**_PROBLEM_SHAPES)
+def test_random_infeasible_problems_return_a_farkas_ray(seed, sizes, kinds):
+    # a last dense row makes sum_k y0_k A_k = -P < 0 with b . y0 = 1, so
+    # y0 is a Farkas ray and no X >= 0 meets the rows
+    rng = np.random.default_rng(seed)
+    rows = _random_rows(rng, sizes, kinds)
+    y0 = rng.normal(size=len(rows))
+    rhs = list(rng.normal(size=len(rows)))
+    last = [-_pd(rng, s) - sum(yk * mats[bi] for yk, (_, mats) in zip(y0, rows))
+            for bi, s in enumerate(sizes)]
+    rows.append((None, last))
+    rhs.append(1.0 - float(np.dot(y0, rhs)))
+    C = [_symmetric(rng, s) for s in sizes]
+    prob = _problem(sizes, C, rows, rhs)
+
+    sol = solve(prob)
+    assert sol.status == "Infeasible"
+    ray = sol.infeasibility_ray
+    assert float(np.dot(rhs, ray)) > 0
+    # A^T(ray) <= 0: its largest eigenvalue is within the ray residual
+    for bi in range(len(sizes)):
+        At_ray = sum(r * mats[bi] for r, (_, mats) in zip(ray, rows))
+        assert np.linalg.eigvalsh(At_ray).max() <= sol.ray_residual * (1 + 1e-9) + 1e-12
+    assert sol.ray_residual <= 1e-5

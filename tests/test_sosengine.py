@@ -19,6 +19,7 @@ from robustmoments.polycore import (
     identity_pair_tensor,
     symmetric_outer,
 )
+from robustmoments.sdp import pack, unpack
 from robustmoments.sosengine import (
     AffineEquality,
     CertPremise,
@@ -179,15 +180,15 @@ class TestPresolve:
         for s in sizes:
             Q = rng.standard_normal((s, s))
             blocks.append(Q @ Q.T)
-        x = sosengine._entry_values(blocks)
-        col = {key: k for k, key in enumerate(zip(*sosengine._entry_columns(sizes)))}
+        x = pack(blocks)
+        column = unpack(np.arange(len(x)), sizes)  # the packed column of X[b][i, j]
         z = rng.standard_normal(num_free)
         A = np.zeros((12, len(x) + num_free))
         for r in range(12):
             for _ in range(rng.integers(1, 5)):
                 b = int(rng.integers(len(sizes)))
                 i, j = sorted(rng.integers(sizes[b], size=2))  # repeats
-                A[r, col[(b, i, j)]] += rng.standard_normal()
+                A[r, column[b][i, j]] += rng.standard_normal()
             if r < 8:
                 cols = set(rng.choice(num_free, size=2, replace=False)) | {r % num_free}
                 A[r, len(x) + np.array(sorted(cols))] = rng.standard_normal(len(cols))
