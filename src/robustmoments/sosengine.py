@@ -19,10 +19,13 @@ The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
 X v = 0 for every feasible moment matrix X, so no feasible X is strictly
 positive definite.  `face_basis` collects those vectors and returns an
-orthonormal basis V of their orthogonal complement (the identity when there
-are none); `relax` poses the block as X = V Z V^T and maps each row onto Z
-before the presolve.  `MomentRelaxation.extract` lifts Z back before
-reading moments.
+echelon basis V of their orthogonal complement: V[f] = I on r free
+coordinates f, and the other rows express each remaining coordinate in
+them (the identity when there are none).  The kernel vectors are nearly
+all coordinate merges, so V is nearly a 0/+-1 selection and keeps the
+moment rows sparse on Z.  `relax` poses the block as X = V Z V^T, so that
+Z = X[f, f], and maps each row onto Z before the presolve.
+`MomentRelaxation.extract` lifts Z back before reading moments.
 
 The face implies some rows outright, and `relax` does not build them: the
 multiplier row of g with multiplier b*m, for b in the basis and m a kernel
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -427,7 +430,7 @@ class _MonomialTable:
 
 
 def face_basis(system, basis):
-    """Orthonormal basis V of the face that `system`'s equalities cut out.
+    """Echelon basis V of the face that `system`'s equalities cut out.
 
     For an equality g and a monomial m such that every monomial of m*g lies
     in the basis, let v be the coefficient vector of m*g on the basis.  The
@@ -436,6 +439,15 @@ def face_basis(system, basis):
     orthogonal complement of those v.  Only products whose multipliers b*m
     all fall within the multiplier degree ell - deg g are used.  (Permenter
     and Parrilo, Math. Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
+
+    With P the projector onto that complement (from an eigendecomposition
+    of K^T K, K the stacked v), a pivoted Cholesky of P picks r coordinates
+    f, r = rank P, and V = P[:, f] P[f, f]^{-1}: the same face, with
+    V[f] = I exactly and entries below `_FACE_TOL` zeroed.  When every
+    kernel vector merges coordinates (w_i^2 = w_i, x = y) V is a 0/+-1
+    selection, so the rows mapped onto Z stay as sparse as the moment rows.
+    (Zhu, Pataki and Tran-Dinh, Math. Prog. Comp. 11, 2019, keep faces of
+    coordinate form sparse the same way.)
 
     Returns (V, multipliers): V is the identity when no equality yields a
     kernel vector, and multipliers[k] holds the kernel multipliers m of the
@@ -465,7 +477,13 @@ def face_basis(system, basis):
     if not len(K):
         return np.eye(len(basis)), multipliers
     lam, U = np.linalg.eigh(K.T @ K)
-    return U[:, lam <= _FACE_TOL * lam[-1]], multipliers
+    U = U[:, lam <= _FACE_TOL * lam[-1]]
+    P = U @ U.T
+    free = sorted(_pivoted_cholesky(P, _FACE_TOL)[0])
+    V = np.linalg.solve(P[np.ix_(free, free)], P[free]).T
+    V[np.abs(V) <= _FACE_TOL] = 0.0
+    V[free] = np.eye(len(free))
+    return V, multipliers
 
 
 def _face_rows(rows, V, sizes, num_free):
@@ -527,9 +545,10 @@ class MomentRelaxation:
     for each upper-triangle entry in row-major order, the flat index of the
     entry that holds its monomial: X0.ravel()[moment_gather] is the packed
     upper triangle of the Hankel-exact moment matrix.  `face` is the
-    orthonormal basis V of the moment block's face, whose SDP block is Z
-    with X0 = V Z V^T.  `presolved` is what `presolve` left of the rows.
-    `problem` is posed on `presolved`'s rows, rhs and objective as they are.
+    echelon basis V of the moment block's face (`face_basis`), whose SDP
+    block is Z with X0 = V Z V^T.  `problem` is posed on `presolve`'s rows,
+    rhs and objective as they are; `presolved` keeps the rest, the pivots
+    that give back the free scalars (`extract`).
     `rows_implied` counts the multiplier rows not built because the face
     implies them, `rows_vanished` and `rows_dependent` the built rows the
     presolve left out, and `nnz` the entries stored in the SDP's row matrix
@@ -544,7 +563,7 @@ class MomentRelaxation:
         self.moment_positions = positions
         self.moment_gather = gather
         self.aux_block_index = aux_index
-        self.presolved = presolved
+        self.presolved = replace(presolved, rows=None, rhs=None, objective=None)
         self.face = face
         self.rows_implied = rows_implied
         self.rows_vanished = presolved.vanished
@@ -582,8 +601,9 @@ def relax(system, objective=None, sense="min", basis=None):
     moment matrices of degree-ell pseudo-distributions satisfying the system.
 
     The moment block is posed on the face the equalities cut out: X0 =
-    V Z V^T with V from `face_basis`, and block 0 of the returned problem is
-    Z.  The multiplier rows E~[b*m*g] = 0 with b in the basis and m a kernel
+    V Z V^T with the echelon basis V from `face_basis`, and block 0 of the
+    returned problem is Z = X0[f, f] on the face's free coordinates f.  The
+    multiplier rows E~[b*m*g] = 0 with b in the basis and m a kernel
     multiplier of g are not built: with the Hankel rows each reads
     (X0 v)_b = 0, which V^T v = 0 makes hold for every Z (`rows_implied`
     counts them).  The rows built, and the objective as one more row, are
@@ -1277,7 +1297,23 @@ def tensor_form(tensor):
 def sos_norm(tensor, degree=None):
     """Degree-2t relaxation of the injective norm: the 2t-th root of the
     maximum of E~<T, u^{x 2t}> over degree-2t pseudo-distributions on the
-    sphere."""
+    sphere.
+
+    The maximum is read from the dual side of the SDP `relax` poses, so the
+    value returned bounds it from above whatever the solver's accuracy
+    (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46(1), 2007).  The
+    posed SDP is min <C, Z> s.t. A(Z) = b, Z PSD, with -E~<T, u^{x 2t}> as
+    its objective.  For any y, with S = C - A^T y,
+        <C, Z> = b.y + <S, Z> >= b.y + lambda_min(S) tr Z,
+    so its maximum is at most -b.y + max(0, -lambda_min(S)) * max tr Z.
+    The trace is at most |basis|: V[f] = I on the face's free coordinates f
+    (`face_basis`), so Z = X0[f, f] and tr Z sums E~[b^2] over basis
+    monomials b.  Each is at most 1, because 1 - b^2 is SoS modulo the
+    sphere within the relaxation degree: for b = u^alpha, |alpha| = k,
+    1 = (|u|^2)^k there, and (|u|^2)^k - u^{2 alpha} is a nonnegative
+    combination of squares u^{2 beta}.  An all-zero form has norm 0 and
+    is not solved.
+    """
     order = tensor.order
     if order % 2 != 0:
         raise ValueError("sos_norm needs an even-order tensor")
@@ -1290,10 +1326,15 @@ def sos_norm(tensor, degree=None):
         num_vars=d, relaxation_degree=degree, equalities=[sphere_polynomial(d)],
     )
     form = tensor_form(tensor)
+    if not any(form.terms.values()):
+        return 0.0
     result = solve_system(system, objective=form, sense="max")
     if result.status != "Optimal":
         raise RuntimeError(f"sos_norm relaxation did not converge: {result.detail}")
-    value = result.objective_value
+    problem, y = result.relaxation.problem, result.sdp.dual
+    slack = unpack(problem.c - problem.A.T @ y, problem.block_sizes, off=0.5)
+    lam = min(float(np.linalg.eigvalsh(S)[0]) for S in slack)
+    value = -float(problem.rhs @ y) + len(result.relaxation.basis) * max(0.0, -lam)
     if value <= 0.0:
         return 0.0
     return value ** (1.0 / order)

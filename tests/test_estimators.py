@@ -52,6 +52,15 @@ def planted_d1():
     return corrupt(clean, PointMass(100.0), EPS12, seed=0)
 
 
+def planted_d2(n):
+    """The acceptance planted d=2 sample (one point moved to (70, 70)),
+    cut or tiled to n rows."""
+    bulk = np.tile(
+        np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (8, 1)
+    )[:n]
+    return corrupt(bulk, PointMass(np.array([70.0, 70.0])), 1 / n, seed=1)
+
+
 @pytest.fixture(scope="module")
 def planted_solution():
     Y = planted_d1()
@@ -168,16 +177,17 @@ class TestBuildB:
         # sphere-multiplier coefficients are eliminated, not split into
         # pairs of 1x1 blocks.  The 22 selection vectors and the budget
         # vector cut the 89 basis elements down to a face of dimension 66.
-        bulk = np.tile(
-            np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (3, 1)
-        )[:11]
-        sample = corrupt(bulk, PointMass(np.array([70.0, 70.0])), 1 / 11, seed=1)
         B = build_B(SubgaussParams(2.0, 4), sample_size=11, dimension=2)
-        system = _combine(build_A(sample.data, 1 / 11), B)
-        rel = relax(system, basis=estimator_basis(11, 2))
+        rel = relax(_combine(build_A(planted_d2(11).data, 1 / 11), B),
+                    basis=estimator_basis(11, 2))
         assert B.num_free == 6
         assert rel.problem.block_sizes == [66, 6]
         assert rel.face.shape == (89, 66)
+        # the echelon face basis is nearly a 0/+-1 selection, so the 142
+        # rows on Z keep about as few entries as the moment rows they come
+        # from; an orthonormal basis of the same face gives 35 010
+        assert rel.problem.num_constraints == 142
+        assert rel.nnz <= 2000
 
 
 class TestFace:
@@ -189,10 +199,19 @@ class TestFace:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((n, d))
         basis = estimator_basis(n, d)
-        V, _ = face_basis(build_A(y, eps), basis)
-        assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+        system = build_A(y, eps)
+        V, multipliers = face_basis(system, basis)
+        # the echelon contract: V[f] = I on r rows, K V = 0 for the kernel
+        # vectors K, full column rank and well conditioned
+        r = V.shape[1]
+        unit = np.eye(r)
+        assert all(any(np.array_equal(row, e) for row in V) for e in unit)
+        K = _kernel_vectors(system, basis, multipliers)
+        assert np.max(np.abs(K @ V)) <= 1e-12
+        assert np.linalg.matrix_rank(V) == r
+        assert np.linalg.cond(V) <= 10.0
         # the budget and the n*d selection vectors; at eps = 0 one point is left
-        assert V.shape[1] == (1 if eps == 0 else len(basis) - n * d - 1)
+        assert r == (1 if eps == 0 else len(basis) - n * d - 1)
         rows = []
         for _ in range(8):
             w = np.zeros(n)
@@ -202,8 +221,22 @@ class TestFace:
             rows.append([np.prod(point ** np.array(b)) for b in basis])
         vals = np.array(rows)
         X = (vals.T * rng.uniform(0.1, 1.0, len(rows))) @ vals
-        P = V @ V.T
+        P = V @ np.linalg.pinv(V)
         assert np.max(np.abs(P @ X @ P - X)) <= 1e-12 * np.max(np.abs(X))
+
+
+def _kernel_vectors(system, basis, multipliers):
+    """The coefficient vectors of m*g on the basis, one row per equality g
+    and kernel multiplier m that `face_basis` reports."""
+    index = {b: i for i, b in enumerate(basis)}
+    rows = []
+    for g, ms in zip(system.equalities, multipliers):
+        for m in map(tuple, ms.tolist()):
+            row = np.zeros(len(basis))
+            for gamma, c in g.terms.items():
+                row[index[monomial_mul(m, gamma)]] += c
+            rows.append(row)
+    return np.array(rows)
 
 
 def _every_multiplier_row(system, rel):
@@ -424,6 +457,21 @@ class TestPlantedOutlier:
         assert est.cov_matrix()[0, 0] == pytest.approx(
             full.cov_matrix()[0, 0], abs=1e-2
         )
+
+
+class TestPlantedD2:
+    def test_sixteen_points_end_optimal(self):
+        # beyond the default point cap: the sparse face keeps this solve
+        # to about a second
+        sample = planted_d2(16)
+        cfg = EstimatorConfig(
+            epsilon=1 / 16, params=SubgaussParams(2.0, 4), max_points=16
+        )
+        est = estimate_moments(sample.data, cfg)
+        assert est.diagnostics["status"] == "Optimal"
+        assert est.diagnostics["relaxation"]["face_dim"] == 96
+        mu = sample.clean_reference.mean(axis=0)
+        assert np.linalg.norm(est.mean_hat - mu) <= 0.5
 
 
 class TestSoundness:

@@ -556,6 +556,17 @@ class TestSosNorm:
                 val = val @ u
             assert float(val) <= bound ** 4 + 1e-6
 
+    def test_dominates_directions_without_slack(self):
+        # criterion 11's 50 tensors: the dual-side value is an upper bound
+        # on the relaxation, so it needs no solver-precision slack
+        rng = np.random.default_rng(911)
+        for _ in range(50):
+            T = SymmetricTensor(2, 4, rng.standard_normal(5))
+            u = rng.standard_normal((1000, 2))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            values = np.einsum("ijkl,ai,aj,ak,al->a", T.to_dense(), u, u, u, u)
+            assert sos_norm(T) >= max(float(values.max()), 0.0) ** 0.25
+
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
             sos_norm(SymmetricTensor(2, 3))
