@@ -293,7 +293,6 @@ def _combine(base, extra):
         num_vars=base.num_vars,
         relaxation_degree=max(base.relaxation_degree, extra.relaxation_degree),
         equalities=list(base.equalities) + list(extra.equalities),
-        inequalities=list(base.inequalities) + list(extra.inequalities),
         affine_equalities=list(base.affine_equalities) + shifted,
         psd_blocks=list(base.psd_blocks) + list(extra.psd_blocks),
         num_free=base.num_free + extra.num_free,

@@ -135,52 +135,10 @@ class SdpProblem:
         block; stored as the packed row that reads a_ii on the diagonal and
         2 a_ij once for each i < j."""
         row = self._coefficients(mats)
-        entries = np.column_stack([*_columns(self.block_sizes), row])
-        self.add_constraint_entries(entries[row != 0], rhs)
-
-    def add_constraint_entries(self, entries, rhs):
-        """Sparse constraint: entries are (block, i, j, value) with (i, j) unordered.
-
-        The constraint functional is sum of value * X[block][i, j]; off-diagonal
-        entries read the symmetric matrix entry once (not the (i,j)+(j,i) pair).
-        Keeps large relaxations out of dense per-constraint storage.
-        """
-        self.add_constraint_rows([(entries, rhs)])
-
-    def add_constraint_rows(self, rows):
-        """Add sparse constraints (entries, rhs), as `add_constraint_entries`
-        takes them, all at once.  `entries` is a sequence of 4-tuples or a
-        k x 4 array; an entry given twice in a row is summed in the order
-        given.  Nothing is added unless every row is valid.
-        """
-        rows = list(rows)
-        parts = [np.asarray(entries, dtype=float).reshape(-1, 4) for entries, _ in rows]
-        counts = np.array([len(part) for part in parts], dtype=np.int64)
-        if np.any(counts == 0):
+        if not row.any():
             raise ValueError("constraint touches no block")
-        arr = np.concatenate(parts + [np.zeros((0, 4))])
-        bi = arr[:, 0].astype(np.int64)
-        bad = (bi < 0) | (bi >= len(self.block_sizes))
-        if np.any(bad):
-            raise ValueError(f"block index {bi[np.argmax(bad)]} out of range")
-        sizes = np.array(self.block_sizes)[bi]
-        i, j = arr[:, 1].astype(np.int64), arr[:, 2].astype(np.int64)
-        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= sizes)
-        if np.any(bad):
-            k = np.argmax(bad)
-            raise ValueError(f"entry ({i[k]},{j[k]}) outside block of size {sizes[k]}")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        start = np.cumsum([0] + [s * (s + 1) // 2 for s in self.block_sizes])
-        col = start[bi] + lo * (2 * sizes - lo + 1) // 2 + hi - lo  # packed column
-        row = np.repeat(np.arange(len(rows)), counts)
-        _, first, inverse = np.unique(
-            row * start[-1] + col, return_index=True, return_inverse=True
-        )
-        # bincount adds each value in input order, starting from 0.0
-        values = np.bincount(inverse, arr[:, 3])
-        A = sparse.csr_matrix((values, (row[first], col[first])), shape=(len(rows), start[-1]))
-        self.A = sparse.vstack([self.A, A], format="csr")
-        self.rhs = np.concatenate([self.rhs, [float(rhs) for _, rhs in rows]])
+        self.A = sparse.vstack([self.A, sparse.csr_matrix(row)], format="csr")
+        self.rhs = np.append(self.rhs, float(rhs))
 
     @property
     def num_constraints(self):
@@ -194,7 +152,7 @@ class SdpProblem:
     @property
     def constraints(self):
         """The rows of A, each with `entries`: a dict (block, i, j) ->
-        coefficient, i <= j, as `add_constraint_entries` reads them.  Built
+        coefficient on the entry X[block][i, j], i <= j, read once.  Built
         on each read; the solver does not use them."""
         return [SimpleNamespace(entries=row) for row in self._entries(self.A)]
 

@@ -1,7 +1,7 @@
 """Moment relaxations of polynomial constraint systems and SoS certificates.
 
 Compiles a constraint system into a moment-matrix SDP (one PSD block for the
-main moment matrix, one localizing block per inequality, one linear equality
+main moment matrix, one per auxiliary matrix variable, one linear equality
 per equality-times-multiplier pair), extracts pseudo-distributions from the
 solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
 verifies certificates by explicit polynomial expansion.
@@ -18,14 +18,15 @@ every SDP posed here has PSD blocks only.
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
 X v = 0 for every feasible moment matrix X, so no feasible X is strictly
-positive definite.  `face_basis` collects those vectors and returns an
-echelon basis V of their orthogonal complement: V[f] = I on r free
-coordinates f, and the other rows express each remaining coordinate in
-them (the identity when there are none).  The kernel vectors are nearly
-all coordinate merges, so V is nearly a 0/+-1 selection and keeps the
-moment rows sparse on Z.  `relax` poses the block as X = V Z V^T, so that
-Z = X[f, f], and maps each row onto Z before the presolve.
-`MomentRelaxation.extract` lifts Z back before reading moments.
+positive definite.  `relax` collects those vectors in the same pass that
+enumerates the multiplier rows, and `face_basis` returns an echelon basis V
+of their orthogonal complement: V[f] = I on r free coordinates f, and the
+other rows express each remaining coordinate in them (the identity when
+there are none).  The kernel vectors are nearly all coordinate merges, so V
+is nearly a 0/+-1 selection and keeps the moment rows sparse on Z.  `relax`
+poses the block as X = V Z V^T, so that Z = X[f, f], and maps each row onto
+Z before the presolve.  `MomentRelaxation.extract` lifts Z back before
+reading moments.
 
 The face implies some rows outright, and `relax` does not build them: the
 multiplier row of g with multiplier b*m, for b in the basis and m a kernel
@@ -51,7 +52,6 @@ from .polycore import (
     Polynomial,
     enumerate_monomials,
     index_multiplicity,
-    monomial_degree,
     monomial_mul,
     monomials_of_degree,
 )
@@ -109,7 +109,6 @@ class ConstraintSystem:
     num_vars: int
     relaxation_degree: int
     equalities: list = field(default_factory=list)
-    inequalities: list = field(default_factory=list)
     affine_equalities: list = field(default_factory=list)
     psd_blocks: list = field(default_factory=list)
     num_free: int = 0
@@ -118,13 +117,24 @@ class ConstraintSystem:
         ell = self.relaxation_degree
         if ell % 2 != 0 or ell < 2:
             raise ValueError("relaxation degree must be even and >= 2")
-        for poly in list(self.equalities) + list(self.inequalities):
+        for poly in self.equalities:
             self._check(poly)
+        sizes = {b.name: b.size for b in self.psd_blocks}
+        if len(sizes) != len(self.psd_blocks):
+            raise ValueError("duplicate psd block name")
         for aff in self.affine_equalities:
             self._check(aff.poly)
-        names = {b.name for b in self.psd_blocks}
-        if len(names) != len(self.psd_blocks):
-            raise ValueError("duplicate psd block name")
+            for name, i, j in aff.psd:
+                if name not in sizes:
+                    raise ValueError(f"affine equality names no psd block {name!r}")
+                if not 0 <= i <= j < sizes[name]:
+                    raise ValueError(
+                        f"entry ({i}, {j}) outside psd block {name!r} of size "
+                        f"{sizes[name]}"
+                    )
+            for f in aff.free:
+                if not 0 <= f < self.num_free:
+                    raise ValueError(f"free index {f} outside 0..{self.num_free - 1}")
 
     def _check(self, poly):
         if poly.dimension != self.num_vars:
@@ -429,53 +439,29 @@ class _MonomialTable:
         return found.reshape(E.shape[:-1])
 
 
-def face_basis(system, basis):
-    """Echelon basis V of the face that `system`'s equalities cut out.
+def face_basis(K):
+    """Echelon basis V of the face that the kernel vectors K cut out.
 
-    For an equality g and a monomial m such that every monomial of m*g lies
-    in the basis, let v be the coefficient vector of m*g on the basis.  The
-    multiplier rows E~[b*m*g] = 0, one per basis element b, say Xv = 0, so
-    every feasible moment matrix X has the form V Z V^T with V spanning the
-    orthogonal complement of those v.  Only products whose multipliers b*m
-    all fall within the multiplier degree ell - deg g are used.  (Permenter
-    and Parrilo, Math. Prog. 171, 2018; Waki and Muramatsu, JOTA 158, 2013.)
+    Each row v of K is the coefficient vector of m*g on the basis, for an
+    equality g and a kernel multiplier m of g (`relax` finds them): every
+    monomial of m*g lies in the basis, and every multiplier b*m, b in the
+    basis, within the multiplier degree ell - deg g.  The multiplier rows
+    E~[b*m*g] = 0 then say Xv = 0, so every feasible moment matrix X has
+    the form V Z V^T with V spanning the orthogonal complement of the rows
+    of K.  (Permenter and Parrilo, Math. Prog. 171, 2018; Waki and
+    Muramatsu, JOTA 158, 2013.)
 
     With P the projector onto that complement (from an eigendecomposition
-    of K^T K, K the stacked v), a pivoted Cholesky of P picks r coordinates
-    f, r = rank P, and V = P[:, f] P[f, f]^{-1}: the same face, with
-    V[f] = I exactly and entries below `_FACE_TOL` zeroed.  When every
-    kernel vector merges coordinates (w_i^2 = w_i, x = y) V is a 0/+-1
-    selection, so the rows mapped onto Z stay as sparse as the moment rows.
-    (Zhu, Pataki and Tran-Dinh, Math. Prog. Comp. 11, 2019, keep faces of
-    coordinate form sparse the same way.)
-
-    Returns (V, multipliers): V is the identity when no equality yields a
-    kernel vector, and multipliers[k] holds the kernel multipliers m of the
-    k-th equality, one exponent row each.  Once X = V Z V^T, the multiplier
-    row of g with multiplier b*m is implied: read through the Hankel rows it
-    is sum_gamma g_gamma X[b, m*gamma] = (X v)_b, which V^T v = 0 makes 0.
-    `relax` does not build those rows.
+    of K^T K), a pivoted Cholesky of P picks r coordinates f, r = rank P,
+    and V = P[:, f] P[f, f]^{-1}: the same face, with V[f] = I exactly and
+    entries below `_FACE_TOL` zeroed.  When every kernel vector merges
+    coordinates (w_i^2 = w_i, x = y) V is a 0/+-1 selection, so the rows
+    mapped onto Z stay as sparse as the moment rows.  (Zhu, Pataki and
+    Tran-Dinh, Math. Prog. Comp. 11, 2019, keep faces of coordinate form
+    sparse the same way.)  V is the identity when K has no rows.
     """
-    nv = system.num_vars
-    B = _exponents(basis, nv)
-    table = _MonomialTable(B)
-    top = int(B.sum(axis=1).max())
-    vectors, multipliers = [], []
-    for g in system.equalities:
-        terms = _exponents(list(g.terms), nv)
-        room = system.relaxation_degree - g.degree() - top
-        m = B - terms[:1] if len(terms) else terms
-        m = m[(m.min(axis=1) >= 0) & (m.sum(axis=1) <= room)]
-        cols = table.find(m[:, None, :] + terms[None, :, :])
-        ok = np.all(cols >= 0, axis=1)
-        m, cols = m[ok], cols[ok]
-        v = np.zeros((len(m), len(basis)))
-        v[np.arange(len(m))[:, None], cols] = list(g.terms.values())
-        vectors.append(v)
-        multipliers.append(m)
-    K = np.concatenate(vectors) if vectors else np.zeros((0, len(basis)))
     if not len(K):
-        return np.eye(len(basis)), multipliers
+        return np.eye(K.shape[1])
     lam, U = np.linalg.eigh(K.T @ K)
     U = U[:, lam <= _FACE_TOL * lam[-1]]
     P = U @ U.T
@@ -483,45 +469,36 @@ def face_basis(system, basis):
     V = np.linalg.solve(P[np.ix_(free, free)], P[free]).T
     V[np.abs(V) <= _FACE_TOL] = 0.0
     V[free] = np.eye(len(free))
-    return V, multipliers
+    return V
 
 
-def _face_rows(rows, V, sizes, num_free):
-    """The rows as one dense matrix for `presolve`, and their rhs.
+def _face_rows(V, sizes, num_free, num_rows, moment, other):
+    """The rows as one dense matrix for `presolve`.
 
-    Each row is (entries, free, rhs): entries (block, i, j, value) read the
-    unordered entry X[block][i, j] once, and free maps a free scalar's index
-    to its coefficient.  The columns are the packed entries of the blocks of
-    `sizes`, then the free scalars.  Block 0 is Z with X0 = V Z V^T, so a
-    row's block-0 part <A, X0> becomes <V^T A V, Z>, on Z's upper triangle;
-    a part below `_VANISH_TOL` of its own scale vanishes on the face and is
-    zeroed.
+    The columns are the packed entries of the blocks of `sizes`, then the
+    free scalars.  `moment` is a k x 4 array of entries (row, i, j, value)
+    that read the unordered entry X0[i, j], grouped by row in ascending
+    order; `other` lists entries (row, column, value) on the other blocks'
+    packed columns and the free scalars, added in turn.  Block 0 is Z with
+    X0 = V Z V^T, so a row's X0 part <A, X0> becomes <V^T A V, Z>, on Z's
+    upper triangle; a part below `_VANISH_TOL` of its own scale vanishes on
+    the face and is zeroed.
     """
     r = V.shape[1]
     width = sum(s * (s + 1) // 2 for s in sizes)
-    column = unpack(np.arange(width), sizes)  # the packed column of X[blk][i, j]
-    R = np.zeros((len(rows), width + num_free))
-    zero = []
-    for a, (entries, free, _) in enumerate(rows):
-        zero.append([e[1:] for e in entries if e[0] == 0])
-        for blk, i, j, v in entries:
-            if blk != 0:
-                R[a, column[blk][i, j]] += v
-        for f, v in free.items():
-            if not 0 <= f < num_free:
-                raise ValueError(f"free index {f} outside 0..{num_free - 1}")
-            R[a, width + f] += v
-    counts = np.array([len(z) for z in zero])
+    R = np.zeros((num_rows, width + num_free))
+    rows, cols, values = np.reshape(other, (-1, 3)).T
+    np.add.at(R, (rows.astype(int), cols.astype(int)), values)
+    counts = np.bincount(moment[:, 0].astype(int), minlength=num_rows)
     starts = np.cumsum(counts) - counts
-    flat = np.array([e for z in zero for e in z], dtype=float).reshape(-1, 3)
 
-    # rows grouped by block-0 entry count: with H the sum of
+    # rows grouped by X0 entry count: with H the sum of
     # value/2 * V[i]^T V[j], V^T A V = H + H^T
     for q in np.unique(counts[counts > 0]):
         group = np.flatnonzero(counts == q)
         step = max(1, _ROW_CHUNK_FLOATS // (q * r * r))
         for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
-            ijv = flat[starts[chunk][:, None] + np.arange(q)]  # chunk x q x 3
+            ijv = moment[starts[chunk][:, None] + np.arange(q), 1:]  # chunk x q x 3
             I, J, W = ijv[..., 0].astype(int), ijv[..., 1].astype(int), ijv[..., 2]
             H = np.matmul((V[I] * (0.5 * W[..., None])).transpose(0, 2, 1), V[J])
             H += H.transpose(0, 2, 1)  # V^T A V, without a second chunk-sized copy
@@ -530,7 +507,7 @@ def _face_rows(rows, V, sizes, num_free):
             coef[np.abs(coef) <= _FILL_TOL * scale] = 0.0
             coef[np.max(np.abs(coef), axis=1) <= _VANISH_TOL * scale[:, 0]] = 0.0
             R[chunk, :coef.shape[1]] = coef
-    return R, np.array([rhs for *_, rhs in rows], dtype=float)
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +522,10 @@ class MomentRelaxation:
     for each upper-triangle entry in row-major order, the flat index of the
     entry that holds its monomial: X0.ravel()[moment_gather] is the packed
     upper triangle of the Hankel-exact moment matrix.  `face` is the
-    echelon basis V of the moment block's face (`face_basis`), whose SDP
-    block is Z with X0 = V Z V^T.  `problem` is posed on `presolve`'s rows,
+    echelon basis V of the moment block's face, built by `face_basis` from
+    the kernel vectors `relax` finds, and block 0 of the SDP is Z with
+    X0 = V Z V^T.  `aux_block_index` maps each auxiliary PSD block's name
+    to its SDP block.  `problem` is posed on `presolve`'s rows,
     rhs and objective as they are; `presolved` keeps the rest, the pivots
     that give back the free scalars (`extract`).
     `rows_implied` counts the multiplier rows not built because the face
@@ -600,19 +579,24 @@ def relax(system, objective=None, sense="min", basis=None):
     representable are imposed).  Feasible X of the returned problem are the
     moment matrices of degree-ell pseudo-distributions satisfying the system.
 
-    The moment block is posed on the face the equalities cut out: X0 =
-    V Z V^T with the echelon basis V from `face_basis`, and block 0 of the
-    returned problem is Z = X0[f, f] on the face's free coordinates f.  The
-    multiplier rows E~[b*m*g] = 0 with b in the basis and m a kernel
-    multiplier of g are not built: with the Hankel rows each reads
-    (X0 v)_b = 0, which V^T v = 0 makes hold for every Z (`rows_implied`
-    counts them).  The rows built, and the objective as one more row, are
-    mapped onto Z in one dense matrix (`_face_rows`), and `presolve`
-    eliminates the free scalars and leaves out the rows that vanish on the
-    face and those dependent on the rest.  The relaxation is
-    `trivially_infeasible`, and no SDP needs solving, when the face leaves
-    out the constant monomial or the presolve finds a contradiction.  The
-    constraint cap counts the rows built.
+    One pass over the equalities enumerates, for each g, the multipliers m
+    of degree <= ell - deg g whose products with the terms of g are all
+    representable, each giving the row E~[m*g] = 0.  Among them are g's
+    kernel multipliers: those whose products all lie in the basis, with
+    every b*m, b in the basis, still within that degree.  Their coefficient
+    vectors are the kernel vectors from which `face_basis` builds the
+    echelon basis V, and the moment block is posed on that face: X0 =
+    V Z V^T, and block 0 of the returned problem is Z = X0[f, f] on the
+    face's free coordinates f.  The multiplier rows E~[b*m*g] = 0 with b in
+    the basis and m a kernel multiplier of g are not built: with the Hankel
+    rows each reads (X0 v)_b = 0, which V^T v = 0 makes hold for every Z
+    (`rows_implied` counts them).  The rows built, and the objective as one
+    more row, are held as entry arrays and mapped onto Z in one dense
+    matrix (`_face_rows`), and `presolve` eliminates the free scalars and
+    leaves out the rows that vanish on the face and those dependent on the
+    rest.  The relaxation is `trivially_infeasible`, and no SDP needs
+    solving, when the face leaves out the constant monomial or the presolve
+    finds a contradiction.  The constraint cap counts the rows built.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
@@ -651,102 +635,58 @@ def relax(system, objective=None, sense="min", basis=None):
     }
     gather = iu[first] * bsize + ju[first]
 
-    # rows are (entries, free coefficients, rhs), as `_face_rows` takes them
-    rows = []
-    rows.append(([(0, 0, 0, 1.0)], {}, 1.0))
+    # the rows' entries on X0, (row, i, j, value) with rows ascending, as
+    # `_face_rows` takes them: row 0 is E~[1] = 1, then the Hankel rows
+    def on_pairs(start, at, coefs):
+        """Rows start, start + 1, ..., one per row of `at`, each reading
+        coefs[t] on the pair at[., t]."""
+        rows = np.repeat(np.arange(start, start + len(at)), len(coefs))
+        values = np.tile(coefs, len(at))
+        at = at.ravel()
+        return np.column_stack([rows, iu[at], ju[at], values])
+
     later = np.flatnonzero(first != np.arange(len(iu)))
     later = later[np.argsort(first[later], kind="stable")]
-    for p, q in zip(first[later].tolist(), later.tolist()):
-        entries = [(0, iu_list[p], ju_list[p], 1.0), (0, iu_list[q], ju_list[q], -1.0)]
-        rows.append((entries, {}, 0.0))
+    moment = [
+        np.array([[0, 0, 0, 1.0]]),
+        on_pairs(1, np.column_stack([first[later], later]), [1.0, -1.0]),
+    ]
+    num_rows = 1 + len(later)
 
-    block_sizes = [bsize]
-    loc_blocks = []
-    for g in system.inequalities:
-        dg = g.degree()
-        half_deg = (ell - dg) // 2
-        sel = []
-        for b in basis:
-            if monomial_degree(b) > half_deg:
-                continue
-            ok = True
-            for other in sel + [b]:
-                prod = monomial_mul(b, other)
-                for gamma in g.terms:
-                    if monomial_mul(prod, gamma) not in positions:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                sel.append(b)
-        if not sel:
-            raise ValueError(
-                "inequality cannot be localized in the supplied basis"
-            )
-        idx = len(block_sizes)
-        block_sizes.append(len(sel))
-        loc_blocks.append((idx, sel, g))
-
-    aux_index = {}
-    for blk in system.psd_blocks:
-        aux_index[blk.name] = len(block_sizes)
-        block_sizes.append(blk.size)
-
-    # a multiplier of degree <= ell - deg e is imposed when every product
-    # with a term of e is representable.  The candidates are the quotients
-    # of representable monomials by e's leading term, in grlex order.  A
-    # multiplier b*m with b in the basis and m a kernel multiplier of e
-    # (`face_basis`) gives a row the face implies; it is not built.
-    V, kernel = face_basis(system, basis)
-    rows_implied = 0
-    for e, K in zip(system.equalities, kernel):
-        if not e.terms:
+    # a multiplier m of degree <= ell - deg g is imposed when every product
+    # with a term of g is representable.  The candidates are the quotients
+    # of representable monomials by g's leading term, in grlex order.  m is
+    # a kernel multiplier when each product lies in the basis, so that its
+    # first pair is in row 0 (basis[0] = 1), and deg b*m <= ell - deg g for
+    # every b in the basis; the rows of those multipliers b*m are implied.
+    top = int(B.sum(axis=1).max())
+    kernel, rows_implied = [np.zeros((0, bsize))], 0
+    for g in system.equalities:
+        if not g.terms:
             continue
-        terms = _exponents(list(e.terms), nv)
+        terms = _exponents(list(g.terms), nv)
+        coefs = np.array(list(g.terms.values()))
         lead = terms[np.argmax(terms.sum(axis=1))]
+        room = ell - g.degree()
         mult = monos - lead
-        mult = mult[(mult.min(axis=1) >= 0) & (mult.sum(axis=1) <= ell - e.degree())]
+        mult = mult[(mult.min(axis=1) >= 0) & (mult.sum(axis=1) <= room)]
         mult = mult[np.lexsort([*(-mult[:, ::-1].T), mult.sum(axis=1)])]
         at = pairs.find(mult[:, None, :] + terms[None, :, :])
         built = np.all(at >= 0, axis=1)
-        implied = _MonomialTable((B[:, None, :] + K[None, :, :]).reshape(-1, nv))
+        kern = built & np.all(iu[at] == 0, axis=1) & (mult.sum(axis=1) <= room - top)
+        # kernel vectors in the basis order of m times g's first term
+        cols = ju[at[kern]]
+        cols = cols[np.argsort(cols[:, 0], kind="stable")]
+        kernel.append(np.zeros((len(cols), bsize)))
+        kernel[-1][np.arange(len(cols))[:, None], cols] = coefs
+        implied = _MonomialTable((B[:, None, :] + mult[kern][None]).reshape(-1, nv))
         skip = built & (implied.find(mult) >= 0)
         rows_implied += int(np.count_nonzero(skip))
-        coefs = list(e.terms.values())
-        for p in at[built & ~skip].tolist():
-            entries = [(0, iu_list[q], ju_list[q], c) for q, c in zip(p, coefs)]
-            rows.append((entries, {}, 0.0))
+        at = at[built & ~skip]
+        moment.append(on_pairs(num_rows, at, coefs))
+        num_rows += len(at)
 
-    for aff in system.affine_equalities:
-        entries = []
-        for mono, coef in aff.poly.terms.items():
-            if mono not in positions:
-                raise ValueError(
-                    f"affine equality references unrepresentable monomial {mono}"
-                )
-            i, j = positions[mono]
-            entries.append((0, i, j, coef))
-        for (name, i, j), coef in aff.psd.items():
-            entries.append((aux_index[name], i, j, coef))
-        rows.append((entries, aff.free, 0.0))
-
-    for idx, sel, g in loc_blocks:
-        for a in range(len(sel)):
-            for b in range(a, len(sel)):
-                pair = monomial_mul(sel[a], sel[b])
-                entries = [(idx, a, b, 1.0)]
-                for gamma, coef in g.terms.items():
-                    mono = monomial_mul(pair, gamma)
-                    i, j = positions[mono]
-                    entries.append((0, i, j, -coef))
-                rows.append((entries, {}, 0.0))
-
-    if len(rows) > DEFAULT_CONSTRAINT_CAP:
-        raise RelaxationSizeError(
-            f"{len(rows)} linear constraints exceed the cap {DEFAULT_CONSTRAINT_CAP} "
-            f"(moment block of size {bsize})"
-        )
+    V = face_basis(np.concatenate(kernel))
     trivially_infeasible = None
     if np.linalg.norm(V[0]) <= _FACE_TOL:
         # no SDP to solve; the block is posed whole, for the record
@@ -754,16 +694,41 @@ def relax(system, objective=None, sense="min", basis=None):
         trivially_infeasible = (
             "the equalities force E~[1] = 0: the face leaves out the constant"
         )
-    block_sizes[0] = V.shape[1]
+    block_sizes = [V.shape[1]] + [blk.size for blk in system.psd_blocks]
+    aux_index = {blk.name: k + 1 for k, blk in enumerate(system.psd_blocks)}
+    width = sum(s * (s + 1) // 2 for s in block_sizes)
+    column = unpack(np.arange(width), block_sizes)  # the packed column of X[blk][i, j]
 
+    # the affine rows and the objective row: their X0 entries, and their
+    # (row, column, value) entries on the aux blocks and free scalars
+    listed, other = [], []
+    for aff in system.affine_equalities:
+        for mono, coef in aff.poly.terms.items():
+            if mono not in positions:
+                raise ValueError(
+                    f"affine equality references unrepresentable monomial {mono}"
+                )
+            listed.append((num_rows, *positions[mono], coef))
+        other.extend((num_rows, column[aux_index[name]][i, j], coef)
+                     for (name, i, j), coef in aff.psd.items())
+        other.extend((num_rows, width + f, coef) for f, coef in aff.free.items())
+        num_rows += 1
+    if num_rows > DEFAULT_CONSTRAINT_CAP:
+        raise RelaxationSizeError(
+            f"{num_rows} linear constraints exceed the cap {DEFAULT_CONSTRAINT_CAP} "
+            f"(moment block of size {bsize})"
+        )
     sign = -1.0 if sense == "max" else 1.0
-    entries = []
     for mono, coef in _objective_terms(objective, nv).items():
         if mono not in positions:
             raise ValueError(f"objective monomial {mono} not representable")
-        entries.append((0, *positions[mono], sign * coef))
-    R, b = _face_rows(rows + [(entries, {}, 0.0)], V, block_sizes, system.num_free)
-    presolved = presolve(R[:-1], b[:-1], system.num_free, objective=R[-1])
+        listed.append((num_rows, *positions[mono], sign * coef))
+
+    moment = np.concatenate(moment + [np.reshape(listed, (-1, 4))])
+    R = _face_rows(V, block_sizes, system.num_free, num_rows + 1, moment, other)
+    rhs = np.zeros(num_rows)
+    rhs[0] = 1.0
+    presolved = presolve(R[:-1], rhs, system.num_free, objective=R[-1])
     problem = SdpProblem.from_packed(
         block_sizes, presolved.rows, presolved.rhs, presolved.objective
     )

@@ -34,7 +34,12 @@ from robustmoments.estimators import (
     identifiability_oracle,
     truncate_preprocess,
 )
-from robustmoments.polycore import empirical_moments, enumerate_monomials, monomial_mul
+from robustmoments.polycore import (
+    Polynomial,
+    empirical_moments,
+    enumerate_monomials,
+    monomial_mul,
+)
 from robustmoments.sdp import unpack
 from robustmoments.sosengine import (
     ConstraintSystem,
@@ -45,6 +50,7 @@ from robustmoments.sosengine import (
 from robustmoments.subgauss import SubgaussParams
 
 EPS12 = 1.0 / 12
+X1 = Polynomial.variable(1, 0)
 
 
 def planted_d1():
@@ -173,12 +179,15 @@ class TestBuildB:
         assert sorted(b.name for b in B.psd_blocks) == ["Q2", "Q3", "Q4"]
 
     def test_relaxation_has_no_free_blocks(self):
-        # planted n=11, d=2 sample: the moment block and Q2 only; the six
-        # sphere-multiplier coefficients are eliminated, not split into
-        # pairs of 1x1 blocks.  The 22 selection vectors and the budget
-        # vector cut the 89 basis elements down to a face of dimension 66.
+        # planted n=11, d=2 sample, standardized as `estimate_moments` does:
+        # the moment block and Q2 only; the six sphere-multiplier
+        # coefficients are eliminated, not split into pairs of 1x1 blocks.
+        # The 22 selection vectors and the budget vector cut the 89 basis
+        # elements down to a face of dimension 66.
+        data = planted_d2(11).data
+        med, s = _robust_standardization(data)
         B = build_B(SubgaussParams(2.0, 4), sample_size=11, dimension=2)
-        rel = relax(_combine(build_A(planted_d2(11).data, 1 / 11), B),
+        rel = relax(_combine(build_A((data - med) / s, 1 / 11), B),
                     basis=estimator_basis(11, 2))
         assert B.num_free == 6
         assert rel.problem.block_sizes == [66, 6]
@@ -187,7 +196,11 @@ class TestBuildB:
         # rows on Z keep about as few entries as the moment rows they come
         # from; an orthonormal basis of the same face gives 35 010
         assert rel.problem.num_constraints == 142
-        assert rel.nnz <= 2000
+        assert rel.nnz == 1402
+        # the multiplier rows the face implies are not built, and of those
+        # built the presolve leaves 17 vanished and 71 dependent ones out
+        assert rel.rows_implied == 2047
+        assert (rel.rows_vanished, rel.rows_dependent) == (17, 71)
 
 
 class TestFace:
@@ -200,18 +213,22 @@ class TestFace:
         y = rng.standard_normal((n, d))
         basis = estimator_basis(n, d)
         system = build_A(y, eps)
-        V, multipliers = face_basis(system, basis)
+        K = _reference_kernel(system, basis)
+        V = face_basis(K)
         # the echelon contract: V[f] = I on r rows, K V = 0 for the kernel
         # vectors K, full column rank and well conditioned
         r = V.shape[1]
         unit = np.eye(r)
         assert all(any(np.array_equal(row, e) for row in V) for e in unit)
-        K = _kernel_vectors(system, basis, multipliers)
         assert np.max(np.abs(K @ V)) <= 1e-12
         assert np.linalg.matrix_rank(V) == r
         assert np.linalg.cond(V) <= 10.0
         # the budget and the n*d selection vectors; at eps = 0 one point is left
         assert r == (1 if eps == 0 else len(basis) - n * d - 1)
+        # relax finds the same kernel vectors while it enumerates its rows
+        face = relax(system, basis=basis).face
+        assert face.shape == V.shape
+        assert np.max(np.abs(K @ face)) <= 1e-12
         rows = []
         for _ in range(8):
             w = np.zeros(n)
@@ -225,18 +242,26 @@ class TestFace:
         assert np.max(np.abs(P @ X @ P - X)) <= 1e-12 * np.max(np.abs(X))
 
 
-def _kernel_vectors(system, basis, multipliers):
-    """The coefficient vectors of m*g on the basis, one row per equality g
-    and kernel multiplier m that `face_basis` reports."""
+def _reference_kernel(system, basis):
+    """The kernel vectors by direct search: for each equality g and monomial
+    m with every monomial of m*g in the basis and every b*m, b in the basis,
+    within degree ell - deg g, the coefficient vector of m*g on the basis."""
     index = {b: i for i, b in enumerate(basis)}
+    top = max(sum(b) for b in basis)
     rows = []
-    for g, ms in zip(system.equalities, multipliers):
-        for m in map(tuple, ms.tolist()):
-            row = np.zeros(len(basis))
-            for gamma, c in g.terms.items():
-                row[index[monomial_mul(m, gamma)]] += c
-            rows.append(row)
-    return np.array(rows)
+    for g in system.equalities:
+        gamma0 = next(iter(g.terms))
+        for b in basis:
+            m = tuple(x - z for x, z in zip(b, gamma0))
+            if min(m) < 0 or sum(m) > system.relaxation_degree - g.degree() - top:
+                continue
+            prods = [monomial_mul(m, gamma) for gamma in g.terms]
+            if all(p in index for p in prods):
+                row = np.zeros(len(basis))
+                for p, c in zip(prods, g.terms.values()):
+                    row[index[p]] = c
+                rows.append(row)
+    return np.array(rows).reshape(-1, len(basis))
 
 
 def _every_multiplier_row(system, rel):
@@ -277,7 +302,24 @@ def _sphere():
     return ConstraintSystem(3, 4, equalities=[sphere_polynomial(3)]), None
 
 
+def _reduced_powers():
+    # with basis 1, x, x^2, x^3 at ell = 4, x*(x - 1) has both terms in the
+    # basis, but the row E~[x^3 * x * (x - 1)] exceeds the multiplier degree
+    # 3, so x is no kernel multiplier of x - 1
+    return ConstraintSystem(1, 4, equalities=[X1 - 1.0]), [(0,), (1,), (2,), (3,)]
+
+
 class TestImpliedRows:
+    @pytest.mark.parametrize(
+        "make", [_planted_selection, _clean_selection, _sphere, _reduced_powers]
+    )
+    def test_relax_finds_the_reference_kernel(self, make):
+        system, basis = make()
+        rel = relax(system, basis=basis)
+        K = _reference_kernel(system, rel.basis)
+        assert len(K) and np.array_equal(rel.face, face_basis(K))
+        assert np.max(np.abs(K @ rel.face)) <= 1e-12
+
     @pytest.mark.parametrize("make", [_planted_selection, _clean_selection, _sphere])
     def test_rows_left_unbuilt_hold_on_the_face(self, make):
         # every Z that meets the rows kept lifts to an X = V Z V^T that meets

@@ -129,10 +129,8 @@ def test_symmetry_enforced():
 
 
 def test_constraint_cap():
-    prob = SdpProblem([1], objective=[np.array([[1.0]])])
-    prob.add_constraint_rows(
-        ([(0, 0, 0, 1.0)], 1.0) for _ in range(DEFAULT_CONSTRAINT_CAP + 1)
-    )
+    m = DEFAULT_CONSTRAINT_CAP + 1
+    prob = SdpProblem.from_packed([1], np.ones((m, 1)), np.ones(m), np.ones(1))
     with pytest.raises(SdpSizeError):
         solve(prob)
 
@@ -171,31 +169,29 @@ def test_multiblock_diagonal_lp_like():
 
 
 def test_entry_constraints_match_dense():
-    # same model written both ways must solve to the same matrix
-    def build(entry):
-        prob = SdpProblem([3], objective=[np.eye(3)])
-        rows = [
-            ([(0, 0, 0, 1.0)], 1.0),
-            ([(0, 1, 1, 1.0)], 2.0),
-            ([(0, 0, 1, 1.0)], 0.5),
-            ([(0, 2, 2, 1.0), (0, 0, 2, 2.0)], 0.3),
-        ]
-        if entry:
-            for entries, rhs in rows:
-                prob.add_constraint_entries(entries, rhs)
-            return prob
-        for entries, rhs in rows:
-            mat = np.zeros((3, 3))
-            for _, i, j, val in entries:
-                if i == j:
-                    mat[i, i] += val
-                else:
-                    mat[i, j] += 0.5 * val
-                    mat[j, i] += 0.5 * val
-            prob.add_constraint([mat], rhs)
-        return prob
+    # the same model as dense matrices and as entry rows written on the
+    # packed columns must be the same problem
+    rows = [
+        ([(0, 0, 0, 1.0)], 1.0),
+        ([(0, 1, 1, 1.0)], 2.0),
+        ([(0, 0, 1, 1.0)], 0.5),
+        ([(0, 2, 2, 1.0), (0, 0, 2, 2.0)], 0.3),
+    ]
+    column = unpack(np.arange(6), [3])[0]
+    packed = np.zeros((len(rows), 6))
+    dense = SdpProblem([3], objective=[np.eye(3)])
+    for k, (entries, rhs) in enumerate(rows):
+        mat = np.zeros((3, 3))
+        for _, i, j, val in entries:
+            packed[k, column[i, j]] += val
+            if i == j:
+                mat[i, i] += val
+            else:
+                mat[i, j] += 0.5 * val
+                mat[j, i] += 0.5 * val
+        dense.add_constraint([mat], rhs)
+    entry = SdpProblem.from_packed([3], packed, [rhs for _, rhs in rows], dense.c)
 
-    dense, entry = build(False), build(True)
     # one row format: identical dump text and solver data
     assert dense.dump() == entry.dump()
     for line in dense.dump().splitlines():
@@ -207,52 +203,24 @@ def test_entry_constraints_match_dense():
     A_entry = sdp._HsdSolver(entry, SdpConfig()).A_sparse
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A_dense, attr), getattr(A_entry, attr))
+    # X[0, 2] and X[2, 0] take half the coefficient each
+    assert A_dense.toarray()[3, 2] == A_dense.toarray()[3, 6] == 1.0
 
     a = solve(dense)
     b = solve(entry)
     assert a.status == b.status == "Optimal"
     assert np.max(np.abs(a.primal_blocks[0] - b.primal_blocks[0])) < 1e-12
+    with pytest.raises(ValueError, match="touches no block"):
+        dense.add_constraint([np.zeros((3, 3))], 0.0)
 
 
-def test_constraint_rows_in_one_batch_match_rows_added_singly():
-    rows = [
-        ([(0, 0, 0, 0.1), (0, 1, 0, 2.0), (0, 0, 0, 0.2), (0, 0, 0, 0.3)], 1.0),
-        (np.array([[1.0, 0.0, 0.0, -0.5], [0.0, 2.0, 2.0, 4.0]]), 0.0),
-        ([(0, 2, 1, 1.5), (0, 1, 2, 0.5)], 2.0),
-    ]
-    single = SdpProblem([3, 1])
-    for entries, rhs in rows:
-        single.add_constraint_entries(entries, rhs)
-    batch = SdpProblem([3, 1])
-    batch.add_constraint_rows(rows)
-    assert batch.dump() == single.dump()
-    # a repeated entry is summed in the order given: 0.1 + 0.2 + 0.3 is
-    # 0.6000000000000001, where 0.1 + (0.2 + 0.3) would give 0.6
-    assert batch.constraints[0].entries == {(0, 0, 0): 0.1 + 0.2 + 0.3, (0, 0, 1): 2.0}
-    assert batch.constraints[2].entries == {(0, 1, 2): 2.0}
-    from robustmoments import sdp
-
-    A = sdp._HsdSolver(batch, SdpConfig()).A_sparse.toarray()
-    assert A[2, 5] == A[2, 7] == 1.0  # X[1, 2] and X[2, 1], half each
-    # a batch with an invalid row adds nothing
-    for bad, match in [
-        ([(0, 3, 0, 1.0)], "outside block"),
-        ([(2, 0, 0, 1.0)], "out of range"),
-        ([], "touches no block"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            batch.add_constraint_rows([([(0, 0, 0, 1.0)], 0.0), (bad, 0.0)])
-    assert batch.num_constraints == len(batch.rhs) == 3
-
-
-def _mixed_problem(rng, entry_rows):
+def _mixed_problem(rng):
     """A strictly feasible problem whose rows take every Schur formula.
 
     Blocks 4, 3, 1, 1.  Rows: two dense random matrices; entry rows with 1,
     2, 3 and 4 stored entries in block 0 (an off-diagonal entry stores two);
     one with 6 > 4 entries in block 0; one touching blocks 0, 1 and 2; two on
-    the 1x1 blocks.  With entry_rows=False every row is added as dense
-    matrices, which is the same model.
+    the 1x1 blocks.  Each row is added as its matrices, one per block.
     """
     sizes = [4, 3, 1, 1]
     entry_specs = [
@@ -282,12 +250,8 @@ def _mixed_problem(rng, entry_rows):
     C = [np.eye(s) + sum(yk * row[bi] for yk, row in zip(y0, rows))
          for bi, s in enumerate(sizes)]
     prob = SdpProblem(sizes, objective=C)
-    for k, mats in enumerate(rows):
-        rhs = sum(np.sum(a * x) for a, x in zip(mats, X0))
-        if entry_rows and k >= 2:
-            prob.add_constraint_entries(entry_specs[k - 2], rhs)
-        else:
-            prob.add_constraint(mats, rhs)
+    for mats in rows:
+        prob.add_constraint(mats, sum(np.sum(a * x) for a, x in zip(mats, X0)))
     return prob, rows
 
 
@@ -298,7 +262,7 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
     if chunk_floats is not None:  # one row per chunk
         monkeypatch.setattr(sdp, "_CHUNK_FLOATS", chunk_floats)
     rng = np.random.default_rng(11)
-    prob, rows = _mixed_problem(rng, entry_rows=True)
+    prob, rows = _mixed_problem(rng)
     solver = sdp._HsdSolver(prob, SdpConfig())
     # every formula is taken: batched entry rows with q = 1..4 and dense rows
     qs = {I.shape[1] for blk in solver.schur_blocks for _, I, _, _ in blk.sparse}
@@ -324,8 +288,10 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
 
 
 def test_mixed_rows_solve_like_dense_model():
-    entry, _ = _mixed_problem(np.random.default_rng(11), entry_rows=True)
-    dense, _ = _mixed_problem(np.random.default_rng(11), entry_rows=False)
+    # the rows given as matrices and as dense packed rows are one model
+    entry, rows = _mixed_problem(np.random.default_rng(11))
+    A = np.array([pack(mats, off=2.0) for mats in rows])
+    dense = SdpProblem.from_packed(entry.block_sizes, A, entry.rhs, entry.c)
     a, b = solve(entry), solve(dense)
     assert a.status == b.status == "Optimal"
     assert abs(a.primal_objective - b.primal_objective) < 1e-6
@@ -360,8 +326,8 @@ def test_abnormal_exit_returns_the_best_iterate():
     # X11 = 0 leaves no strictly feasible point; with an unreachable
     # tolerance the iterates stall near the optimum and then drift away
     prob = SdpProblem([2], objective=[np.array([[1.0, 0.0], [0.0, 0.0]])])
-    prob.add_constraint_entries([(0, 1, 1, 1.0)], 0.0)
-    prob.add_constraint_entries([(0, 0, 0, 1.0), (0, 0, 1, 1.0)], 1.0)
+    prob.add_constraint([np.array([[0.0, 0.0], [0.0, 1.0]])], 0.0)
+    prob.add_constraint([np.array([[1.0, 0.5], [0.5, 0.0]])], 1.0)
     sol = solve(prob, SdpConfig(max_iters=200, tol=0.0))
     assert sol.status == "MaxIterations"
     assert "returned the best iterate" in sol.detail
@@ -405,7 +371,7 @@ def test_pack_unpack_round_trip():
 
 def test_packed_rows_are_the_dense_functional():
     rng = np.random.default_rng(4)
-    prob, rows = _mixed_problem(rng, entry_rows=True)
+    prob, rows = _mixed_problem(rng)
     assert prob.A.shape == (len(rows), 10 + 6 + 1 + 1)
     X = [_symmetric(rng, s) for s in prob.block_sizes]
     dense = [sum(np.sum(a * x) for a, x in zip(row, X)) for row in rows]
@@ -422,7 +388,7 @@ def test_solver_adjoint_identity():
     from robustmoments import sdp
 
     rng = np.random.default_rng(8)
-    prob, rows = _mixed_problem(rng, entry_rows=True)
+    prob, rows = _mixed_problem(rng)
     solver = sdp._HsdSolver(prob, SdpConfig())
     y = rng.normal(size=prob.num_constraints)
     X = [_symmetric(rng, s) for s in prob.block_sizes]
@@ -456,35 +422,22 @@ def test_from_packed_takes_rows_as_given():
 
 
 def _random_rows(rng, sizes, kinds):
-    """One row per kind, as (entries or None, dense model matrices): True
-    makes a row of 1-3 (block, i, j, value) entries, False a dense row."""
+    """One row per kind, as its matrices, one per block: True makes a row of
+    1-3 random entries, False a dense row."""
     rows = []
     for entry in kinds:
-        mats = [np.zeros((s, s)) for s in sizes]
         if not entry:
-            mats = [0.5 * _symmetric(rng, s) for s in sizes]
-            rows.append((None, mats))
+            rows.append([0.5 * _symmetric(rng, s) for s in sizes])
             continue
-        entries = []
+        mats = [np.zeros((s, s)) for s in sizes]
         for _ in range(rng.integers(1, 4)):
             b = int(rng.integers(len(sizes)))
             i, j = (int(v) for v in rng.integers(sizes[b], size=2))
             val = float(rng.normal())
-            entries.append((b, i, j, val))
             mats[b][i, j] += val if i == j else 0.5 * val
             mats[b][j, i] += 0.0 if i == j else 0.5 * val
-        rows.append((entries, mats))
+        rows.append(mats)
     return rows
-
-
-def _problem(sizes, C, rows, rhs):
-    prob = SdpProblem(sizes, objective=C)
-    for (entries, mats), b in zip(rows, rhs):
-        if entries is None:
-            prob.add_constraint(mats, b)
-        else:
-            prob.add_constraint_entries(entries, b)
-    return prob
 
 
 def _pd(rng, s):
@@ -508,17 +461,17 @@ def test_random_feasible_problems_meet_kkt(seed, sizes, kinds):
     rows = _random_rows(rng, sizes, kinds)
     X0 = [_pd(rng, s) for s in sizes]
     y0 = rng.normal(size=len(rows))
-    rhs = [sum(np.sum(a * x) for a, x in zip(mats, X0)) for _, mats in rows]
-    C = [_pd(rng, s) + sum(yk * mats[bi] for yk, (_, mats) in zip(y0, rows))
+    rhs = [sum(np.sum(a * x) for a, x in zip(mats, X0)) for mats in rows]
+    C = [_pd(rng, s) + sum(yk * mats[bi] for yk, mats in zip(y0, rows))
          for bi, s in enumerate(sizes)]
-    prob = _problem(sizes, C, rows, rhs)
+    prob = SdpProblem(sizes, objective=C, constraints=list(zip(rows, rhs)))
     assume(np.linalg.matrix_rank(prob.A.toarray()) == len(rows))
 
     sol = solve(prob)
     assert sol.status == "Optimal"
     X, y = sol.primal_blocks, sol.dual
     # primal: A(X) = b with X >= 0, on the dense model
-    primal = [sum(np.sum(a * x) for a, x in zip(mats, X)) for _, mats in rows]
+    primal = [sum(np.sum(a * x) for a, x in zip(mats, X)) for mats in rows]
     assert np.max(np.abs(np.subtract(primal, rhs))) <= 1e-6 * (1 + np.max(np.abs(rhs)))
     assert sol.primal_residual <= 1e-6 * (1 + np.linalg.norm(rhs))
     assert min(np.linalg.eigvalsh(x).min() for x in X) >= -1e-9
@@ -526,7 +479,7 @@ def test_random_feasible_problems_meet_kkt(seed, sizes, kinds):
     # dual: C - A^T(y) = S + R_D with S >= 0 and R_D within the tolerance
     cnorm = 1 + max(np.linalg.norm(c) for c in C)
     for bi, c in enumerate(C):
-        slack = c - sum(yk * mats[bi] for yk, (_, mats) in zip(y, rows))
+        slack = c - sum(yk * mats[bi] for yk, mats in zip(y, rows))
         assert np.linalg.eigvalsh(slack).min() >= -1e-6 * cnorm
     assert sol.dual_residual <= 1e-6 * cnorm
     # gap: <C, X> = b . y
@@ -545,12 +498,12 @@ def test_random_infeasible_problems_return_a_farkas_ray(seed, sizes, kinds):
     rows = _random_rows(rng, sizes, kinds)
     y0 = rng.normal(size=len(rows))
     rhs = list(rng.normal(size=len(rows)))
-    last = [-_pd(rng, s) - sum(yk * mats[bi] for yk, (_, mats) in zip(y0, rows))
+    last = [-_pd(rng, s) - sum(yk * mats[bi] for yk, mats in zip(y0, rows))
             for bi, s in enumerate(sizes)]
-    rows.append((None, last))
+    rows.append(last)
     rhs.append(1.0 - float(np.dot(y0, rhs)))
     C = [_symmetric(rng, s) for s in sizes]
-    prob = _problem(sizes, C, rows, rhs)
+    prob = SdpProblem(sizes, objective=C, constraints=list(zip(rows, rhs)))
 
     sol = solve(prob)
     assert sol.status == "Infeasible"
@@ -558,6 +511,6 @@ def test_random_infeasible_problems_return_a_farkas_ray(seed, sizes, kinds):
     assert float(np.dot(rhs, ray)) > 0
     # A^T(ray) <= 0: its largest eigenvalue is within the ray residual
     for bi in range(len(sizes)):
-        At_ray = sum(r * mats[bi] for r, (_, mats) in zip(ray, rows))
+        At_ray = sum(r * mats[bi] for r, mats in zip(ray, rows))
         assert np.linalg.eigvalsh(At_ray).max() <= sol.ray_residual * (1 + 1e-9) + 1e-12
     assert sol.ray_residual <= 1e-5

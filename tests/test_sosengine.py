@@ -55,12 +55,6 @@ class TestSolveSystem:
         assert lo.objective_value == pytest.approx(-1.0, abs=1e-6)
         assert hi.pseudo.pseudo_expectation(X * X) == pytest.approx(1.0, abs=1e-6)
 
-    def test_opposing_inequalities_squeeze(self):
-        system = ConstraintSystem(1, 2, inequalities=[X, -1.0 * X])
-        res = solve_system(system, objective=X, sense="max")
-        assert res.status == "Optimal"
-        assert abs(res.objective_value) < 1e-6
-
     def test_unconstrained_square_minimum(self):
         system = ConstraintSystem(1, 2)
         res = solve_system(system, objective=X * X, sense="min")
@@ -287,6 +281,27 @@ class TestRelaxValidation:
         system = ConstraintSystem(1, 2)
         with pytest.raises(ValueError):
             relax(system, basis=[(1,), (0,)])
+
+    @pytest.mark.parametrize(
+        "free,psd,match",
+        [
+            ({}, {("H", 0, 0): 1.0}, "names no psd block 'H'"),
+            ({}, {("G", -1, 0): 1.0}, r"entry \(-1, 0\) outside psd block 'G'"),
+            ({}, {("G", 0, 2): 1.0}, r"entry \(0, 2\) outside psd block 'G'"),
+            ({-1: 1.0}, {}, r"free index -1 outside 0\.\.0"),
+            ({1: 1.0}, {}, r"free index 1 outside 0\.\.0"),
+        ],
+        ids=["unknown-block", "negative-entry", "entry-past-block",
+             "negative-free", "free-past-last"],
+    )
+    def test_affine_entries_outside_the_system_rejected(self, free, psd, match):
+        # G is 2x2 and there is one free scalar; an entry past either would
+        # read another column of the row matrix
+        with pytest.raises(ValueError, match=match):
+            ConstraintSystem(
+                1, 2, affine_equalities=[AffineEquality(X, free=free, psd=psd)],
+                psd_blocks=[PsdVarBlock("G", 2)], num_free=1,
+            )
 
     def test_monomial_cap_enforced(self):
         # 30 variables at level 8: C(34, 4) = 46376 basis monomials, above
