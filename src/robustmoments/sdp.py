@@ -14,22 +14,22 @@ constraints), so everything is dense per block and deterministic.
 A problem keeps one format from its builders to the solver: one sparse row
 matrix A on the packed entries of X (each block's upper triangle, row-major,
 block by block; `pack` and `unpack` convert), with A[k] . pack(X) = <A_k, X>.
-The solver expands A once per solve onto vec(X), each off-diagonal
-coefficient split half and half between X[i, j] and X[j, i], and keeps the
-transpose beside it.
+The solver expands A once per solve onto each vec'd block X_b, each
+off-diagonal coefficient split half and half between X[i, j] and X[j, i],
+and holds only these block rows A_b: A(X) sums A_b vec(X_b), and A^T(y)
+reads A_b^T y through a transposed view on A_b's arrays.
 
 The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled block by block,
 with a formula per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and
 Nakata, Math. Prog. 79, 1997).  For a row with q <= s entries in an s x s
 block, S^{-1} A_k X is a batched sum of q outer products of columns of
-S^{-1} and rows of X; a denser row uses its dense matrix.  The block's
-sparse column slice A_b then adds A_b vec(S^{-1} A_k X) to row k of M.
-Newton solves with the Cholesky factor are blocked forward and back
-substitutions, O(m^2) each.  Each iteration factors every X and S block
-once; the inverse factors give S^{-1} and both step lengths.  The direction
-taken gets one refinement step against its primal equation, measured on dX
-itself, and a solve that ends without meeting its tolerance returns the
-best iterate it saw.
+S^{-1} and rows of X; a denser row uses its dense matrix.  A_b then adds
+A_b vec(S^{-1} A_k X) to row k of M.  Each iteration factors M and every X
+and S block once, each as the inverse of its Cholesky factor L: a Newton
+solve is two products with L^{-1}, O(m^2) each, and the block factors give
+S^{-1} and both step lengths.  The direction taken gets one refinement
+step against its primal equation, measured on dX itself, and a solve that
+ends without meeting its tolerance returns the best iterate it saw.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from scipy import sparse
 
 DEFAULT_CONSTRAINT_CAP = 20_000
 _CHUNK_FLOATS = 1 << 20  # floats in one Schur assembly temporary, at most
-_TRI_BLOCK = 64  # rows in one diagonal block of a triangular solve
 _STEP_FRACTION = 0.98  # share of the step to the cone boundary taken
 
 
@@ -101,8 +100,8 @@ class SdpProblem:
 
     def __init__(self, block_sizes, objective=None, constraints=None):
         self.block_sizes = [int(s) for s in block_sizes]
-        if any(s < 1 for s in self.block_sizes):
-            raise ValueError("block sizes must be positive")
+        if not self.block_sizes or any(s < 1 for s in self.block_sizes):
+            raise ValueError("block sizes must be positive, and at least one")
         self.c = self._coefficients([] if objective is None else objective)
         self.A = sparse.csr_matrix((0, len(self.c)))
         self.rhs = np.zeros(0)
@@ -223,46 +222,41 @@ class _HsdSolver:
         self.m = problem.num_constraints
         self.b = np.array(problem.rhs, dtype=float)
         self.C = problem.objective
-        self.offsets = np.cumsum([0] + [s * s for s in self.sizes])
-        self.vec_len = int(self.offsets[-1])
-        self.A_sparse = self._vec_rows(problem.A)
-        self.At = self.A_sparse.T.tocsr()
         self.N = sum(self.sizes)
         self.bnorm = 1.0 + float(np.linalg.norm(self.b))
         self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in self.C)
-        self.schur_blocks = [
-            _SchurBlock(self.A_sparse[:, lo:hi].tocsr(), s)
-            for s, lo, hi in zip(self.sizes, self.offsets[:-1], self.offsets[1:])
-        ]
+        self.schur_blocks = self._vec_rows(problem.A)
 
     def _vec_rows(self, A):
-        """The packed rows A on vec'd blocks: tr(A_k M) = A_sparse[k] @ vec(M)."""
-        flat = [lo + np.arange(s * s).reshape(s, s) for lo, s in zip(self.offsets, self.sizes)]
+        """The packed rows A on the vec'd blocks, one _SchurBlock per block:
+        tr(A_k M) = sum over blocks b of blk.A[k] @ vec(M_b)."""
+        offsets = np.cumsum([0] + [s * s for s in self.sizes])
+        flat = [lo + np.arange(s * s).reshape(s, s) for lo, s in zip(offsets, self.sizes)]
         ij, ji = pack(flat)[A.indices], pack([f.T for f in flat])[A.indices]
         k, val = np.repeat(np.arange(self.m), np.diff(A.indptr)), A.data
         # an off-diagonal entry puts half on each orientation, so that the
         # functional reads the symmetric entry once
         off = ij != ji
-        return sparse.csr_matrix(
+        rows = sparse.csr_matrix(
             (
                 np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]]),
                 (np.concatenate([k, k[off]]), np.concatenate([ij, ji[off]])),
             ),
-            shape=(self.m, self.vec_len),
+            shape=(self.m, offsets[-1]),
         )
+        return [
+            _SchurBlock(rows[:, lo:hi], s)
+            for s, lo, hi in zip(self.sizes, offsets[:-1], offsets[1:])
+        ]
 
     # -- block helpers ------------------------------------------------------
 
-    def _vec(self, blocks):
-        return np.concatenate([blk.ravel() for blk in blocks])
-
     def _apply_A(self, blocks):
-        return self.A_sparse @ self._vec(blocks)
+        return sum(blk.A @ x.ravel() for blk, x in zip(self.schur_blocks, blocks))
 
     def _apply_At(self, y):
         """A^T(y) as a list of blocks."""
-        parts = np.split(self.At @ y, self.offsets[1:-1])
-        return [part.reshape(s, s) for part, s in zip(parts, self.sizes)]
+        return [(blk.At @ y).reshape(s, s) for blk, s in zip(self.schur_blocks, self.sizes)]
 
     def _inner(self, blocks1, blocks2):
         return float(sum(np.sum(a * b) for a, b in zip(blocks1, blocks2)))
@@ -289,8 +283,7 @@ class _HsdSolver:
 
             term = self._check_termination(X, S, y, cx, by, scaled)
             if term is not None:
-                status, detail, payload = term
-                return self._finish(status, detail, payload, X, S, y, tau, it)
+                return self._finish(*term, X, S, y, tau, it)
 
             try:
                 # one inverse factor per block serves Sinv and both step lengths;
@@ -298,7 +291,7 @@ class _HsdSolver:
                 LX = [_inverse_cholesky(x) for x in X]
                 LS = [np.linalg.inv(np.linalg.cholesky(s_blk)) for s_blk in S]
                 Sinv = [inv_L.T @ inv_L for inv_L in LS]
-                factor = self._schur_factor(Sinv, X)
+                factor = _schur_factor(self._schur_matrix(Sinv, X))
             except np.linalg.LinAlgError:
                 return self._abnormal(
                     "iterate left the cone numerically", best, merit, X, S, y, tau, it
@@ -410,11 +403,7 @@ class _HsdSolver:
         Xh = [x / scale for x in X]
         yh = y / scale
         Sh = [s / scale for s in S]
-        r_P = self._apply_A(Xh) - self.b
-        At_y = self._apply_At(yh)
-        R_D = [c - a - s for c, a, s in zip(self.C, At_y, Sh)]
-        pobj = self._inner(self.C, Xh)
-        dobj = float(self.b @ yh)
+        r_P, R_D, pobj, dobj, _ = self._measure(Xh, Sh, yh, 1.0)
         min_eig = min(
             float(np.linalg.eigvalsh(blk).min()) for blk in Xh
         )
@@ -444,22 +433,6 @@ class _HsdSolver:
             blk.add_to(M, si, x)
         return 0.5 * (M + M.T)
 
-    def _schur_factor(self, Sinv, X):
-        """Cholesky factor of the Schur matrix, jittered until it factors."""
-        M = self._schur_matrix(Sinv, X)
-        diag = M.diagonal().copy()
-        base = max(np.trace(M) / max(self.m, 1), 1.0)
-        for attempt in range(8):
-            try:
-                return np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                # the same matrix as M + jitter * I, written in place
-                np.fill_diagonal(M, diag + base * (1e-14 * 10 ** attempt))
-        raise np.linalg.LinAlgError("Schur complement not PD")
-
-    def _schur_solve(self, L, rhs):
-        return _triangular_solve(L.T, _triangular_solve(L, rhs, lower=True), lower=False)
-
     def _newton_base(self, X, tau, kappa, Sinv, factor, R_D):
         """The sigma-independent half of the Newton system; None if singular."""
         # with P = S^{-1} C X and Q = S^{-1} R_D X:
@@ -469,7 +442,7 @@ class _HsdSolver:
         h = self._apply_A(Q)
         cbar = self._inner(self.C, P)
         e = self._inner(self.C, Q)
-        w1 = self._schur_solve(factor, self.b + g)
+        w1 = _schur_solve(factor, self.b + g)
         den = float((self.b - g) @ w1) + cbar + kappa / tau
         if abs(den) < 1e-300:
             return None
@@ -486,7 +459,7 @@ class _HsdSolver:
         v = eta * (h - r_P) - A_Xi
         u = -eta * r_G + c_Xi - eta * e + rc_t / tau
 
-        w2 = self._schur_solve(factor, v)
+        w2 = _schur_solve(factor, v)
         dtau = (u - float((self.b - g) @ w2)) / den
         dy = w1 * dtau + w2
         At_dy = self._apply_At(dy)
@@ -511,7 +484,7 @@ class _HsdSolver:
         e = self._apply_A(dX) - self.b * dtau + eta * r_P
         if np.linalg.norm(e) <= 1e-3 * eta * np.linalg.norm(r_P):
             return direction
-        z = -self._schur_solve(factor, e)
+        z = -_schur_solve(factor, e)
         At_z = self._apply_At(z)
         dX = [dx + _symmetrize(si @ a @ x) for dx, si, a, x in zip(dX, Sinv, At_z, X)]
         dS = [ds - a for ds, a in zip(dS, At_z)]
@@ -538,18 +511,17 @@ class _HsdSolver:
     def _mu_after(self, X, S, tau, kappa, direction, alpha):
         dX, _, dS, dtau, dkappa = direction
         alpha = min(alpha * _STEP_FRACTION, 1.0)
-        tot = 0.0
-        for x, dx, s, ds in zip(X, dX, S, dS):
-            tot += float(np.sum((x + alpha * dx) * (s + alpha * ds)))
-        tot += (tau + alpha * dtau) * (kappa + alpha * dkappa)
-        return tot / (self.N + 1)
+        XS = self._inner(
+            [x + alpha * dx for x, dx in zip(X, dX)], [s + alpha * ds for s, ds in zip(S, dS)]
+        )
+        return (XS + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (self.N + 1)
 
 
 class _SchurBlock:
     """One block's part of the Schur matrix: its rows grouped by formula."""
 
     def __init__(self, A, s):
-        self.A = A  # this block's columns of A_sparse, m x s^2
+        self.A, self.At = A, A.T  # this block's vec'd rows (m x s^2); At is a view on them
         self.sparse, self.dense = [], []
         counts = np.diff(A.indptr)
         step = max(1, _CHUNK_FLOATS // max(s * s, A.shape[0]))
@@ -578,15 +550,23 @@ def _merit(scaled):
     return np.inf if scaled is None else max(scaled[1:])
 
 
-def _triangular_solve(T, rhs, lower):
-    """Solve T x = rhs for triangular T by blocked substitution, in O(n^2)."""
-    x = np.array(rhs, dtype=float)
-    starts = range(0, T.shape[0], _TRI_BLOCK)
-    for lo in starts if lower else reversed(starts):
-        hi = lo + _TRI_BLOCK
-        done = slice(0, lo) if lower else slice(hi, None)
-        x[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi], x[lo:hi] - T[lo:hi, done] @ x[done])
-    return x
+def _schur_factor(M):
+    """The inverse of the Cholesky factor of the Schur matrix M, with M's
+    diagonal jittered in place until it factors."""
+    diag = M.diagonal().copy()
+    base = max(np.trace(M) / max(len(M), 1), 1.0)
+    for attempt in range(8):
+        try:
+            return np.linalg.inv(np.linalg.cholesky(M))
+        except np.linalg.LinAlgError:
+            # the same matrix as M + jitter * I, written in place
+            np.fill_diagonal(M, diag + base * (1e-14 * 10 ** attempt))
+    raise np.linalg.LinAlgError("Schur complement not PD")
+
+
+def _schur_solve(inv_L, rhs):
+    """Solve M x = rhs with the inverse Cholesky factor of M."""
+    return inv_L.T @ (inv_L @ rhs)
 
 
 def _symmetrize(mat):

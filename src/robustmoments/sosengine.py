@@ -1144,13 +1144,7 @@ def _binomial_certificate(k):
     target = (2 ** (k - 1)) * (a ** k + b ** k) - (a + b) ** k
     if k == 2:
         return SosCertificate(2, target, sos_part=[a - b])
-    result = find_sos_combination(
-        target, sos_premises=[Polynomial.constant(2, 1.0)],
-        degree=k, homogeneous=True,
-    )
-    if result.status != "Optimal":
-        raise RuntimeError(f"binomial certificate search failed: {result.detail}")
-    return SosCertificate(2, target, sos_part=gram_to_sos(*result.grams[0]))
+    return _homogeneous_sos_certificate(target, k, "binomial")
 
 
 def _amgm_certificate(k):
@@ -1166,12 +1160,18 @@ def _amgm_certificate(k):
         w0 = Polynomial.variable(2, 0)
         w1 = Polynomial.variable(2, 1)
         return SosCertificate(2, target, sos_part=[(w0 - w1) * (1 / math.sqrt(2))])
+    return _homogeneous_sos_certificate(target, k, "am-gm")
+
+
+def _homogeneous_sos_certificate(target, k, name):
+    """target as one sum of squares of forms of degree k / 2."""
+    nv = target.dimension
     result = find_sos_combination(
         target, sos_premises=[Polynomial.constant(nv, 1.0)],
         degree=k, homogeneous=True,
     )
     if result.status != "Optimal":
-        raise RuntimeError(f"am-gm certificate search failed: {result.detail}")
+        raise RuntimeError(f"{name} certificate search failed: {result.detail}")
     return SosCertificate(nv, target, sos_part=gram_to_sos(*result.grams[0]))
 
 
@@ -1188,24 +1188,31 @@ def _power_reduction_certificate(k):
                 CertPremise(one, [one - f]),
             ],
         )
-    power_premise = one - f ** k
-    target = one - f
-    result = find_sos_combination(
-        target, sos_premises=[one, power_premise], degree=k,
-    )
-    if result.status != "Optimal":
-        raise RuntimeError(
-            f"power reduction certificate search failed: {result.detail}"
-        )
-    plain = gram_to_sos(*result.grams[0])
-    scale = gram_to_sos(*result.grams[1])
-    return SosCertificate(
-        1, target,
-        general_premises=[
-            CertPremise(one, plain),
-            CertPremise(power_premise, scale),
-        ],
-    )
+    cert, detail = _premise_certificate(one - f, one - f ** k, [k])
+    if cert is None:
+        raise RuntimeError(f"power reduction certificate search failed: {detail}")
+    return cert
+
+
+def _premise_certificate(target, premise, degrees, max_residual=math.inf):
+    """The certificate target = s0 + s1 * premise in one variable, s0 and s1
+    sums of squares, from the first identity degree in `degrees` whose
+    search ends Optimal with residual <= max_residual (None if none does),
+    and the last search's detail."""
+    one = Polynomial.constant(1, 1.0)
+    detail = ""
+    for degree in degrees:
+        result = find_sos_combination(target, sos_premises=[one, premise], degree=degree)
+        detail = result.detail
+        if result.status == "Optimal" and result.residual <= max_residual:
+            return SosCertificate(
+                1, target,
+                general_premises=[
+                    CertPremise(one, gram_to_sos(*result.grams[0])),
+                    CertPremise(premise, gram_to_sos(*result.grams[1])),
+                ],
+            ), detail
+    return None, detail
 
 
 def build_interval_certificates(k, delta):
@@ -1214,27 +1221,11 @@ def build_interval_certificates(k, delta):
     if not 0 < delta < 0.01:
         raise ValueError("delta must lie in (0, 0.01) so that 100*delta < 1")
     f = Polynomial.variable(1, 0)
-    one = Polynomial.constant(1, 1.0)
     premise = (delta ** k) * (f + 1.0) ** k - (f - 1.0) ** k
     dprime = 100.0 * delta
     out = []
     for target in [(1.0 + dprime) - f, f - (1.0 - dprime)]:
-        cert = None
-        last = ""
-        for degree in (k, k + 2, k + 4):
-            result = find_sos_combination(
-                target, sos_premises=[one, premise], degree=degree,
-            )
-            last = result.detail
-            if result.status == "Optimal" and result.residual <= 1e-7:
-                cert = SosCertificate(
-                    1, target,
-                    general_premises=[
-                        CertPremise(one, gram_to_sos(*result.grams[0])),
-                        CertPremise(premise, gram_to_sos(*result.grams[1])),
-                    ],
-                )
-                break
+        cert, last = _premise_certificate(target, premise, (k, k + 2, k + 4), 1e-7)
         if cert is None:
             raise RuntimeError(
                 f"interval certificate search failed for k={k}, delta={delta}: {last}"

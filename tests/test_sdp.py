@@ -128,6 +128,12 @@ def test_symmetry_enforced():
         SdpProblem([2], objective=[bad])
 
 
+@pytest.mark.parametrize("sizes", [[], [2, 0]])
+def test_block_sizes_rejected(sizes):
+    with pytest.raises(ValueError, match="block sizes must be positive"):
+        SdpProblem(sizes)
+
+
 def test_constraint_cap():
     m = DEFAULT_CONSTRAINT_CAP + 1
     prob = SdpProblem.from_packed([1], np.ones((m, 1)), np.ones(m), np.ones(1))
@@ -199,10 +205,13 @@ def test_entry_constraints_match_dense():
             float(field)  # every numeric field is a plain number
     from robustmoments import sdp
 
-    A_dense = sdp._HsdSolver(dense, SdpConfig()).A_sparse
-    A_entry = sdp._HsdSolver(entry, SdpConfig()).A_sparse
+    (blk_dense,) = sdp._HsdSolver(dense, SdpConfig()).schur_blocks
+    (blk_entry,) = sdp._HsdSolver(entry, SdpConfig()).schur_blocks
+    A_dense, A_entry = blk_dense.A, blk_entry.A
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A_dense, attr), getattr(A_entry, attr))
+    # the rows are held once: the transpose is a view on the same arrays
+    assert np.shares_memory(blk_dense.At.data, blk_dense.A.data)
     # X[0, 2] and X[2, 0] take half the coefficient each
     assert A_dense.toarray()[3, 2] == A_dense.toarray()[3, 6] == 1.0
 
@@ -297,21 +306,46 @@ def test_mixed_rows_solve_like_dense_model():
     assert abs(a.primal_objective - b.primal_objective) < 1e-6
 
 
-@pytest.mark.parametrize("lower", [True, False])
-def test_triangular_solve_matches_dense_solve(lower):
-    from robustmoments.sdp import _TRI_BLOCK, _triangular_solve
+@pytest.mark.parametrize("n, cond", [(1, 1.0), (48, 1e3), (200, 1e3), (200, 1e10)])
+def test_schur_factor_solves_like_dense_solve(n, cond):
+    from robustmoments.sdp import _schur_factor, _schur_solve
 
     rng = np.random.default_rng(5)
-    for n in (1, _TRI_BLOCK - 1, _TRI_BLOCK, _TRI_BLOCK + 1, 3 * _TRI_BLOCK + 7):
-        # unit-scale diagonal, small off-diagonal part: well conditioned
-        T = np.tril(rng.normal(size=(n, n))) / n + np.diag(1.0 + rng.random(n))
-        if not lower:
-            T = T.T
-        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            want = np.linalg.solve(T, rhs)
-            got = _triangular_solve(T, rhs, lower=lower)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+    M = 0.5 * (M + M.T)
+    factor = _schur_factor(M.copy())
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        want = np.linalg.solve(M, rhs)
+        got = _schur_solve(factor, rhs)
+        assert got.shape == want.shape
+        # forward error within the conditioning, backward error at roundoff
+        assert np.linalg.norm(got - want) <= 1e-14 * cond * np.linalg.norm(want)
+        backward = np.linalg.norm(M @ got - rhs) / (np.linalg.norm(M, 2) * np.linalg.norm(got))
+        assert backward <= 1e-14
+
+
+def test_duplicated_rows_take_the_jitter(monkeypatch):
+    # two equal rows make the 3 x 3 Schur matrix singular; jitter on its
+    # diagonal lets it factor, and the solve still ends Optimal
+    cholesky, failed = np.linalg.cholesky, []
+
+    def counting(mat):
+        try:
+            return cholesky(mat)
+        except np.linalg.LinAlgError:
+            failed.append(mat.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    G = np.random.default_rng(3).normal(size=(4, 4))
+    A1 = 0.5 * (G + G.T)
+    prob = SdpProblem([4], objective=[np.eye(4) + 0.1 * A1])
+    for mat in (A1, A1, np.eye(4)):
+        prob.add_constraint([mat], 0.5 * np.trace(mat))  # X = I / 2 is feasible
+    sol = solve(prob)
+    assert sol.status == "Optimal"
+    assert (3, 3) in failed  # the blocks are 4 x 4: this is the Schur matrix
 
 
 def _merit(prob, sol):
