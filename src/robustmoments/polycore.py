@@ -63,10 +63,6 @@ def monomials_of_degree(dimension, degree):
     return out
 
 
-def monomial_degree(mono):
-    return sum(mono)
-
-
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 

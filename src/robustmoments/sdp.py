@@ -9,27 +9,32 @@ ray proving infeasibility, which downstream certificate searches rely on to
 distinguish "no certificate exists" from "solver trouble".
 
 Problems are small (blocks up to a few hundred rows, a few thousand
-constraints), so everything is dense per block and deterministic.
+constraints), so everything is dense and deterministic.
 
 A problem keeps one format from its builders to the solver: one sparse row
 matrix A on the packed entries of X (each block's upper triangle, row-major,
 block by block; `pack` and `unpack` convert), with A[k] . pack(X) = <A_k, X>.
-The solver expands A once per solve onto each vec'd block X_b, each
-off-diagonal coefficient split half and half between X[i, j] and X[j, i],
-and holds only these block rows A_b: A(X) sums A_b vec(X_b), and A^T(y)
-reads A_b^T y through a transposed view on A_b's arrays.
+The solver works on one N x N matrix with the blocks on its diagonal, N the
+sum of the block sizes: posed problems have one dominant block and at most a
+few tiny ones.  X, S and the directions stay exactly zero off the blocks, as
+every update is a sum of products of block-diagonal matrices, and the
+solution's blocks are cut from the diagonal.  A is expanded once per solve
+onto vec(X), each off-diagonal coefficient split half and half between
+X[i, j] and X[j, i], and held once: A(X) is A vec(X), and A^T(y) reads
+A^T y through a transposed view on A's arrays.
 
-The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled block by block,
-with a formula per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and
-Nakata, Math. Prog. 79, 1997).  For a row with q <= s entries in an s x s
-block, S^{-1} A_k X is a batched sum of q outer products of columns of
-S^{-1} and rows of X; a denser row uses its dense matrix.  A_b then adds
-A_b vec(S^{-1} A_k X) to row k of M.  Each iteration factors M and every X
-and S block once, each as the inverse of its Cholesky factor L: a Newton
-solve is two products with L^{-1}, O(m^2) each, and the block factors give
-S^{-1} and both step lengths.  The direction taken gets one refinement
-step against its primal equation, measured on dX itself, and a solve that
-ends without meeting its tolerance returns the best iterate it saw.
+The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with a formula
+per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and Nakata, Math.
+Prog. 79, 1997).  For a row with q <= N entries, S^{-1} A_k X is a batched
+sum of q outer products of columns of S^{-1} and rows of X; a denser row
+uses its dense matrix.  A vec(S^{-1} A_k X) is then row k of M.  Each
+iteration factors M, X and S once, each as the inverse of its Cholesky
+factor L: a Newton solve is two products with L^{-1}, O(m^2) each, and the
+factors of X and S give S^{-1} and both step lengths.  The direction taken
+gets one refinement step against its primal equation, measured on dX
+itself.  A solve that reaches its iteration limit, whose linear algebra
+fails, or whose direction is not finite, ends `MaxIterations` on the best
+iterate it saw.
 """
 
 from __future__ import annotations
@@ -191,6 +196,17 @@ def _as_symmetric(mat, size):
 
 @dataclass
 class SdpSolution:
+    """The result of `solve`, scaled back from the embedding by tau.
+
+    `primal_residual` is ||A(X) - b||_2 and `dual_residual` the Frobenius
+    norm of C - A^T(y) - S over the whole block-diagonal matrix, at most
+    sqrt(number of blocks) times the largest block's.  An `Infeasible` solve
+    carries the Farkas ray y / b.y and its residual ||A^T(y) + S||_F / b.y.
+    Both are tested over the whole matrix against a tolerance scaled by
+    1 + the largest block's ||C||_F, so the tests are stricter than per-block
+    ones by at most sqrt(number of blocks).
+    """
+
     primal_blocks: list
     dual: np.ndarray
     status: str  # Optimal | Infeasible | MaxIterations
@@ -220,60 +236,66 @@ class _HsdSolver:
         self.config = config
         self.sizes = problem.block_sizes
         self.m = problem.num_constraints
+        self.N = N = sum(self.sizes)
         self.b = np.array(problem.rhs, dtype=float)
-        self.C = problem.objective
-        self.N = sum(self.sizes)
+        self.C = self._vec_rows(sparse.csr_matrix(problem.c)).toarray().reshape(N, N)
         self.bnorm = 1.0 + float(np.linalg.norm(self.b))
-        self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in self.C)
-        self.schur_blocks = self._vec_rows(problem.A)
+        self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in problem.objective)
+        self.A = self._vec_rows(problem.A)
+        self.At = self.A.T  # a view on A's arrays: the rows are held once
+        # the rows grouped by Schur formula: (rows, I, J, V) for rows of q <= N
+        # entries, (rows, dense matrices) for denser ones
+        self.sparse, self.dense = [], []
+        counts = np.diff(self.A.indptr)
+        step = max(1, _CHUNK_FLOATS // max(N * N, self.m))
+        for q in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == q)
+            for chunk in np.split(rows, range(step, len(rows), step)):
+                if q > N:
+                    self.dense.append((chunk, self.A[chunk].toarray().reshape(-1, N, N)))
+                    continue
+                pos = self.A.indptr[chunk][:, None] + np.arange(q)
+                cols = self.A.indices[pos]
+                self.sparse.append((chunk, cols // N, cols % N, self.A.data[pos][:, :, None]))
 
     def _vec_rows(self, A):
-        """The packed rows A on the vec'd blocks, one _SchurBlock per block:
-        tr(A_k M) = sum over blocks b of blk.A[k] @ vec(M_b)."""
-        offsets = np.cumsum([0] + [s * s for s in self.sizes])
-        flat = [lo + np.arange(s * s).reshape(s, s) for lo, s in zip(offsets, self.sizes)]
-        ij, ji = pack(flat)[A.indices], pack([f.T for f in flat])[A.indices]
-        k, val = np.repeat(np.arange(self.m), np.diff(A.indptr)), A.data
+        """The packed rows A on vec(X), X the N x N block-diagonal matrix:
+        column (b, i, j) is X[o_b + i, o_b + j], o_b the offset of block b,
+        and tr(A_k X) = rows[k] @ vec(X)."""
+        N = self.N
+        b, i, j = (col[A.indices] for col in _columns(self.sizes))
+        o = np.cumsum([0] + self.sizes)[b]
+        ij, ji = (o + i) * N + o + j, (o + j) * N + o + i
+        k, val = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.data
         # an off-diagonal entry puts half on each orientation, so that the
         # functional reads the symmetric entry once
         off = ij != ji
-        rows = sparse.csr_matrix(
+        return sparse.csr_matrix(
             (
                 np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]]),
                 (np.concatenate([k, k[off]]), np.concatenate([ij, ji[off]])),
             ),
-            shape=(self.m, offsets[-1]),
+            shape=(A.shape[0], N * N),
         )
-        return [
-            _SchurBlock(rows[:, lo:hi], s)
-            for s, lo, hi in zip(self.sizes, offsets[:-1], offsets[1:])
-        ]
 
-    # -- block helpers ------------------------------------------------------
-
-    def _apply_A(self, blocks):
-        return sum(blk.A @ x.ravel() for blk, x in zip(self.schur_blocks, blocks))
+    def _apply_A(self, X):
+        return self.A @ X.ravel()
 
     def _apply_At(self, y):
-        """A^T(y) as a list of blocks."""
-        return [(blk.At @ y).reshape(s, s) for blk, s in zip(self.schur_blocks, self.sizes)]
-
-    def _inner(self, blocks1, blocks2):
-        return float(sum(np.sum(a * b) for a, b in zip(blocks1, blocks2)))
+        return (self.At @ y).reshape(self.N, self.N)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self):
         cfg = self.config
-        X = [np.eye(s) for s in self.sizes]
-        S = [np.eye(s) for s in self.sizes]
+        X, S = np.eye(self.N), np.eye(self.N)
         y = np.zeros(self.m)
         tau, kappa = 1.0, 1.0
         best = (np.inf, 0, X, S, y, tau)  # least merit seen, its iteration and iterate
         it = 0
 
         for it in range(1, cfg.max_iters + 1):
-            mu = (self._inner(X, S) + tau * kappa) / (self.N + 1)
+            mu = (_inner(X, S) + tau * kappa) / (self.N + 1)
 
             r_P, R_D, cx, by, scaled = self._measure(X, S, y, tau)
             r_G = by - cx - kappa
@@ -286,51 +308,56 @@ class _HsdSolver:
                 return self._finish(*term, X, S, y, tau, it)
 
             try:
-                # one inverse factor per block serves Sinv and both step lengths;
-                # an X block that fails Cholesky falls back, an S block ends the solve
-                LX = [_inverse_cholesky(x) for x in X]
-                LS = [np.linalg.inv(np.linalg.cholesky(s_blk)) for s_blk in S]
-                Sinv = [inv_L.T @ inv_L for inv_L in LS]
+                # one inverse factor each serves Sinv and both step lengths; an
+                # X that fails Cholesky falls back, an S ends the solve
+                LX = _inverse_cholesky(X)
+                LS = np.linalg.inv(np.linalg.cholesky(S))
+                Sinv = LS.T @ LS
                 factor = _schur_factor(self._schur_matrix(Sinv, X))
+
+                # affine probe: aim straight at mu = 0 to gauge achievable
+                # progress, then re-solve with the centering weight that probe
+                # suggests.  The second-order Mehrotra term is deliberately
+                # omitted: at these problem sizes the extra solve per iteration
+                # is cheap and the plain direction is markedly more robust near
+                # the cone boundary.  Both directions share the
+                # sigma-independent half of the system.
+                base = self._newton_base(X, tau, kappa, Sinv, factor, R_D)
+                if base is None:
+                    return self._abnormal(
+                        "singular Newton system", best, merit, X, S, y, tau, it
+                    )
+                aff = self._direction(
+                    X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
+                    sigma=0.0, eta=1.0,
+                )
+                alpha_aff = self._max_step(LX, LS, tau, kappa, aff)
+                mu_aff = self._mu_after(X, S, tau, kappa, aff, alpha_aff)
+                sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
+
+                corr = self._direction(
+                    X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
+                    sigma=sigma, eta=1.0 - sigma,
+                )
+                corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
+                alpha = _STEP_FRACTION * self._max_step(LX, LS, tau, kappa, corr)
+                alpha = min(alpha, 1.0)
             except np.linalg.LinAlgError:
                 return self._abnormal(
                     "iterate left the cone numerically", best, merit, X, S, y, tau, it
                 )
-
-            # affine probe: aim straight at mu = 0 to gauge achievable progress,
-            # then re-solve with the centering weight that probe suggests.  The
-            # second-order Mehrotra term is deliberately omitted: at these
-            # problem sizes the extra solve per iteration is cheap and the
-            # plain direction is markedly more robust near the cone boundary.
-            # Both directions share the sigma-independent half of the system.
-            base = self._newton_base(X, tau, kappa, Sinv, factor, R_D)
-            if base is None:
+            if not np.isfinite(alpha_aff + alpha):
                 return self._abnormal(
-                    "singular Newton system", best, merit, X, S, y, tau, it
+                    "non-finite Newton direction", best, merit, X, S, y, tau, it
                 )
-            aff = self._direction(
-                X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
-                sigma=0.0, eta=1.0,
-            )
-            alpha_aff = self._max_step(LX, LS, tau, kappa, aff)
-            mu_aff = self._mu_after(X, S, tau, kappa, aff, alpha_aff)
-            sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-
-            corr = self._direction(
-                X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
-                sigma=sigma, eta=1.0 - sigma,
-            )
-            corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
-            alpha = _STEP_FRACTION * self._max_step(LX, LS, tau, kappa, corr)
-            alpha = min(alpha, 1.0)
             if alpha < 1e-10:
                 return self._abnormal(
                     "step length collapsed", best, merit, X, S, y, tau, it
                 )
 
             dX, dy, dS, dtau, dkappa = corr
-            X = [_symmetrize(x + alpha * dx) for x, dx in zip(X, dX)]
-            S = [_symmetrize(s + alpha * ds) for s, ds in zip(S, dS)]
+            X = _symmetrize(X + alpha * dX)
+            S = _symmetrize(S + alpha * dS)
             y = y + alpha * dy
             tau += alpha * dtau
             kappa += alpha * dkappa
@@ -345,14 +372,14 @@ class _HsdSolver:
         (pres_abs, pres, dres, gap) the tolerance bounds, None once tau has
         collapsed."""
         r_P = self._apply_A(X) - self.b * tau
-        R_D = [c * tau - a - s for c, a, s in zip(self.C, self._apply_At(y), S)]
-        cx = self._inner(self.C, X)
+        R_D = self.C * tau - self._apply_At(y) - S
+        cx = _inner(self.C, X)
         by = float(self.b @ y)
         scaled = None
         if tau > 1e-10:
             pres_abs = float(np.linalg.norm(r_P)) / tau
             pres = pres_abs / self.bnorm
-            dres = max(float(np.linalg.norm(r)) for r in R_D) / tau / self.cnorm
+            dres = float(np.linalg.norm(R_D)) / tau / self.cnorm
             pobj, dobj = cx / tau, by / tau
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             scaled = (pres_abs, pres, dres, gap)
@@ -372,10 +399,7 @@ class _HsdSolver:
 
         # Farkas tests for infeasibility: A^T(y) + S ~ 0 with <b,y> > 0
         if by > tol:
-            At_y = self._apply_At(y)
-            cert = max(
-                float(np.linalg.norm(a + s)) for a, s in zip(At_y, S)
-            ) / by
+            cert = float(np.linalg.norm(self._apply_At(y) + S)) / by
             if cert <= tol * self.cnorm * 10:
                 return ("Infeasible", "primal infeasibility certificate", (y / by, cert))
         # unbounded primal (dual infeasible): A(X) ~ 0 with <C,X> < 0
@@ -400,22 +424,18 @@ class _HsdSolver:
 
     def _finish(self, status, detail, payload, X, S, y, tau, iterations):
         scale = max(tau, 1e-10)
-        Xh = [x / scale for x in X]
-        yh = y / scale
-        Sh = [s / scale for s in S]
+        Xh, yh, Sh = X / scale, y / scale, S / scale
         r_P, R_D, pobj, dobj, _ = self._measure(Xh, Sh, yh, 1.0)
-        min_eig = min(
-            float(np.linalg.eigvalsh(blk).min()) for blk in Xh
-        )
+        ends = np.cumsum(self.sizes)
         ray, ray_res = (payload if payload is not None else (None, None))
         return SdpSolution(
-            primal_blocks=Xh,
+            primal_blocks=[Xh[e - s:e, e - s:e] for s, e in zip(self.sizes, ends)],
             dual=yh,
             status=status,
             primal_residual=float(np.linalg.norm(r_P)),
-            dual_residual=max(float(np.linalg.norm(r)) for r in R_D),
+            dual_residual=float(np.linalg.norm(R_D)),
             duality_gap=abs(pobj - dobj),
-            min_eigenvalue=min_eig,
+            min_eigenvalue=float(np.linalg.eigvalsh(Xh).min()),
             iterations=iterations,
             primal_objective=pobj,
             dual_objective=dobj,
@@ -427,21 +447,27 @@ class _HsdSolver:
     # -- Newton system ------------------------------------------------------
 
     def _schur_matrix(self, Sinv, X):
-        """M[i,j] = tr(A_i S^{-1} A_j X), symmetrized."""
+        """M[i,j] = tr(A_i S^{-1} A_j X), symmetrized: row k is
+        A vec(S^{-1} A_k X), with S^{-1} A_k X a batched sum of outer products
+        for a row of q <= N entries and a matrix product for a denser one."""
         M = np.zeros((self.m, self.m))
-        for blk, si, x in zip(self.schur_blocks, Sinv, X):
-            blk.add_to(M, si, x)
+        for rows, I, J, V in self.sparse:
+            T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
+            M[rows] = (self.A @ T.reshape(len(rows), -1).T).T
+        for rows, dense in self.dense:
+            T = Sinv @ dense @ X
+            M[rows] = (self.A @ T.reshape(len(rows), -1).T).T
         return 0.5 * (M + M.T)
 
     def _newton_base(self, X, tau, kappa, Sinv, factor, R_D):
         """The sigma-independent half of the Newton system; None if singular."""
         # with P = S^{-1} C X and Q = S^{-1} R_D X:
-        P = [si @ c @ x for si, c, x in zip(Sinv, self.C, X)]
-        Q = [si @ r @ x for si, r, x in zip(Sinv, R_D, X)]
+        P = Sinv @ self.C @ X
+        Q = Sinv @ R_D @ X
         g = self._apply_A(P)
         h = self._apply_A(Q)
-        cbar = self._inner(self.C, P)
-        e = self._inner(self.C, Q)
+        cbar = _inner(self.C, P)
+        e = _inner(self.C, Q)
         w1 = _schur_solve(factor, self.b + g)
         den = float((self.b - g) @ w1) + cbar + kappa / tau
         if abs(den) < 1e-300:
@@ -451,10 +477,10 @@ class _HsdSolver:
     def _direction(self, X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
                    sigma, eta):
         g, h, e, w1, den = base
-        Xi = [sigma * mu * si - x for si, x in zip(Sinv, X)]
+        Xi = sigma * mu * Sinv - X
         rc_t = sigma * mu - tau * kappa
         A_Xi = self._apply_A(Xi)
-        c_Xi = self._inner(self.C, Xi)
+        c_Xi = _inner(self.C, Xi)
 
         v = eta * (h - r_P) - A_Xi
         u = -eta * r_G + c_Xi - eta * e + rc_t / tau
@@ -462,12 +488,8 @@ class _HsdSolver:
         w2 = _schur_solve(factor, v)
         dtau = (u - float((self.b - g) @ w2)) / den
         dy = w1 * dtau + w2
-        At_dy = self._apply_At(dy)
-        dS = [c * dtau - a + eta * r for c, a, r in zip(self.C, At_dy, R_D)]
-        dX = [
-            _symmetrize(xi - si @ ds @ x)
-            for xi, si, ds, x in zip(Xi, Sinv, dS, X)
-        ]
+        dS = self.C * dtau - self._apply_At(dy) + eta * R_D
+        dX = _symmetrize(Xi - Sinv @ dS @ X)
         dkappa = rc_t / tau - (kappa / tau) * dtau
         return (dX, dy, dS, dtau, dkappa)
 
@@ -486,20 +508,22 @@ class _HsdSolver:
             return direction
         z = -_schur_solve(factor, e)
         At_z = self._apply_At(z)
-        dX = [dx + _symmetrize(si @ a @ x) for dx, si, a, x in zip(dX, Sinv, At_z, X)]
-        dS = [ds - a for ds, a in zip(dS, At_z)]
-        return (dX, dy + z, dS, dtau, dkappa)
+        return (dX + _symmetrize(Sinv @ At_z @ X), dy + z, dS - At_z, dtau, dkappa)
 
     # -- step sizes ---------------------------------------------------------
 
     def _max_step(self, LX, LS, tau, kappa, direction):
-        """Largest step to the boundary of the cones.  For a block B with
-        inverse Cholesky factor L^{-1}, B + alpha dB stays PSD while alpha
-        <= -1 / lambda_min(L^{-1} dB L^{-T}), if that eigenvalue is < 0."""
+        """Largest step to the boundary of the cones, or nan for a direction
+        that is not finite.  For B with inverse Cholesky factor L^{-1},
+        B + alpha dB stays PSD while alpha <= -1 / lambda_min(L^{-1} dB L^{-T}),
+        if that eigenvalue is < 0."""
         dX, _, dS, dtau, dkappa = direction
         alpha = 1e30
-        for inv_L, d in zip(LX + LS, dX + dS):
-            lam = float(np.linalg.eigvalsh(_symmetrize(inv_L @ d @ inv_L.T)).min())
+        for inv_L, d in ((LX, dX), (LS, dS)):
+            W = _symmetrize(inv_L @ d @ inv_L.T)
+            if not np.isfinite(W).all():
+                return np.nan
+            lam = float(np.linalg.eigvalsh(W).min())
             if lam < 0:
                 alpha = min(alpha, -1.0 / lam)
         if dtau < 0:
@@ -511,38 +535,12 @@ class _HsdSolver:
     def _mu_after(self, X, S, tau, kappa, direction, alpha):
         dX, _, dS, dtau, dkappa = direction
         alpha = min(alpha * _STEP_FRACTION, 1.0)
-        XS = self._inner(
-            [x + alpha * dx for x, dx in zip(X, dX)], [s + alpha * ds for s, ds in zip(S, dS)]
-        )
+        XS = _inner(X + alpha * dX, S + alpha * dS)
         return (XS + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (self.N + 1)
 
 
-class _SchurBlock:
-    """One block's part of the Schur matrix: its rows grouped by formula."""
-
-    def __init__(self, A, s):
-        self.A, self.At = A, A.T  # this block's vec'd rows (m x s^2); At is a view on them
-        self.sparse, self.dense = [], []
-        counts = np.diff(A.indptr)
-        step = max(1, _CHUNK_FLOATS // max(s * s, A.shape[0]))
-        for q in np.unique(counts[counts > 0]):
-            rows = np.flatnonzero(counts == q)
-            for chunk in np.split(rows, range(step, len(rows), step)):
-                if q > s:
-                    self.dense.append((chunk, A[chunk].toarray().reshape(-1, s, s)))
-                    continue
-                pos = A.indptr[chunk][:, None] + np.arange(q)
-                cols = A.indices[pos]
-                self.sparse.append((chunk, cols // s, cols % s, A.data[pos][:, :, None]))
-
-    def add_to(self, M, Sinv, X):
-        """M[k] += A vec(S^{-1} A_k X) for every row k stored here."""
-        for rows, I, J, V in self.sparse:
-            T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
-            M[rows] += (self.A @ T.reshape(len(rows), -1).T).T
-        for rows, dense in self.dense:
-            T = Sinv @ dense @ X
-            M[rows] += (self.A @ T.reshape(len(rows), -1).T).T
+def _inner(a, b):
+    return float(np.sum(a * b))
 
 
 def _merit(scaled):

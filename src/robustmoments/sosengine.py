@@ -752,18 +752,14 @@ class SystemSolution:
 
 def solve_system(system, objective=None, sense="min", basis=None, config=None):
     relaxation = relax(system, objective=objective, sense=sense, basis=basis)
-    if relaxation.trivially_infeasible is not None:
-        return SystemSolution(
-            status="Infeasible", pseudo=None, aux={}, free_values=[],
-            objective_value=None, sdp=None, relaxation=relaxation,
-            detail=relaxation.trivially_infeasible,
-        )
-    solution = sdp_solve(relaxation.problem, config)
-    if solution.status == "Infeasible":
+    solution = None
+    if relaxation.trivially_infeasible is None:
+        solution = sdp_solve(relaxation.problem, config)
+    if solution is None or solution.status == "Infeasible":
         return SystemSolution(
             status="Infeasible", pseudo=None, aux={}, free_values=[],
             objective_value=None, sdp=solution, relaxation=relaxation,
-            detail=solution.detail,
+            detail=relaxation.trivially_infeasible if solution is None else solution.detail,
         )
     pd, aux, free = relaxation.extract(solution)
     obj_val = None
@@ -1038,20 +1034,17 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     if margin is not None:
         objective[-1] = -1.0
     presolved = presolve(A.copy(), b, num_free, objective)
-    if presolved.contradiction is not None:
-        return SosSearchResult(
-            status="Infeasible", margin_value=None, grams=[], free_polys=[],
-            residual=float("inf"), detail=presolved.contradiction,
+    solution = None
+    if presolved.contradiction is None:
+        problem = SdpProblem.from_packed(
+            sizes, presolved.rows, presolved.rhs, presolved.objective
         )
-
-    problem = SdpProblem.from_packed(
-        sizes, presolved.rows, presolved.rhs, presolved.objective
-    )
-    solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
-    if solution.status == "Infeasible":
+        solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
+    if solution is None or solution.status == "Infeasible":
         return SosSearchResult(
             status="Infeasible", margin_value=None, grams=[], free_polys=[],
-            residual=float("inf"), detail=solution.detail,
+            residual=float("inf"),
+            detail=presolved.contradiction if solution is None else solution.detail,
         )
 
     grams = [np.array(G) for G in solution.primal_blocks]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from robustmoments.sdp import (
     DEFAULT_CONSTRAINT_CAP,
@@ -205,13 +206,12 @@ def test_entry_constraints_match_dense():
             float(field)  # every numeric field is a plain number
     from robustmoments import sdp
 
-    (blk_dense,) = sdp._HsdSolver(dense, SdpConfig()).schur_blocks
-    (blk_entry,) = sdp._HsdSolver(entry, SdpConfig()).schur_blocks
-    A_dense, A_entry = blk_dense.A, blk_entry.A
+    solver = sdp._HsdSolver(dense, SdpConfig())
+    A_dense, A_entry = solver.A, sdp._HsdSolver(entry, SdpConfig()).A
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A_dense, attr), getattr(A_entry, attr))
     # the rows are held once: the transpose is a view on the same arrays
-    assert np.shares_memory(blk_dense.At.data, blk_dense.A.data)
+    assert np.shares_memory(solver.At.data, solver.A.data)
     # X[0, 2] and X[2, 0] take half the coefficient each
     assert A_dense.toarray()[3, 2] == A_dense.toarray()[3, 6] == 1.0
 
@@ -226,10 +226,11 @@ def test_entry_constraints_match_dense():
 def _mixed_problem(rng):
     """A strictly feasible problem whose rows take every Schur formula.
 
-    Blocks 4, 3, 1, 1.  Rows: two dense random matrices; entry rows with 1,
-    2, 3 and 4 stored entries in block 0 (an off-diagonal entry stores two);
-    one with 6 > 4 entries in block 0; one touching blocks 0, 1 and 2; two on
-    the 1x1 blocks.  Each row is added as its matrices, one per block.
+    Blocks 4, 3, 1, 1, so N = 9.  Rows: two dense random matrices, with 27 > 9
+    stored entries; entry rows with 1, 2, 3 and 4 stored entries in block 0
+    (an off-diagonal entry stores two); one with 6 entries in block 0; one
+    touching blocks 0, 1 and 2; two on the 1x1 blocks.  Each row is added as
+    its matrices, one per block.
     """
     sizes = [4, 3, 1, 1]
     entry_specs = [
@@ -274,9 +275,9 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
     prob, rows = _mixed_problem(rng)
     solver = sdp._HsdSolver(prob, SdpConfig())
     # every formula is taken: batched entry rows with q = 1..4 and dense rows
-    qs = {I.shape[1] for blk in solver.schur_blocks for _, I, _, _ in blk.sparse}
+    qs = {I.shape[1] for _, I, _, _ in solver.sparse}
     assert {1, 2, 3, 4} <= qs
-    assert sum(len(dense_rows) for dense_rows, _ in solver.schur_blocks[0].dense) == 3
+    assert sum(len(dense_rows) for dense_rows, _ in solver.dense) == 2
 
     def pd(s):
         G = rng.normal(size=(s, s))
@@ -292,7 +293,7 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
         for ri in rows
     ])
     ref = 0.5 * (ref + ref.T)
-    M = solver._schur_matrix(Sinv, X)
+    M = solver._schur_matrix(block_diag(*Sinv), block_diag(*X))
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -425,14 +426,17 @@ def test_solver_adjoint_identity():
     prob, rows = _mixed_problem(rng)
     solver = sdp._HsdSolver(prob, SdpConfig())
     y = rng.normal(size=prob.num_constraints)
-    X = [_symmetric(rng, s) for s in prob.block_sizes]
+    X = block_diag(*(_symmetric(rng, s) for s in prob.block_sizes))
     At_y = solver._apply_At(y)
     # y . A(X) = <A^T(y), X>, and A^T(y) is sum_k y_k A_k of the dense model
-    lhs = y @ solver._apply_A(X)
-    assert lhs == pytest.approx(sum(np.sum(a * x) for a, x in zip(At_y, X)), rel=1e-12)
-    for bi, block in enumerate(At_y):
+    # on each block and zero off the blocks
+    assert y @ solver._apply_A(X) == pytest.approx(np.sum(At_y * X), rel=1e-12)
+    ends = np.cumsum(prob.block_sizes)
+    blocks = [At_y[e - s:e, e - s:e] for s, e in zip(prob.block_sizes, ends)]
+    for bi, block in enumerate(blocks):
         want = sum(yk * row[bi] for yk, row in zip(y, rows))
         assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(At_y, block_diag(*blocks))
 
 
 def test_from_packed_takes_rows_as_given():
@@ -504,6 +508,7 @@ def test_random_feasible_problems_meet_kkt(seed, sizes, kinds):
     sol = solve(prob)
     assert sol.status == "Optimal"
     X, y = sol.primal_blocks, sol.dual
+    assert [x.shape for x in X] == [(s, s) for s in sizes]
     # primal: A(X) = b with X >= 0, on the dense model
     primal = [sum(np.sum(a * x) for a, x in zip(mats, X)) for mats in rows]
     assert np.max(np.abs(np.subtract(primal, rhs))) <= 1e-6 * (1 + np.max(np.abs(rhs)))
