@@ -438,14 +438,10 @@ def estimate_moments(Y, config):
     mean_std = np.array([std_raw[1].get((c,)) for c in range(d)])
     mean_hat = med + s * mean_std
 
-    outer = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            total = 0.0
-            for i in range(n):
-                for j in range(n):
-                    total += moment(_x_mono(n, d, [(i, a), (j, b)]))
-            outer[a, b] = outer[b, a] = total / (n * n)
+    # every x_{i,c} is a basis element, at (0, idx), so the pseudo-moment of
+    # x_{i,a} x_{j,b} is the entry of their basis pair: one gather
+    xs = [positions[_x_mono(n, d, [(i, c)])][1] for i in range(n) for c in range(d)]
+    outer = M[np.ix_(xs, xs)].reshape(n, d, n, d).sum(axis=(0, 2)) / (n * n)
     cov = s * s * (std_raw[2].to_dense() - outer)
     cov_hat = SymmetricTensor.from_dense(0.5 * (cov + cov.T))
 

@@ -29,8 +29,9 @@ def monomial_count(dimension, max_degree):
     return math.comb(dimension + max_degree, max_degree)
 
 
-def enumerate_monomials(dimension, max_degree, cap=DEFAULT_MONOMIAL_CAP):
-    """All exponent tuples of total degree <= max_degree, graded-lex order.
+def enumerate_monomials(dimension, max_degree):
+    """All exponent tuples of total degree <= max_degree, graded-lex order;
+    more than DEFAULT_MONOMIAL_CAP of them raise `MonomialCapError`.
 
     Within each degree, monomials appear with earlier variables carrying the
     higher exponents first: (2,0) before (1,1) before (0,2).
@@ -40,9 +41,9 @@ def enumerate_monomials(dimension, max_degree, cap=DEFAULT_MONOMIAL_CAP):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     total = monomial_count(dimension, max_degree)
-    if cap is not None and total > cap:
+    if total > DEFAULT_MONOMIAL_CAP:
         raise MonomialCapError(
-            f"monomial basis of size {total} exceeds cap {cap} "
+            f"monomial basis of size {total} exceeds cap {DEFAULT_MONOMIAL_CAP} "
             f"(d={dimension}, degree={max_degree})"
         )
     out = []

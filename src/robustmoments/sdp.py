@@ -23,11 +23,12 @@ onto vec(X), each off-diagonal coefficient split half and half between
 X[i, j] and X[j, i], and held once: A(X) is A vec(X), and A^T(y) reads
 A^T y through a transposed view on A's arrays.
 
-The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with a formula
-per constraint row after SDPA's F1/F3 (Fujisawa, Kojima and Nakata, Math.
-Prog. 79, 1997).  For a row with q <= N entries, S^{-1} A_k X is a batched
-sum of q outer products of columns of S^{-1} and rows of X; a denser row
-uses its dense matrix.  A vec(S^{-1} A_k X) is then row k of M.  Each
+The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with one
+formula, after SDPA's F1 (Fujisawa, Kojima and Nakata, Math. Prog. 79,
+1997): for a row with q stored entries, S^{-1} A_k X is the sum of q outer
+products of columns of S^{-1} and rows of X, batched over the rows of equal
+q, and A vec(S^{-1} A_k X) is row k of M.  Posed rows hold at most about
+10 N entries, far from the N^2 at which a dense product per row pays.  Each
 iteration factors M, X and S once, each as the inverse of its Cholesky
 factor L: a Newton solve is two products with L^{-1}, O(m^2) each, and the
 factors of X and S give S^{-1} and both step lengths.  The direction taken
@@ -243,20 +244,18 @@ class _HsdSolver:
         self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in problem.objective)
         self.A = self._vec_rows(problem.A)
         self.At = self.A.T  # a view on A's arrays: the rows are held once
-        # the rows grouped by Schur formula: (rows, I, J, V) for rows of q <= N
-        # entries, (rows, dense matrices) for denser ones
-        self.sparse, self.dense = [], []
+        # the rows grouped by entry count q as (rows, I, J, V), in chunks that
+        # bound the assembly's temporaries: two rows x q x N products, T
+        # (rows x N^2) and the rows x m result
+        self.groups = []
         counts = np.diff(self.A.indptr)
-        step = max(1, _CHUNK_FLOATS // max(N * N, self.m))
         for q in np.unique(counts[counts > 0]):
             rows = np.flatnonzero(counts == q)
+            step = max(1, _CHUNK_FLOATS // max(q * N, N * N, self.m))
             for chunk in np.split(rows, range(step, len(rows), step)):
-                if q > N:
-                    self.dense.append((chunk, self.A[chunk].toarray().reshape(-1, N, N)))
-                    continue
                 pos = self.A.indptr[chunk][:, None] + np.arange(q)
                 cols = self.A.indices[pos]
-                self.sparse.append((chunk, cols // N, cols % N, self.A.data[pos][:, :, None]))
+                self.groups.append((chunk, cols // N, cols % N, self.A.data[pos][:, :, None]))
 
     def _vec_rows(self, A):
         """The packed rows A on vec(X), X the N x N block-diagonal matrix:
@@ -448,14 +447,12 @@ class _HsdSolver:
 
     def _schur_matrix(self, Sinv, X):
         """M[i,j] = tr(A_i S^{-1} A_j X), symmetrized: row k is
-        A vec(S^{-1} A_k X), with S^{-1} A_k X a batched sum of outer products
-        for a row of q <= N entries and a matrix product for a denser one."""
+        A vec(S^{-1} A_k X), with S^{-1} A_k X the sum of q outer products of
+        columns of S^{-1} and rows of X, one per stored entry, batched over
+        the rows of a group."""
         M = np.zeros((self.m, self.m))
-        for rows, I, J, V in self.sparse:
+        for rows, I, J, V in self.groups:
             T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
-            M[rows] = (self.A @ T.reshape(len(rows), -1).T).T
-        for rows, dense in self.dense:
-            T = Sinv @ dense @ X
             M[rows] = (self.A @ T.reshape(len(rows), -1).T).T
         return 0.5 * (M + M.T)
 

@@ -1075,7 +1075,10 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     )
 
 
-def gram_to_sos(basis, G, drop_tol=1e-12):
+_SQUARE_DROP_TOL = 1e-12  # Gram eigenvalues below this share of the largest are dropped
+
+
+def gram_to_sos(basis, G):
     """Split a PSD Gram matrix into explicit square polynomials."""
     nv = len(basis[0])
     G = 0.5 * (np.asarray(G) + np.asarray(G).T)
@@ -1083,7 +1086,7 @@ def gram_to_sos(basis, G, drop_tol=1e-12):
     top = max(float(w.max(initial=0.0)), 1.0)
     parts = []
     for lam, vec in zip(w, V.T):
-        if lam <= drop_tol * top:
+        if lam <= _SQUARE_DROP_TOL * top:
             continue
         coef = math.sqrt(lam)
         terms = {m: coef * float(c) for m, c in zip(basis, vec) if abs(c) > 1e-15}

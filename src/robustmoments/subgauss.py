@@ -94,12 +94,15 @@ class CertifyResult:
         return self.status == "Certified"
 
 
-def _span_projection(centered, tol=1e-10):
+_SPAN_TOL = 1e-10  # singular values up to this share of max(largest, 1) leave the span
+
+
+def _span_projection(centered):
     """Whitened coordinates of the sample span (identity covariance) and the
     map `span` with <centered row, u> = <coordinates, span.T @ u>."""
     U, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     top = svals[0] if svals.size else 0.0
-    keep = svals > tol * max(top, 1.0)
+    keep = svals > _SPAN_TOL * max(top, 1.0)
     root_n = math.sqrt(centered.shape[0])
     return root_n * U[:, keep], Vt[keep].T * (svals[keep] / root_n)
 

@@ -515,6 +515,31 @@ class TestPlantedD2:
         mu = sample.clean_reference.mean(axis=0)
         assert np.linalg.norm(est.mean_hat - mu) <= 0.5
 
+    def test_covariance_reads_the_pseudo_moments_one_by_one(self):
+        # reference: E~[x_{i,a} x_{j,b}] read per pair, as sums over the rows
+        sample = planted_d2(8)
+        n, d = sample.data.shape
+        est = estimate_moments(
+            sample.data, EstimatorConfig(epsilon=1 / n, params=SubgaussParams(1.0, 4))
+        )
+        pm, s = est.pseudo_distribution.pseudo_moments, est.diagnostics["scale"]
+
+        def pair(i, a, j, b):
+            mono = [0] * n * (1 + d)
+            mono[n + i * d + a] += 1
+            mono[n + j * d + b] += 1
+            return pm[tuple(mono)]
+
+        want = s * s * np.array([
+            [
+                math.fsum(pair(i, a, i, b) for i in range(n)) / n
+                - math.fsum(pair(i, a, j, b) for i in range(n) for j in range(n)) / n**2
+                for b in range(d)
+            ]
+            for a in range(d)
+        ])
+        assert np.max(np.abs(est.cov_matrix() - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestSoundness:
     def test_pseudo_distribution_invariants(self, planted_solution):

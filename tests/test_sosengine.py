@@ -435,6 +435,46 @@ class TestCertificates:
             build_toolkit_certificate("NoSuchKind", 4)
 
 
+_COEFFICIENTS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _polynomials(draw, nv):
+    monomials = st.tuples(*[st.integers(0, 4)] * nv)
+    return Polynomial(nv, draw(st.dictionaries(monomials, _COEFFICIENTS, max_size=6)))
+
+
+@st.composite
+def _certificates(draw):
+    """A sphere-form or a general-premise certificate with arbitrary terms."""
+    nv = draw(st.integers(1, 4))
+    squares = st.lists(_polynomials(nv), max_size=3)
+    if draw(st.booleans()):
+        return SosCertificate(nv, draw(_polynomials(nv)),
+                              sphere_multiplier=draw(st.none() | _polynomials(nv)),
+                              sos_part=draw(squares))
+    premises = st.lists(st.builds(CertPremise, _polynomials(nv), squares),
+                        min_size=1, max_size=3)
+    return SosCertificate(nv, draw(_polynomials(nv)), general_premises=draw(premises))
+
+
+def _certificate_terms(cert):
+    """The terms of every polynomial of a certificate, in a fixed order."""
+    polys = [cert.base_polynomial, cert.sphere_multiplier, *cert.sos_part]
+    for premise in cert.general_premises or []:
+        polys += [premise.constraint_product, *premise.multiplier_sos]
+    return [None if p is None else p.terms for p in polys]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(cert=_certificates())
+def test_certificate_json_round_trip_is_exact(cert):
+    back = SosCertificate.from_json(cert.to_json())
+    assert back.num_vars == cert.num_vars
+    assert (back.general_premises is None) == (cert.general_premises is None)
+    assert _certificate_terms(back) == _certificate_terms(cert)
+
+
 class TestFindSosCombination:
     def test_margin_zero_for_tight_target(self):
         # x1^4 has minimum 0 on the sphere: best margin is 0
