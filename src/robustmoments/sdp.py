@@ -244,6 +244,11 @@ class _HsdSolver:
         self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in problem.objective)
         self.A = self._vec_rows(problem.A)
         self.At = self.A.T  # a view on A's arrays: the rows are held once
+        # the columns of vec(X) that A reads, and A on those alone: the
+        # assembly copies only those rows of each group's T^T
+        self.used, cols = np.unique(self.A.indices, return_inverse=True)
+        self.A_used = sparse.csr_matrix(
+            (self.A.data, cols, self.A.indptr), shape=(self.m, len(self.used)))
         # the rows grouped by entry count q as (rows, I, J, V), in chunks that
         # bound the assembly's temporaries: two rows x q x N products, T
         # (rows x N^2) and the rows x m result
@@ -453,7 +458,7 @@ class _HsdSolver:
         M = np.zeros((self.m, self.m))
         for rows, I, J, V in self.groups:
             T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
-            M[rows] = (self.A @ T.reshape(len(rows), -1).T).T
+            M[rows] = (self.A_used @ T.reshape(len(rows), -1).T[self.used]).T
         return 0.5 * (M + M.T)
 
     def _newton_base(self, X, tau, kappa, Sinv, factor, R_D):

@@ -403,15 +403,23 @@ _VANISH_TOL = 1e-10  # a mapped row below this share of its own scale vanishes
 _ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-mapping temporary, at most
 
 
-def _exponents(monos, nv):
-    """The monomials as rows of an integer exponent array."""
-    return np.array(monos, dtype=np.int64).reshape(-1, nv)
+def _grlex_order(E):
+    """The stable order that sorts the exponent rows of E by `_grlex_key`."""
+    return np.lexsort([*(~E[:, ::-1].T), E.sum(axis=1)])
+
+
+def _segments(counts):
+    """Segments of the given lengths laid end to end: each element's
+    segment, its offset within that segment, and each segment's start."""
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - starts[owner], starts
 
 
 def _row_keys(E):
     """One exact key per row of a 2-D integer array: the row's bytes, as a
     numpy void scalar.  Equal keys are equal rows, so nothing can collide."""
-    E = np.ascontiguousarray(E, dtype=np.int64)
+    E = np.ascontiguousarray(E)
     return E.view(np.dtype((np.void, E.shape[1] * E.itemsize))).reshape(len(E))
 
 
@@ -429,8 +437,8 @@ class _MonomialTable:
         self.keys = keys[self.order]
 
     def find(self, E):
-        """Index of each row of E (any leading shape) in the table, -1 where
-        it is absent."""
+        """Index of each row of E (any leading shape, the table's dtype) in
+        the table, -1 where it is absent."""
         if not len(self.keys):
             return np.full(E.shape[:-1], -1)
         q = _row_keys(E.reshape(-1, self.width))
@@ -579,22 +587,22 @@ def relax(system, objective=None, sense="min", basis=None):
     representable are imposed).  Feasible X of the returned problem are the
     moment matrices of degree-ell pseudo-distributions satisfying the system.
 
-    One pass over the equalities enumerates, for each g, the multipliers m
-    of degree <= ell - deg g whose products with the terms of g are all
-    representable, each giving the row E~[m*g] = 0.  Among them are g's
-    kernel multipliers: those whose products all lie in the basis, with
-    every b*m, b in the basis, still within that degree.  Their coefficient
-    vectors are the kernel vectors from which `face_basis` builds the
-    echelon basis V, and the moment block is posed on that face: X0 =
-    V Z V^T, and block 0 of the returned problem is Z = X0[f, f] on the
-    face's free coordinates f.  The multiplier rows E~[b*m*g] = 0 with b in
-    the basis and m a kernel multiplier of g are not built: with the Hankel
-    rows each reads (X0 v)_b = 0, which V^T v = 0 makes hold for every Z
-    (`rows_implied` counts them).  The rows built, and the objective as one
-    more row, are held as entry arrays and mapped onto Z in one dense
-    matrix (`_face_rows`), and `presolve` eliminates the free scalars and
-    leaves out the rows that vanish on the face and those dependent on the
-    rest.  The relaxation is `trivially_infeasible`, and no SDP needs
+    One batched pass over all equalities finds, for each g, the multipliers
+    m of degree <= ell - deg g whose products with the terms of g are all
+    representable, each giving the row E~[m*g] = 0; rows go by equality,
+    then by m in grlex order.  Among them are g's kernel multipliers: those
+    whose products all lie in the basis, with every b*m, b in the basis,
+    still within that degree.  Their coefficient vectors are the kernel
+    vectors from which `face_basis` builds the echelon basis V, and the
+    moment block is posed on that face: X0 = V Z V^T, and block 0 of the
+    returned problem is Z = X0[f, f] on the face's free coordinates f.  The
+    rows E~[b*m*g] = 0 with b in the basis and m a kernel multiplier of g
+    are not built: with the Hankel rows each reads (X0 v)_b = 0, which
+    V^T v = 0 makes hold for every Z (`rows_implied` counts them).  The
+    rows built, and the objective as one more row, are mapped onto Z in one
+    dense matrix (`_face_rows`), and `presolve` eliminates the free scalars
+    and leaves out the rows that vanish on the face and those dependent on
+    the rest.  The relaxation is `trivially_infeasible`, and no SDP needs
     solving, when the face leaves out the constant monomial or the presolve
     finds a contradiction.  The constraint cap counts the rows built.
     """
@@ -620,8 +628,13 @@ def relax(system, objective=None, sense="min", basis=None):
 
     # the moment matrix's upper-triangle pairs (i, j) in row-major order;
     # each monomial sits at the first pair that gives it, and a Hankel row
-    # equates every later pair with that one
-    B = _exponents(basis, nv)
+    # equates every later pair with that one.  Exponents are held in a dtype
+    # just wide enough for every sum formed below, so a row key is short.
+    eqs = [g for g in system.equalities if g.terms]
+    B = np.array(basis, dtype=int).reshape(-1, nv)
+    T = np.array([mono for g in eqs for mono in g.terms], dtype=int).reshape(-1, nv)
+    key = np.min_scalar_type(max(3 * int(B.max()) + int(T.max(initial=0)), len(eqs)))
+    B, T = B.astype(key), T.astype(key)
     iu, ju = np.triu_indices(bsize)
     products = B[iu] + B[ju]
     pairs = _MonomialTable(products)
@@ -637,56 +650,55 @@ def relax(system, objective=None, sense="min", basis=None):
 
     # the rows' entries on X0, (row, i, j, value) with rows ascending, as
     # `_face_rows` takes them: row 0 is E~[1] = 1, then the Hankel rows
-    def on_pairs(start, at, coefs):
-        """Rows start, start + 1, ..., one per row of `at`, each reading
-        coefs[t] on the pair at[., t]."""
-        rows = np.repeat(np.arange(start, start + len(at)), len(coefs))
-        values = np.tile(coefs, len(at))
-        at = at.ravel()
-        return np.column_stack([rows, iu[at], ju[at], values])
-
     later = np.flatnonzero(first != np.arange(len(iu)))
     later = later[np.argsort(first[later], kind="stable")]
-    moment = [
-        np.array([[0, 0, 0, 1.0]]),
-        on_pairs(1, np.column_stack([first[later], later]), [1.0, -1.0]),
-    ]
+    at = np.column_stack([first[later], later]).ravel()
+    moment = [np.array([[0, 0, 0, 1.0]]), np.column_stack([
+        np.repeat(np.arange(1, 1 + len(later)), 2), iu[at], ju[at],
+        np.tile([1.0, -1.0], len(later))])]
     num_rows = 1 + len(later)
 
-    # a multiplier m of degree <= ell - deg g is imposed when every product
-    # with a term of g is representable.  The candidates are the quotients
-    # of representable monomials by g's leading term, in grlex order.  m is
-    # a kernel multiplier when each product lies in the basis, so that its
-    # first pair is in row 0 (basis[0] = 1), and deg b*m <= ell - deg g for
-    # every b in the basis; the rows of those multipliers b*m are implied.
+    # the multipliers of every g: the quotients of the representable
+    # monomials, sorted into grlex order once, by g's leading term.  m is
+    # imposed when every product with a term of g is representable, and a
+    # kernel multiplier when each lies in the basis (its first pair is in
+    # row 0, basis[0] = 1) and deg b*m <= ell - deg g for every b.
     top = int(B.sum(axis=1).max())
-    kernel, rows_implied = [np.zeros((0, bsize))], 0
-    for g in system.equalities:
-        if not g.terms:
-            continue
-        terms = _exponents(list(g.terms), nv)
-        coefs = np.array(list(g.terms.values()))
-        lead = terms[np.argmax(terms.sum(axis=1))]
-        room = ell - g.degree()
-        mult = monos - lead
-        mult = mult[(mult.min(axis=1) >= 0) & (mult.sum(axis=1) <= room)]
-        mult = mult[np.lexsort([*(-mult[:, ::-1].T), mult.sum(axis=1)])]
-        at = pairs.find(mult[:, None, :] + terms[None, :, :])
-        built = np.all(at >= 0, axis=1)
-        kern = built & np.all(iu[at] == 0, axis=1) & (mult.sum(axis=1) <= room - top)
-        # kernel vectors in the basis order of m times g's first term
-        cols = ju[at[kern]]
-        cols = cols[np.argsort(cols[:, 0], kind="stable")]
-        kernel.append(np.zeros((len(cols), bsize)))
-        kernel[-1][np.arange(len(cols))[:, None], cols] = coefs
-        implied = _MonomialTable((B[:, None, :] + mult[kern][None]).reshape(-1, nv))
-        skip = built & (implied.find(mult) >= 0)
-        rows_implied += int(np.count_nonzero(skip))
-        at = at[built & ~skip]
-        moment.append(on_pairs(num_rows, at, coefs))
-        num_rows += len(at)
+    coefs = np.array([c for g in eqs for c in g.terms.values()])
+    counts = np.array([len(g.terms) for g in eqs], dtype=int)
+    t_owner, _, t_start = _segments(counts)
+    t_deg = T.sum(axis=1, dtype=int)
+    lead = np.lexsort((-t_deg, t_owner))[t_start]  # g's first term of top degree
+    by_grlex = monos[_grlex_order(monos)]
+    excluded = np.tile(by_grlex.sum(axis=1) > ell, (len(eqs), 1))  # deg m > ell - deg g
+    eq, col = np.nonzero(T[lead])  # divisibility matters only where lead > 0
+    np.logical_or.at(excluded, eq, by_grlex[:, col].T < T[lead[eq], col, None])
+    g_of, m_of = np.nonzero(~excluded)
+    mult = by_grlex[m_of] - T[lead[g_of]]
+    owner, offset, starts = _segments(counts[g_of])
+    term = t_start[g_of][owner] + offset
+    at = pairs.find(mult[owner] + T[term])
+    built = np.logical_and.reduceat(at >= 0, starts)
+    kern = (built & np.logical_and.reduceat(iu[at] == 0, starts)
+            & (mult.sum(axis=1, dtype=int) <= ell - t_deg[lead[g_of]] - top))
+    # kernel vectors by equality, then by the basis index of m times g's
+    # first term; the implied multipliers keyed on (equality, monomial)
+    kc, in_k = np.flatnonzero(kern), kern[owner]
+    K = np.zeros((len(kc), bsize))
+    K[np.cumsum(kern)[owner[in_k]] - 1, ju[at[in_k]]] = coefs[term[in_k]]
+    K = K[np.lexsort((ju[at[starts[kc]]], g_of[kc]))]
+    implied = _MonomialTable(np.column_stack(
+        [np.repeat(g_of[kc], bsize), (mult[kc, None] + B).reshape(-1, nv)]).astype(key))
+    skip = built & (implied.find(np.column_stack([g_of, mult]).astype(key)) >= 0)
+    rows_implied = int(np.count_nonzero(skip))
+    emit = built & ~skip
+    keep = emit[owner]
+    at = at[keep]
+    moment.append(np.column_stack([num_rows + np.cumsum(emit)[owner[keep]] - 1,
+                                   iu[at], ju[at], coefs[term[keep]]]))
+    num_rows += int(np.count_nonzero(emit))
 
-    V = face_basis(np.concatenate(kernel))
+    V = face_basis(K)
     trivially_infeasible = None
     if np.linalg.norm(V[0]) <= _FACE_TOL:
         # no SDP to solve; the block is posed whole, for the record

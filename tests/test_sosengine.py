@@ -37,6 +37,8 @@ from robustmoments.sosengine import (
     relax,
     solve_system,
     sos_norm,
+    sphere_polynomial,
+    tensor_form,
     verify_certificate,
 )
 from robustmoments.subgauss import minimal_C
@@ -309,6 +311,98 @@ class TestRelaxValidation:
         system = ConstraintSystem(30, 8)
         with pytest.raises(RelaxationSizeError):
             relax(system)
+
+
+def _edge_systems():
+    """Systems at the edges of `relax`'s batched multiplier pass, each with
+    its basis (None for the default) and its relax keywords."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    u = [Polynomial.variable(3, i) for i in range(3)]
+    T = symmetric_outer(np.array([1.0, 0.5, -0.25]), 4).add(identity_pair_tensor(3))
+    return {
+        # affine rows only: no multiplier rows, no kernel, V = I
+        "no-equalities": (ConstraintSystem(2, 2, affine_equalities=[
+            AffineEquality(x - 0.5), AffineEquality(x * x + y * y - 1.0)]), None, {}),
+        # y is not representable on the basis, so y^2 - 1 has no multiplier
+        "no-admissible-multiplier": (
+            ConstraintSystem(2, 4, equalities=[y * y - 1.0, x * x - x]),
+            [(0, 0), (1, 0), (2, 0)], {"objective": x, "sense": "max"}),
+        # deg g > ell/2: no multiplier keeps every b*m within ell - deg g
+        "no-kernel-multiplier": (
+            ConstraintSystem(1, 2, equalities=[X * X - 1.0]), None, {"objective": X}),
+        "sos-norm-degree-6": (
+            ConstraintSystem(3, 6, equalities=[sphere_polynomial(3)]), None,
+            {"objective": tensor_form(T), "sense": "max"}),
+        # basis exponents of 90 bound the sums by 360: 2-byte exponent keys
+        "wide-exponents": (
+            ConstraintSystem(1, 180, equalities=[X ** 90 - 1.0]), [(0,), (90,)],
+            {"objective": X ** 180, "sense": "max"}),
+        # a zero equality (skipped) among equalities of degrees 2 and 4
+        "mixed": (ConstraintSystem(3, 4, equalities=[
+            u[0] * u[0] - u[0], u[0] * u[1] - u[2], Polynomial(3, {}),
+            u[1] * u[1] * u[2] * u[2] - 1.0]), None, {"objective": u[2]}),
+    }
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("no-equalities", (3, 6, 0, 0, 0)),
+    ("no-admissible-multiplier", (2, 3, 3, 0, 0)),
+    ("no-kernel-multiplier", (2, 3, 0, 0, 0)),
+    ("sos-norm-degree-6", (88, 290, 35, 0, 39)),
+    ("wide-exponents", (1, 1, 2, 0, 0)),
+    ("mixed", (22, 43, 20, 0, 0)),
+])
+def test_relax_row_counts_at_the_edges(name, counts):
+    # m, nnz, rows_implied, rows_vanished and rows_dependent, pinned
+    system, basis, kw = _edge_systems()[name]
+    r = relax(system, basis=basis, **kw)
+    got = (r.problem.A.shape[0], r.nnz, r.rows_implied, r.rows_vanished, r.rows_dependent)
+    assert got == counts
+
+
+def test_wide_exponent_relaxation_solves():
+    # x^90 = 1 on the basis {1, x^90} forces E~[x^180] = 1
+    system, basis, kw = _edge_systems()["wide-exponents"]
+    res = solve_system(system, basis=basis, **kw)
+    assert res.status == "Optimal"
+    assert res.objective_value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_monomial_table_tells_apart_exponents_above_255():
+    # 300 and 44 share their low byte; 2-byte keys keep them apart
+    rows = np.array([[300, 1], [44, 1], [300, 2], [44, 1]], dtype=np.min_scalar_type(300))
+    assert rows.dtype == np.uint16
+    table = sosengine._MonomialTable(rows)
+    assert table.find(rows).tolist() == [0, 1, 2, 1]
+    assert table.find(np.array([[556, 1], [44, 2]], dtype=np.uint16)).tolist() == [-1, -1]
+
+
+_exponent_rows = st.integers(1, 4).flatmap(lambda nv: st.lists(
+    st.lists(st.integers(0, 6), min_size=nv, max_size=nv), max_size=30,
+).map(lambda rows: np.array(rows, dtype=np.uint8).reshape(-1, nv)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(E=_exponent_rows, wide=st.booleans())
+def test_grlex_order_sorts_as_the_key(E, wide):
+    # both sorts are stable, so repeated rows keep their order too
+    E = E.astype(np.int64) if wide else E
+    want = sorted(range(len(E)), key=lambda r: sosengine._grlex_key(tuple(E[r].tolist())))
+    assert sosengine._grlex_order(E).tolist() == want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(E=_exponent_rows, data=st.data())
+def test_quotients_of_a_grlex_sorted_list_stay_sorted(E, data):
+    # grlex is a monomial order: dividing every row by one monomial keeps
+    # the order, which `relax` relies on for its multipliers
+    nv = E.shape[1]
+    d = np.array(data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)),
+                 dtype=E.dtype)
+    S = E[sosengine._grlex_order(E)]
+    Q = S[np.all(S >= d, axis=1)] - d
+    keys = [sosengine._grlex_key(tuple(q)) for q in Q.tolist()]
+    assert keys == sorted(keys)
 
 
 class TestPseudoDistribution:

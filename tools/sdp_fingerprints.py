@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""SHA-256 fingerprints of every relaxation `sosengine.relax` poses.
+
+Runs one seed-0 pass of each benchmark workload (`perfbench/workloads.py`,
+imported read-only), the planted d=2 estimate at n=12, 16 and 20
+(`max_points=n`), the MeanOnly estimate at n=12 and `sos_norm` at degree 6
+in d=2 and d=3.  It prints one line per `relax` call: the call's label, its
+index within the call, and the SHA-256 of the relaxation's
+`problem.dump()`, `face` bytes, `moment_gather` bytes and row counts (m,
+nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  The last line
+hashes all of them.  A run takes about a minute and a half.
+
+Two checkouts pose the same SDPs when their outputs are equal:
+
+    python3 tools/sdp_fingerprints.py > new.txt
+    python3 tools/sdp_fingerprints.py --src ../other/src > old.txt
+    diff old.txt new.txt
+
+`--src` names the `src` directory of the package to fingerprint; it
+defaults to this checkout's.
+"""
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("polycore", "sdp", "sosengine", "subgauss", "corruption", "estimators")
+PLANTED_SIZES = (12, 16, 20)
+SOS_NORM_DEGREE = 6
+SOS_NORM_SHAPES = ((2, 3), (3, 3))  # (dimension, tensors)
+
+
+def load_package(src):
+    sys.path.insert(0, str(src))
+    package = importlib.import_module("robustmoments")
+    if Path(package.__file__).resolve().parent.parent != Path(src).resolve():
+        raise SystemExit(f"robustmoments was imported from {package.__file__}, not {src}")
+    layers = {name: importlib.import_module("robustmoments." + name) for name in LAYERS}
+    return type("Layers", (), layers)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fingerprint(relaxation):
+    """SHA-256 of everything `relax` returns that a solve or a read-back uses."""
+    h = hashlib.sha256()
+    h.update(relaxation.problem.dump().encode())
+    h.update(np.ascontiguousarray(relaxation.face).tobytes())
+    h.update(np.ascontiguousarray(relaxation.moment_gather).tobytes())
+    counts = (relaxation.problem.A.shape[0], relaxation.nnz, relaxation.rows_implied,
+              relaxation.rows_vanished, relaxation.rows_dependent)
+    h.update(repr(counts).encode())
+    return h.hexdigest()
+
+
+def _planted(L, n):
+    """The acceptance planted d=2 sample (one point moved to (70, 70)), cut
+    or tiled to n rows."""
+    bulk = np.tile(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]), (5, 1))
+    return L.corruption.corrupt(
+        bulk[:n], L.corruption.PointMass(np.array([70.0, 70.0])), 1 / n, seed=1
+    )
+
+
+def extra_calls(L):
+    """Planted d=2 up to n=20, MeanOnly and degree-6 `sos_norm`, as (label, thunk)."""
+    estimate, config = L.estimators.estimate_moments, L.estimators.EstimatorConfig
+    params = L.subgauss.SubgaussParams(2.0, 4)
+    calls = [
+        (f"planted n={n}", lambda n=n: estimate(
+            _planted(L, n).data, config(epsilon=1 / n, params=params, max_points=n)))
+        for n in PLANTED_SIZES
+    ]
+    calls.append(("MeanOnly n=12", lambda: estimate(_planted(L, 12).data, config(
+        epsilon=1 / 12, params=params, mode="MeanOnly", spectral_bound=2.0))))
+    rng = np.random.default_rng(6)
+    for d, count in SOS_NORM_SHAPES:
+        for i in range(count):
+            T = L.polycore.SymmetricTensor.from_dense(_random_form(rng, d))
+            calls.append((f"sos_norm d={d} #{i}", lambda T=T:
+                          L.sosengine.sos_norm(T, degree=SOS_NORM_DEGREE)))
+    return calls
+
+
+def _random_form(rng, d):
+    """A random symmetric 4-tensor of dimension d."""
+    v = rng.standard_normal((3, d))
+    return sum(np.einsum("i,j,k,l->ijkl", u, u, u, u) for u in v)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+    L = load_package(args.src)
+    workloads = load_workloads()
+
+    captured = []
+    relax = L.sosengine.relax
+
+    def capturing_relax(*a, **kw):
+        relaxation = relax(*a, **kw)
+        captured.append(fingerprint(relaxation))
+        return relaxation
+
+    L.sosengine.relax = capturing_relax
+    calls = [
+        (f"{name}: {call.label}", call.fn)
+        for name in sorted(workloads.BUILDERS)
+        for call in workloads.build_calls(L, name, 0)
+    ] + extra_calls(L)
+    total = hashlib.sha256()
+    count = 0
+    for label, fn in calls:
+        captured.clear()
+        fn()
+        for k, digest in enumerate(captured):
+            print(f"{label} #{k} {digest}")
+            total.update(digest.encode())
+        count += len(captured)
+    print(f"all {count} relaxations {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
