@@ -524,7 +524,9 @@ def identifiability_oracle(Y, epsilon, params):
     Examines every subset of at least (1-eps)n rows, keeps those whose
     uniform distribution certifies at the given parameters, and returns the
     empirical moments of the subset with the smallest certifiable constant
-    (ties broken by lexicographically smallest index set).
+    (ties broken by lexicographically smallest index set).  A subset of
+    equal rows certifies at C = 0; a subset whose search raises
+    RuntimeError does not certify, and any other error propagates.
     """
     data = sample_array(Y)
     n, d = data.shape
@@ -539,7 +541,9 @@ def identifiability_oracle(Y, epsilon, params):
             checked += 1
             rows = data[list(subset)]
             try:
-                if d == 1:
+                if np.all(rows == rows[0]):
+                    mc = 0.0  # constant subsets certify with the zero square
+                elif d == 1:
                     raws = [
                         float(np.mean(rows[:, 0] ** r))
                         for r in range(1, params.k + 1)
@@ -551,8 +555,6 @@ def identifiability_oracle(Y, epsilon, params):
                         mc = minimal_C_from_moments(raws, params.k)
                 else:
                     mc = minimal_C(rows, params.k, ell=params.effective_ell)
-            except ValueError:
-                mc = 0.0  # constant subsets certify with the zero square
             except RuntimeError:
                 continue
             if mc <= params.C + 1e-9:

@@ -18,10 +18,11 @@ The solver works on one N x N matrix with the blocks on its diagonal, N the
 sum of the block sizes: posed problems have one dominant block and at most a
 few tiny ones.  X, S and the directions stay exactly zero off the blocks, as
 every update is a sum of products of block-diagonal matrices, and the
-solution's blocks are cut from the diagonal.  A is expanded once per solve
-onto vec(X), each off-diagonal coefficient split half and half between
-X[i, j] and X[j, i], and held once: A(X) is A vec(X), and A^T(y) reads
-A^T y through a transposed view on A's arrays.
+solution's blocks are cut from the diagonal.  One map, computed once per
+solve, gives each packed column's flat position in X and its mirror; A and
+C are expanded through it onto vec(X), each off-diagonal coefficient split
+half and half between X[i, j] and X[j, i].  A is held once: A(X) is
+A vec(X), and A^T(y) reads A^T y through a transposed view on A's arrays.
 
 The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with one
 formula, after SDPA's F1 (Fujisawa, Kojima and Nakata, Math. Prog. 79,
@@ -96,54 +97,25 @@ def _columns(sizes):
 class SdpProblem:
     """Standard-form SDP data on the packed entry columns.
 
-    `A` is the sparse (CSR) m x width row matrix, `rhs` the m right-hand
-    sides and `c` the objective: row k says A[k] . pack(X) = rhs[k], and the
-    objective is c . pack(X).  The constructor takes one symmetric matrix
-    (or None) per block, as `add_constraint` does; `from_packed` takes rows
-    already on the packed columns.  `objective` and `constraints` read the
-    data back as matrices and entry rows.
+    `A` is the rows (dense or sparse, stored as an m x width CSR matrix),
+    `rhs` the m right-hand sides and `c` the objective, all on the packed
+    entry columns of the blocks of `block_sizes`, taken as given: row k says
+    A[k] . pack(X) = rhs[k], and the objective is c . pack(X).  A matrix
+    coefficient a_ij of <A, X> is written a_ii on the diagonal and 2 a_ij
+    once for each i < j, as `pack(mats, off=2)` writes it.  `objective` and
+    `constraints` read the data back as matrices and entry rows.
     """
 
-    def __init__(self, block_sizes, objective=None, constraints=None):
+    def __init__(self, block_sizes, A, rhs, c):
         self.block_sizes = [int(s) for s in block_sizes]
         if not self.block_sizes or any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive, and at least one")
-        self.c = self._coefficients([] if objective is None else objective)
-        self.A = sparse.csr_matrix((0, len(self.c)))
-        self.rhs = np.zeros(0)
-        for mats, b in constraints or []:
-            self.add_constraint(mats, b)
-
-    @classmethod
-    def from_packed(cls, block_sizes, A, rhs, c):
-        """The problem with rows A (dense or sparse), right-hand sides rhs
-        and objective c, all on the packed entry columns, taken as given."""
-        problem = cls(block_sizes)
-        if np.shape(A) != (len(rhs), len(problem.c)) or np.shape(c) != problem.c.shape:
+        width = sum(s * (s + 1) // 2 for s in self.block_sizes)
+        if np.shape(A) != (len(rhs), width) or np.shape(c) != (width,):
             raise ValueError("rows, rhs and objective do not fit the block sizes")
-        problem.A = sparse.csr_matrix(A, dtype=float)
-        problem.A.sum_duplicates()  # one sorted entry per column, as dump reads it
-        problem.rhs, problem.c = np.array(rhs, dtype=float), np.array(c, dtype=float)
-        return problem
-
-    def _coefficients(self, mats):
-        """The packed coefficients of sum_b <mats[b], X_b>; None is zero."""
-        mats = list(mats) + [None] * (len(self.block_sizes) - len(mats))
-        return pack(
-            [np.zeros((s, s)) if mat is None else _as_symmetric(mat, s)
-             for s, mat in zip(self.block_sizes, mats)],
-            off=2.0,
-        )
-
-    def add_constraint(self, mats, rhs):
-        """Dense constraint <A, X> = rhs, one symmetric matrix (or None) per
-        block; stored as the packed row that reads a_ii on the diagonal and
-        2 a_ij once for each i < j."""
-        row = self._coefficients(mats)
-        if not row.any():
-            raise ValueError("constraint touches no block")
-        self.A = sparse.vstack([self.A, sparse.csr_matrix(row)], format="csr")
-        self.rhs = np.append(self.rhs, float(rhs))
+        self.A = sparse.csr_matrix(A, dtype=float)
+        self.A.sum_duplicates()  # one sorted entry per column, as dump reads it
+        self.rhs, self.c = np.array(rhs, dtype=float), np.array(c, dtype=float)
 
     @property
     def num_constraints(self):
@@ -184,15 +156,6 @@ class SdpProblem:
             lines.append(f"rhs {ci} {rhs!r}")
             lines.extend(f"con {ci} {b} {i} {j} {v!r}" for (b, i, j), v in row.items())
         return "\n".join(lines) + "\n"
-
-
-def _as_symmetric(mat, size):
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (size, size):
-        raise ValueError(f"matrix shape {mat.shape} does not match block size {size}")
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12:
-        raise ValueError("constraint/objective matrices must be symmetric")
-    return 0.5 * (mat + mat.T)
 
 
 @dataclass
@@ -239,10 +202,31 @@ class _HsdSolver:
         self.m = problem.num_constraints
         self.N = N = sum(self.sizes)
         self.b = np.array(problem.rhs, dtype=float)
-        self.C = self._vec_rows(sparse.csr_matrix(problem.c)).toarray().reshape(N, N)
         self.bnorm = 1.0 + float(np.linalg.norm(self.b))
-        self.cnorm = 1.0 + max(float(np.linalg.norm(c)) for c in problem.objective)
-        self.A = self._vec_rows(problem.A)
+        # the one map from the packed columns to vec(X): column (b, i, j) is
+        # X[o_b + i, o_b + j], o_b the offset of block b, at flat index ij,
+        # and its mirror at ji.  An off-diagonal coefficient puts half on
+        # each orientation, so that a functional reads the entry once.
+        b, i, j = _columns(self.sizes)
+        o = np.cumsum([0] + self.sizes)[b]
+        ij, ji = (o + i) * N + o + j, (o + j) * N + o + i
+        off = ij != ji
+        half = np.where(off, 0.5, 1.0)
+        C = np.zeros(N * N)
+        C[ij] += half * problem.c
+        C[ji[off]] += (half * problem.c)[off]
+        self.C = C.reshape(N, N)
+        ends = np.cumsum(self.sizes)
+        self.cnorm = 1.0 + max(
+            float(np.linalg.norm(self.C[e - s:e, e - s:e])) for s, e in zip(self.sizes, ends))
+        # the vec'd rows through the same map: tr(A_k X) = A[k] @ vec(X)
+        P = problem.A
+        k, cols = np.repeat(np.arange(self.m), np.diff(P.indptr)), P.indices
+        val, part = half[cols] * P.data, off[cols]
+        self.A = sparse.csr_matrix(
+            (np.concatenate([val, val[part]]),
+             (np.concatenate([k, k[part]]), np.concatenate([ij[cols], ji[cols][part]]))),
+            shape=(self.m, N * N))
         self.At = self.A.T  # a view on A's arrays: the rows are held once
         # the columns of vec(X) that A reads, and A on those alone: the
         # assembly copies only those rows of each group's T^T
@@ -261,26 +245,6 @@ class _HsdSolver:
                 pos = self.A.indptr[chunk][:, None] + np.arange(q)
                 cols = self.A.indices[pos]
                 self.groups.append((chunk, cols // N, cols % N, self.A.data[pos][:, :, None]))
-
-    def _vec_rows(self, A):
-        """The packed rows A on vec(X), X the N x N block-diagonal matrix:
-        column (b, i, j) is X[o_b + i, o_b + j], o_b the offset of block b,
-        and tr(A_k X) = rows[k] @ vec(X)."""
-        N = self.N
-        b, i, j = (col[A.indices] for col in _columns(self.sizes))
-        o = np.cumsum([0] + self.sizes)[b]
-        ij, ji = (o + i) * N + o + j, (o + j) * N + o + i
-        k, val = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.data
-        # an off-diagonal entry puts half on each orientation, so that the
-        # functional reads the symmetric entry once
-        off = ij != ji
-        return sparse.csr_matrix(
-            (
-                np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]]),
-                (np.concatenate([k, k[off]]), np.concatenate([ij, ji[off]])),
-            ),
-            shape=(A.shape[0], N * N),
-        )
 
     def _apply_A(self, X):
         return self.A @ X.ravel()

@@ -12,7 +12,7 @@ the free scalars (the affine equalities' free variables, equality-multiplier
 coefficients and margins), and hand it to `presolve`.  It eliminates the
 free scalars, which come back from the PSD blocks after the solve, and
 leaves out the rows that vanish and those the others imply, naming any
-contradiction among them; `SdpProblem.from_packed` takes what is left, so
+contradiction among them; `SdpProblem` takes what is left as it is, so
 every SDP posed here has PSD blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
@@ -61,6 +61,15 @@ from .sdp import solve as sdp_solve
 
 class RelaxationSizeError(ValueError):
     """A relaxation block or constraint family exceeded its sizing cap."""
+
+
+def _check_block_size(size, what):
+    """Refuse a PSD block whose upper triangle exceeds the monomial cap."""
+    if size * (size + 1) // 2 > DEFAULT_MONOMIAL_CAP:
+        raise RelaxationSizeError(
+            f"{what} over {size} basis monomials exceeds the cap "
+            f"({DEFAULT_MONOMIAL_CAP} entries)"
+        )
 
 
 def _grlex_key(mono):
@@ -153,27 +162,15 @@ class ConstraintSystem:
 class PseudoDistribution:
     """Level-ell pseudo-moments over a monomial basis.
 
-    The (Hankel-exact) moment matrix is held as its packed upper triangle
-    and the basis as one small-integer exponent array, about half the memory
-    of the full matrix and the basis tuples; `moment_matrix` and `basis`
-    rebuild them on each read.  `pseudo_moments` maps each product of two
-    basis monomials to its pseudo-moment; it is built when first read.
+    The (Hankel-exact) moment matrix over `basis` is held as `upper`, its
+    upper triangle packed as `sdp.pack` packs it, and the basis as one
+    small-integer exponent array, about half the memory of the full matrix
+    and the basis tuples; `moment_matrix` and `basis` rebuild them on each
+    read.  `pseudo_moments` maps each product of two basis monomials to its
+    pseudo-moment; it is built when first read.
     """
 
-    def __init__(self, num_vars, degree, pseudo_moments, basis):
-        basis = list(basis)
-        M = [[pseudo_moments[monomial_mul(a, b)] for b in basis] for a in basis]
-        self._store(num_vars, degree, basis, pack([np.array(M, dtype=float)]))
-
-    @classmethod
-    def from_upper_triangle(cls, num_vars, degree, basis, upper):
-        """The distribution whose Hankel-exact moment matrix over `basis` has
-        the upper triangle `upper`, packed as `sdp.pack` packs it."""
-        pd = cls.__new__(cls)
-        pd._store(num_vars, degree, basis, upper)
-        return pd
-
-    def _store(self, num_vars, degree, basis, upper):
+    def __init__(self, num_vars, degree, basis, upper):
         self.num_vars = num_vars
         self.degree = degree
         top = max((max(b) for b in basis), default=0)
@@ -211,15 +208,10 @@ class PseudoDistribution:
             w = w / math.fsum(w)
         if basis is None:
             basis = enumerate_monomials(nv, degree // 2)
-        moments = {}
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                mono = monomial_mul(basis[i], basis[j])
-                if mono in moments:
-                    continue
-                vals = np.prod(pts ** np.array(mono), axis=1)
-                moments[mono] = float(np.dot(w, vals))
-        return cls(nv, degree, moments, basis)
+        B = np.array(basis, dtype=int).reshape(-1, nv)
+        iu, ju = np.triu_indices(len(B))
+        upper = w @ np.prod(pts[:, None, :] ** (B[iu] + B[ju]), axis=2)
+        return cls(nv, degree, basis, upper)
 
     def pseudo_expectation(self, f):
         if f.degree() > self.degree:
@@ -281,7 +273,7 @@ class Presolved:
 
     `rows` (dense, on the packed entry columns) and `rhs` are the rows kept,
     in input order, and `objective` the reduced objective on those columns,
-    its constant dropped: what `SdpProblem.from_packed` takes.  `pivots`
+    its constant dropped: what `SdpProblem` takes.  `pivots`
     hold (free column, pivot row, rhs) for back-substitution.  `vanished`
     and `dependent` count the rows left out, and `contradiction` names a
     left-out row whose rhs the kept rows do not reproduce, or is None.
@@ -427,7 +419,8 @@ class _MonomialTable:
     """Exact lookup of exponent rows among the rows of a fixed array.
 
     The row keys are sorted stably, so a row that occurs more than once is
-    found at its first occurrence.
+    found at its first occurrence; `first` holds that index for each row of
+    the array itself, read off the starts of the runs of equal keys.
     """
 
     def __init__(self, E):
@@ -435,6 +428,10 @@ class _MonomialTable:
         keys = _row_keys(E)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = self.keys[1:] != self.keys[:-1]
+        self.first = np.empty(len(keys), dtype=self.order.dtype)
+        self.first[self.order] = self.order[starts][np.cumsum(starts) - 1]
 
     def find(self, E):
         """Index of each row of E (any leading shape, the table's dtype) in
@@ -561,10 +558,9 @@ class MomentRelaxation:
     def extract(self, solution):
         blocks = solution.primal_blocks
         free = self.presolved.free_values(pack(blocks)).tolist()
-        pd = PseudoDistribution.from_upper_triangle(
+        pd = PseudoDistribution(
             self.system.num_vars, self.system.relaxation_degree, self.basis,
-            (self.face @ blocks[0] @ self.face.T).ravel()[self.moment_gather],
-        )
+            (self.face @ blocks[0] @ self.face.T).ravel()[self.moment_gather])
         aux = {name: np.array(blocks[idx]) for name, idx in self.aux_block_index.items()}
         return pd, aux, free
 
@@ -620,11 +616,7 @@ def relax(system, objective=None, sense="min", basis=None):
         if basis[0] != _zero_mono(nv):
             raise ValueError("basis must start with the constant monomial")
     bsize = len(basis)
-    if bsize * (bsize + 1) // 2 > DEFAULT_MONOMIAL_CAP:
-        raise RelaxationSizeError(
-            f"moment matrix over {bsize} basis monomials exceeds the cap "
-            f"({DEFAULT_MONOMIAL_CAP} entries)"
-        )
+    _check_block_size(bsize, "moment matrix")
 
     # the moment matrix's upper-triangle pairs (i, j) in row-major order;
     # each monomial sits at the first pair that gives it, and a Hankel row
@@ -638,7 +630,7 @@ def relax(system, objective=None, sense="min", basis=None):
     iu, ju = np.triu_indices(bsize)
     products = B[iu] + B[ju]
     pairs = _MonomialTable(products)
-    first = pairs.find(products)
+    first = pairs.first
     canon = np.flatnonzero(first == np.arange(len(iu)))
     monos = products[canon]
     iu_list, ju_list = iu.tolist(), ju.tolist()
@@ -741,9 +733,7 @@ def relax(system, objective=None, sense="min", basis=None):
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
     presolved = presolve(R[:-1], rhs, system.num_free, objective=R[-1])
-    problem = SdpProblem.from_packed(
-        block_sizes, presolved.rows, presolved.rhs, presolved.objective
-    )
+    problem = SdpProblem(block_sizes, presolved.rows, presolved.rhs, presolved.objective)
     return MomentRelaxation(
         system, basis, problem, positions, gather, aux_index,
         presolved, V, rows_implied, trivially_infeasible,
@@ -964,7 +954,8 @@ def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
     multiplier takes the largest degree that keeps the identity within
     `degree` (exactly that degree when `homogeneous`).  Both
     `find_sos_combination` and `estimators.build_B` pose their identities on
-    this matrix.
+    this matrix.  A Gram basis over the cap of `relax`'s moment block raises
+    RelaxationSizeError before anything is allocated.
     """
     # per column (monomial shift, weight, premise): its entry in the row of
     # shift*tau is weight * premise[tau]
@@ -977,6 +968,7 @@ def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
         bas = _multiplier_basis(nv, bound, homogeneous)
         if not bas:
             raise ValueError("empty Gram basis for a premise")
+        _check_block_size(len(bas), "Gram matrix")
         for i, j in zip(*np.triu_indices(len(bas))):
             columns.append((monomial_mul(bas[i], bas[j]), 1.0 if i == j else 2.0, p))
         bases.append(bas)
@@ -1048,9 +1040,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     presolved = presolve(A.copy(), b, num_free, objective)
     solution = None
     if presolved.contradiction is None:
-        problem = SdpProblem.from_packed(
-            sizes, presolved.rows, presolved.rhs, presolved.objective
-        )
+        problem = SdpProblem(sizes, presolved.rows, presolved.rhs, presolved.objective)
         solution = sdp_solve(problem, SdpConfig(tol=1e-9, max_iters=300))
     if solution is None or solution.status == "Infeasible":
         return SosSearchResult(
@@ -1122,7 +1112,9 @@ def build_toolkit_certificate(kind, k, delta=None):
     Kinds: "Binomial" (2^{k-1}(a^k+b^k) >= (a+b)^k), "AmGm"
     (product <= mean of k-th powers), "PowerReduction" ({f^k<=1} |- {f<=1}),
     "IntervalFromPower" ({(f-1)^k <= d^k (f+1)^k} |- {f <= 1+100d}; the
-    companion lower bound comes from build_interval_certificates).
+    companion lower bound comes from build_interval_certificates).  k is
+    even, 2 <= k <= 8, except "AmGm" at k = 8, whose Gram basis of 330
+    forms exceeds the size cap: it raises RelaxationSizeError.
     """
     _toolkit_check_k(k)
     if kind == "Binomial":

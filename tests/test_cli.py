@@ -151,6 +151,10 @@ class TestVerifyCert:
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is True and out["residual"] <= 1e-8
 
+    def test_amgm_k8_exits_with_the_size_error(self, capsys):
+        assert run(["verify-cert", "--kind", "AmGm", "--k", 8]) == 1
+        assert "330 basis monomials exceeds the cap" in capsys.readouterr().err
+
     def test_interval_requires_delta(self, capsys):
         assert run(["verify-cert", "--kind", "IntervalFromPower", "--k", 2]) == 1
         code = run(

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from robustmoments import estimators
 from robustmoments.corruption import (
     CorruptedSample,
     PointMass,
@@ -43,6 +44,7 @@ from robustmoments.polycore import (
 from robustmoments.sdp import unpack
 from robustmoments.sosengine import (
     ConstraintSystem,
+    RelaxationSizeError,
     face_basis,
     relax,
     sphere_polynomial,
@@ -585,6 +587,17 @@ class TestInfeasibility:
             estimate_moments(Y, cfg)
         with pytest.raises(IdentifiabilityError):
             identifiability_oracle(Y, EPS12, SubgaussParams(0.3, 4))
+
+    def test_oracle_does_not_certify_a_subset_that_raised(self, monkeypatch):
+        # a size error is a ValueError, as the all-rows-equal one is; only
+        # the latter certifies at C = 0
+        def too_large(*args, **kwargs):
+            raise RelaxationSizeError("too large")
+
+        monkeypatch.setattr(estimators, "minimal_C", too_large)
+        Y = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(RelaxationSizeError, match="too large"):
+            identifiability_oracle(Y, 1 / 6, SubgaussParams(2.0, 4))
 
 
 class TestConfigValidation:

@@ -15,6 +15,22 @@ from robustmoments.sdp import (
 )
 
 
+def _problem(sizes, objective=(), constraints=()):
+    """The SDP min <C, X> s.t. <A_k, X> = rhs_k written as matrices: the
+    objective and each constraint give one symmetric matrix (or None) per
+    block, and `pack(..., off=2)` writes them on the packed columns."""
+    constraints = list(constraints)
+
+    def packed(mats):
+        mats = list(mats) + [None] * (len(sizes) - len(mats))
+        return pack([np.zeros((s, s)) if mat is None else np.asarray(mat, dtype=float)
+                     for s, mat in zip(sizes, mats)], off=2.0)
+
+    c = packed(objective)
+    A = np.reshape([packed(mats) for mats, _ in constraints], (-1, len(c)))
+    return SdpProblem(sizes, A, [rhs for _, rhs in constraints], c)
+
+
 def _random_strictly_feasible(rng, sizes, m):
     """Problem with a known strictly feasible primal-dual pair."""
     X0, S0 = [], []
@@ -35,11 +51,11 @@ def _random_strictly_feasible(rng, sizes, m):
         for k in range(m):
             acc += y0[k] * cons[k][0][bi]
         C.append(acc)
-    return SdpProblem(sizes, objective=C, constraints=cons)
+    return _problem(sizes, C, cons)
 
 
 def test_unconstrained_cone_boundary():
-    prob = SdpProblem([1], objective=[np.array([[1.0]])])
+    prob = _problem([1], [np.array([[1.0]])])
     sol = solve(prob)
     assert sol.status == "Optimal"
     assert sol.primal_objective == pytest.approx(0.0, abs=1e-6)
@@ -47,10 +63,10 @@ def test_unconstrained_cone_boundary():
 
 def test_trace_two_analytic_optimum():
     # min tr(X) with X11 = X22 = 1 has optimum 2 regardless of X12
-    prob = SdpProblem(
+    prob = _problem(
         [2],
-        objective=[np.eye(2)],
-        constraints=[
+        [np.eye(2)],
+        [
             ([np.diag([1.0, 0.0])], 1.0),
             ([np.diag([0.0, 1.0])], 1.0),
         ],
@@ -67,7 +83,7 @@ def test_trace_two_analytic_optimum():
 def test_negative_diagonal_infeasible():
     mat = np.zeros((2, 2))
     mat[0, 0] = 1.0
-    prob = SdpProblem([2], objective=[np.eye(2)], constraints=[([mat], -1.0)])
+    prob = _problem([2], [np.eye(2)], [([mat], -1.0)])
     sol = solve(prob)
     assert sol.status == "Infeasible"
     assert sol.infeasibility_ray is not None
@@ -80,7 +96,7 @@ def test_minimum_eigenvalue_instances():
         n = 6
         C = rng.normal(size=(n, n))
         C = 0.5 * (C + C.T)
-        prob = SdpProblem([n], objective=[C], constraints=[([np.eye(n)], 1.0)])
+        prob = _problem([n], [C], [([np.eye(n)], 1.0)])
         sol = solve(prob)
         assert sol.status == "Optimal"
         lam = float(np.linalg.eigvalsh(C).min())
@@ -116,28 +132,22 @@ def test_objective_scaling_equivariance():
     n = 5
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     C = Q @ np.diag([-3.0, 1.0, 2.0, 3.0, 4.0]) @ Q.T
-    prob1 = SdpProblem([n], objective=[C], constraints=[([np.eye(n)], 1.0)])
-    prob2 = SdpProblem([n], objective=[7.0 * C], constraints=[([np.eye(n)], 1.0)])
+    prob1 = _problem([n], [C], [([np.eye(n)], 1.0)])
+    prob2 = _problem([n], [7.0 * C], [([np.eye(n)], 1.0)])
     s1, s2 = solve(prob1), solve(prob2)
     assert s1.status == "Optimal" and s2.status == "Optimal"
     assert np.max(np.abs(s1.primal_blocks[0] - s2.primal_blocks[0])) <= 1e-6
 
 
-def test_symmetry_enforced():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        SdpProblem([2], objective=[bad])
-
-
 @pytest.mark.parametrize("sizes", [[], [2, 0]])
 def test_block_sizes_rejected(sizes):
     with pytest.raises(ValueError, match="block sizes must be positive"):
-        SdpProblem(sizes)
+        SdpProblem(sizes, np.zeros((0, 3)), [], np.zeros(3))
 
 
 def test_constraint_cap():
     m = DEFAULT_CONSTRAINT_CAP + 1
-    prob = SdpProblem.from_packed([1], np.ones((m, 1)), np.ones(m), np.ones(1))
+    prob = SdpProblem([1], np.ones((m, 1)), np.ones(m), np.ones(1))
     with pytest.raises(SdpSizeError):
         solve(prob)
 
@@ -151,10 +161,10 @@ def test_max_iters_returned_not_raised():
 
 
 def test_problem_dump_roundtrip_text():
-    prob = SdpProblem(
+    prob = _problem(
         [2],
-        objective=[np.eye(2)],
-        constraints=[([np.array([[1.0, 0.5], [0.5, 0.0]])], 2.0)],
+        [np.eye(2)],
+        [([np.array([[1.0, 0.5], [0.5, 0.0]])], 2.0)],
     )
     text = prob.dump()
     assert "blocks 2" in text
@@ -164,10 +174,10 @@ def test_problem_dump_roundtrip_text():
 
 def test_multiblock_diagonal_lp_like():
     # min x + 2y s.t. x + y = 1 over 1x1 blocks: optimum at x=1, y=0
-    prob = SdpProblem(
+    prob = _problem(
         [1, 1],
-        objective=[np.array([[1.0]]), np.array([[2.0]])],
-        constraints=[([np.array([[1.0]]), np.array([[1.0]])], 1.0)],
+        [np.array([[1.0]]), np.array([[2.0]])],
+        [([np.array([[1.0]]), np.array([[1.0]])], 1.0)],
     )
     sol = solve(prob)
     assert sol.status == "Optimal"
@@ -186,7 +196,7 @@ def test_entry_constraints_match_dense():
     ]
     column = unpack(np.arange(6), [3])[0]
     packed = np.zeros((len(rows), 6))
-    dense = SdpProblem([3], objective=[np.eye(3)])
+    cons = []
     for k, (entries, rhs) in enumerate(rows):
         mat = np.zeros((3, 3))
         for _, i, j, val in entries:
@@ -196,8 +206,9 @@ def test_entry_constraints_match_dense():
             else:
                 mat[i, j] += 0.5 * val
                 mat[j, i] += 0.5 * val
-        dense.add_constraint([mat], rhs)
-    entry = SdpProblem.from_packed([3], packed, [rhs for _, rhs in rows], dense.c)
+        cons.append(([mat], rhs))
+    dense = _problem([3], [np.eye(3)], cons)
+    entry = SdpProblem([3], packed, [rhs for _, rhs in rows], dense.c)
 
     # one row format: identical dump text and solver data
     assert dense.dump() == entry.dump()
@@ -219,8 +230,6 @@ def test_entry_constraints_match_dense():
     b = solve(entry)
     assert a.status == b.status == "Optimal"
     assert np.max(np.abs(a.primal_blocks[0] - b.primal_blocks[0])) < 1e-12
-    with pytest.raises(ValueError, match="touches no block"):
-        dense.add_constraint([np.zeros((3, 3))], 0.0)
 
 
 def _mixed_problem(rng):
@@ -229,8 +238,9 @@ def _mixed_problem(rng):
     Blocks 4, 3, 1, 1, so N = 9.  Rows: two dense random matrices, with 27
     stored entries (3 N); entry rows with 1, 2, 3 and 4 stored entries in
     block 0 (an off-diagonal entry stores two); one with 6 entries in block
-    0; one touching blocks 0, 1 and 2; two on the 1x1 blocks.  Each row is
-    added as its matrices, one per block.
+    0; one touching blocks 0, 1 and 2; two on the 1x1 blocks.  The dense
+    rows are written through their matrices, the entry rows straight on the
+    packed columns; `rows` holds every row as its matrices, one per block.
     """
     sizes = [4, 3, 1, 1]
     entry_specs = [
@@ -243,12 +253,16 @@ def _mixed_problem(rng):
         [(3, 0, 0, 2.0)],
         [(2, 0, 0, 1.0), (3, 0, 0, -0.5)],
     ]
+    column = unpack(np.arange(18), sizes)
     rows = []
     for _ in range(2):
         rows.append([0.5 * (a + a.T) for a in (rng.normal(size=(s, s)) for s in sizes)])
+    A = [pack(mats, off=2.0) for mats in rows]
     for spec in entry_specs:
         mats = [np.zeros((s, s)) for s in sizes]
+        A.append(np.zeros(18))
         for bi, i, j, val in spec:
+            A[-1][column[bi][i, j]] += val
             if i == j:
                 mats[bi][i, i] += val
             else:
@@ -259,10 +273,8 @@ def _mixed_problem(rng):
     y0 = rng.normal(size=len(rows))
     C = [np.eye(s) + sum(yk * row[bi] for yk, row in zip(y0, rows))
          for bi, s in enumerate(sizes)]
-    prob = SdpProblem(sizes, objective=C)
-    for mats in rows:
-        prob.add_constraint(mats, sum(np.sum(a * x) for a, x in zip(mats, X0)))
-    return prob, rows
+    rhs = [sum(np.sum(a * x) for a, x in zip(mats, X0)) for mats in rows]
+    return SdpProblem(sizes, np.array(A), rhs, pack(C, off=2.0)), rows
 
 
 @pytest.mark.parametrize("chunk_floats", [None, 1])
@@ -299,10 +311,9 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
 
 
 def test_mixed_rows_solve_like_dense_model():
-    # the rows given as matrices and as dense packed rows are one model
+    # the rows given as packed entries and as matrices are one model
     entry, rows = _mixed_problem(np.random.default_rng(11))
-    A = np.array([pack(mats, off=2.0) for mats in rows])
-    dense = SdpProblem.from_packed(entry.block_sizes, A, entry.rhs, entry.c)
+    dense = _problem(entry.block_sizes, entry.objective, zip(rows, entry.rhs))
     a, b = solve(entry), solve(dense)
     assert a.status == b.status == "Optimal"
     assert abs(a.primal_objective - b.primal_objective) < 1e-6
@@ -342,9 +353,9 @@ def test_duplicated_rows_take_the_jitter(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     G = np.random.default_rng(3).normal(size=(4, 4))
     A1 = 0.5 * (G + G.T)
-    prob = SdpProblem([4], objective=[np.eye(4) + 0.1 * A1])
-    for mat in (A1, A1, np.eye(4)):
-        prob.add_constraint([mat], 0.5 * np.trace(mat))  # X = I / 2 is feasible
+    # X = I / 2 is feasible
+    prob = _problem([4], [np.eye(4) + 0.1 * A1],
+                    [([mat], 0.5 * np.trace(mat)) for mat in (A1, A1, np.eye(4))])
     sol = solve(prob)
     assert sol.status == "Optimal"
     assert (3, 3) in failed  # the blocks are 4 x 4: this is the Schur matrix
@@ -352,7 +363,7 @@ def test_duplicated_rows_take_the_jitter(monkeypatch):
 
 def _merit(prob, sol):
     """The largest of the scaled residuals and the relative gap."""
-    cnorm = 1.0 + max(np.linalg.norm(c) for c in prob.objective if c is not None)
+    cnorm = 1.0 + max(np.linalg.norm(c) for c in prob.objective)
     gap = sol.duality_gap / (1.0 + abs(sol.primal_objective) + abs(sol.dual_objective))
     return max(sol.primal_residual / (1.0 + np.linalg.norm(prob.rhs)),
                sol.dual_residual / cnorm, gap)
@@ -361,9 +372,10 @@ def _merit(prob, sol):
 def test_abnormal_exit_returns_the_best_iterate():
     # X11 = 0 leaves no strictly feasible point; with an unreachable
     # tolerance the iterates stall near the optimum and then drift away
-    prob = SdpProblem([2], objective=[np.array([[1.0, 0.0], [0.0, 0.0]])])
-    prob.add_constraint([np.array([[0.0, 0.0], [0.0, 1.0]])], 0.0)
-    prob.add_constraint([np.array([[1.0, 0.5], [0.5, 0.0]])], 1.0)
+    prob = _problem([2], [np.array([[1.0, 0.0], [0.0, 0.0]])], [
+        ([np.array([[0.0, 0.0], [0.0, 1.0]])], 0.0),
+        ([np.array([[1.0, 0.5], [0.5, 0.0]])], 1.0),
+    ])
     sol = solve(prob, SdpConfig(max_iters=200, tol=0.0))
     assert sol.status == "MaxIterations"
     assert "returned the best iterate" in sol.detail
@@ -440,9 +452,26 @@ def test_solver_adjoint_identity():
     assert np.array_equal(At_y, block_diag(*blocks))
 
 
-def test_from_packed_takes_rows_as_given():
+def test_solver_maps_the_packed_columns_onto_the_blocks():
+    from robustmoments import sdp
+
+    rng = np.random.default_rng(6)
+    prob, _ = _mixed_problem(rng)
+    solver = sdp._HsdSolver(prob, SdpConfig())
+    # C is the objective's blocks on the diagonal and exactly zero off them
+    C = prob.objective
+    assert np.array_equal(solver.C, block_diag(*C))
+    assert solver.cnorm == 1.0 + max(float(np.linalg.norm(c)) for c in C)
+    # A vec(X) is A . pack(X) for a block-diagonal X
+    X = [_symmetric(rng, s) for s in prob.block_sizes]
+    want = prob.A @ pack(X)
+    got = solver._apply_A(block_diag(*X))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_problem_takes_packed_rows_as_given():
     A = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0]])
-    prob = SdpProblem.from_packed([2, 1], A, [1.0, 2.0], [1.0, 0.0, 1.0, 0.5])
+    prob = SdpProblem([2, 1], A, [1.0, 2.0], [1.0, 0.0, 1.0, 0.5])
     assert np.array_equal(prob.A.toarray(), A)
     assert prob.A.nnz == 4
     assert prob.dump() == (
@@ -452,9 +481,11 @@ def test_from_packed_takes_rows_as_given():
         "rhs 1 2.0\ncon 1 0 0 1 3.0\ncon 1 1 0 0 1.0\n"
     )
     with pytest.raises(ValueError, match="do not fit"):
-        SdpProblem.from_packed([2], A, [1.0, 2.0], np.zeros(4))
+        SdpProblem([2], A, [1.0, 2.0], np.zeros(4))
     with pytest.raises(ValueError, match="do not fit"):
-        SdpProblem.from_packed([2, 1], A, [1.0], np.zeros(4))
+        SdpProblem([2, 1], A, [1.0], np.zeros(4))
+    with pytest.raises(ValueError, match="do not fit"):
+        SdpProblem([2, 1], A, [1.0, 2.0], np.zeros(3))
 
 
 # -- properties of the solver on random problems --------------------------------
@@ -503,7 +534,7 @@ def test_random_feasible_problems_meet_kkt(seed, sizes, kinds):
     rhs = [sum(np.sum(a * x) for a, x in zip(mats, X0)) for mats in rows]
     C = [_pd(rng, s) + sum(yk * mats[bi] for yk, mats in zip(y0, rows))
          for bi, s in enumerate(sizes)]
-    prob = SdpProblem(sizes, objective=C, constraints=list(zip(rows, rhs)))
+    prob = _problem(sizes, C, zip(rows, rhs))
     assume(np.linalg.matrix_rank(prob.A.toarray()) == len(rows))
 
     sol = solve(prob)
@@ -543,7 +574,7 @@ def test_random_infeasible_problems_return_a_farkas_ray(seed, sizes, kinds):
     rows.append(last)
     rhs.append(1.0 - float(np.dot(y0, rhs)))
     C = [_symmetric(rng, s) for s in sizes]
-    prob = SdpProblem(sizes, objective=C, constraints=list(zip(rows, rhs)))
+    prob = _problem(sizes, C, zip(rows, rhs))
 
     sol = solve(prob)
     assert sol.status == "Infeasible"

@@ -6,6 +6,7 @@ zero by construction.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from robustmoments.polycore import (
     Polynomial,
     SymmetricTensor,
     identity_pair_tensor,
+    monomial_mul,
     symmetric_outer,
 )
 from robustmoments.sdp import pack, unpack
@@ -132,7 +134,8 @@ class TestSolveSystem:
         rel = res.relaxation
         X0 = rel.face @ res.sdp.primal_blocks[0] @ rel.face.T
         moments = {mono: X0[i, j] for mono, (i, j) in rel.moment_positions.items()}
-        built = PseudoDistribution(2, 4, moments, rel.basis)
+        M = np.array([[moments[monomial_mul(a, b)] for b in rel.basis] for a in rel.basis])
+        built = PseudoDistribution(2, 4, rel.basis, pack([M]))
         assert np.array_equal(res.pseudo.moment_matrix, built.moment_matrix)
         assert res.pseudo.pseudo_moments == built.pseudo_moments
         assert res.pseudo.basis == built.basis
@@ -383,6 +386,18 @@ _exponent_rows = st.integers(1, 4).flatmap(lambda nv: st.lists(
 
 
 @settings(max_examples=100, deadline=None, database=None)
+@given(E=_exponent_rows, picks=st.lists(st.integers(0, 29), max_size=30))
+def test_monomial_table_first_is_the_first_equal_row(E, picks):
+    # repeat some rows so that runs of equal keys are common
+    E = np.concatenate([E, E[[p % len(E) for p in picks]]]) if len(E) else E
+    table = sosengine._MonomialTable(E)
+    want = [next(j for j in range(len(E)) if np.array_equal(E[j], E[k]))
+            for k in range(len(E))]
+    assert table.first.tolist() == want
+    assert table.first.tolist() == table.find(E).tolist()
+
+
+@settings(max_examples=100, deadline=None, database=None)
 @given(E=_exponent_rows, wide=st.booleans())
 def test_grlex_order_sorts_as_the_key(E, wide):
     # both sorts are stable, so repeated rows keep their order too
@@ -431,6 +446,19 @@ class TestPseudoDistribution:
         direct = sum(wi * poly.evaluate(p) for wi, p in zip(w, pts))
         assert pseudo_expectation(pd, poly) == pytest.approx(direct, abs=1e-10)
         assert pd.min_eigenvalue() >= -1e-10
+
+    def test_support_moment_matrix_is_the_exact_moments(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(4, 2))
+        w = rng.uniform(0.1, 1.0, size=4)
+        pd = PseudoDistribution.from_support(pts, weights=w, degree=4)
+        w = w / w.sum()
+        want = np.array([
+            [sum(wi * np.prod(p ** np.add(a, b)) for wi, p in zip(w, pts)) for b in pd.basis]
+            for a in pd.basis
+        ])
+        assert len(pd.basis) == 6
+        assert np.max(np.abs(pd.moment_matrix - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_degree_overflow_raises(self):
         pd = PseudoDistribution.from_support([[1.0]], degree=2)
@@ -527,6 +555,14 @@ class TestCertificates:
             build_toolkit_certificate("Binomial", 10)
         with pytest.raises(ValueError):
             build_toolkit_certificate("NoSuchKind", 4)
+
+    def test_amgm_k8_ends_in_a_size_error(self):
+        # its Gram matrix over the 330 quartic forms in 8 variables would
+        # need a 6435 x 54615 coefficient matrix; the cap refuses it first
+        start = time.perf_counter()
+        with pytest.raises(RelaxationSizeError, match="330 basis monomials"):
+            build_toolkit_certificate("AmGm", 8)
+        assert time.perf_counter() - start < 1.0
 
 
 _COEFFICIENTS = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""SHA-256 fingerprints of every relaxation `sosengine.relax` poses.
+"""SHA-256 fingerprints of every relaxation `sosengine.relax` poses, and of
+every call's result.
 
 Runs one seed-0 pass of each benchmark workload (`perfbench/workloads.py`,
 imported read-only), the planted d=2 estimate at n=12, 16 and 20
@@ -7,10 +8,13 @@ imported read-only), the planted d=2 estimate at n=12, 16 and 20
 in d=2 and d=3.  It prints one line per `relax` call: the call's label, its
 index within the call, and the SHA-256 of the relaxation's
 `problem.dump()`, `face` bytes, `moment_gather` bytes and row counts (m,
-nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  The last line
-hashes all of them.  A run takes about a minute and a half.
+nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
+it prints the SHA-256 of the call's result (`result_parts` says what it
+covers).  The last two lines hash all relaxations and all results.  A run
+takes about a minute and a half.
 
-Two checkouts pose the same SDPs when their outputs are equal:
+Two checkouts pose the same SDPs, and return the same results, when their
+outputs are equal:
 
     python3 tools/sdp_fingerprints.py > new.txt
     python3 tools/sdp_fingerprints.py --src ../other/src > old.txt
@@ -63,6 +67,34 @@ def fingerprint(relaxation):
     counts = (relaxation.problem.A.shape[0], relaxation.nnz, relaxation.rows_implied,
               relaxation.rows_vanished, relaxation.rows_dependent)
     h.update(repr(counts).encode())
+    return h.hexdigest()
+
+
+def result_parts(result):
+    """What a call's result is compared on, as bytes or exact reprs: an
+    estimate's mean, covariance, higher tensors, selection weights and
+    trace objective; the oracle's subset and minimal C; `certify`'s status,
+    failed order and margins; a certificate's JSON; a float as itself."""
+    if isinstance(result, float):
+        return [repr(result)]
+    if hasattr(result, "to_json"):
+        return [result.to_json()]
+    if hasattr(result, "margins"):
+        margins = sorted((k, float(t)) for k, t in result.margins.items())
+        return [repr((result.status, result.failed_order, margins))]
+    diagnostics = result.diagnostics
+    if diagnostics["mode"] == "Oracle":
+        return [repr((diagnostics["subset"], float(diagnostics["minimal_C"])))]
+    tensors = [result.cov_hat] + [result.higher_hats[r] for r in sorted(result.higher_hats)]
+    return [np.asarray(result.mean_hat).tobytes(), *(t.values.tobytes() for t in tensors),
+            np.asarray(diagnostics["selection_weights"]).tobytes(),
+            repr(float(diagnostics["trace_objective"]))]
+
+
+def result_fingerprint(result):
+    h = hashlib.sha256()
+    for part in result_parts(result):
+        h.update(part if isinstance(part, bytes) else part.encode())
     return h.hexdigest()
 
 
@@ -122,16 +154,19 @@ def main(argv=None):
         for name in sorted(workloads.BUILDERS)
         for call in workloads.build_calls(L, name, 0)
     ] + extra_calls(L)
-    total = hashlib.sha256()
+    total, results = hashlib.sha256(), hashlib.sha256()
     count = 0
     for label, fn in calls:
         captured.clear()
-        fn()
+        result = result_fingerprint(fn())
         for k, digest in enumerate(captured):
             print(f"{label} #{k} {digest}")
             total.update(digest.encode())
+        print(f"{label} result {result}")
+        results.update(result.encode())
         count += len(captured)
     print(f"all {count} relaxations {total.hexdigest()}")
+    print(f"all {len(calls)} results {results.hexdigest()}")
 
 
 if __name__ == "__main__":
