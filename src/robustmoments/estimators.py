@@ -19,6 +19,7 @@ from .corruption import CorruptedSample, sample_array
 from .polycore import (
     Polynomial,
     SymmetricTensor,
+    distinct_indices,
     empirical_moments,
     monomial_mul,
     monomials_of_degree,
@@ -346,16 +347,15 @@ def _robust_standardization(data):
     return med, s
 
 
-def _same_row_tensor(moment, n, d, order):
-    t = SymmetricTensor(d, order)
-    entries = []
-    for idx in t.indices():
-        total = 0.0
-        for i in range(n):
-            mono = _x_mono(n, d, [(i, c) for c in idx])
-            total += moment(mono)
-        entries.append(total / n)
-    return SymmetricTensor(d, order, np.array(entries))
+def _same_row_tensors(read, n, d, max_order):
+    """The tensors (1/n) sum_i E~[x_i^idx] of orders 1..max_order, x_i the
+    variables of row i, from one `read` of pseudo-moments by exponent rows.
+    Each sum adds its n terms left to right."""
+    indices = [distinct_indices(d, r) for r in range(1, max_order + 1)]
+    flat = [idx for part in indices for idx in part]
+    values = read([[_x_mono(n, d, [(i, c) for c in idx]) for idx in flat] for i in range(n)])
+    parts = np.split(sum(values, 0.0) / n, np.cumsum([len(part) for part in indices])[:-1])
+    return {r: SymmetricTensor(d, r, v) for r, v in enumerate(parts, start=1)}
 
 
 def _unstandardize_raw(tensors, med, s, order):
@@ -424,24 +424,24 @@ def estimate_moments(Y, config):
             detail=res.detail,
         )
     pd = res.pseudo
-    # read moments off the Hankel-exact moment matrix, so that the estimate
-    # keeps no dict of every pseudo-moment
-    positions = res.relaxation.moment_positions
-    M = pd.moment_matrix
+    # read moments off the packed moment matrix at each monomial's first
+    # pair, so that the estimate keeps no dict of every pseudo-moment
+    pairs, nv = res.relaxation.pairs, system.num_vars
 
-    def moment(mono):
-        return float(M[positions[mono]])
+    def read(E):
+        return pd.upper[pairs.index(E)]
 
     max_order = params.k if config.mode == "FullSos" else 2
-    std_raw = {r: _same_row_tensor(moment, n, d, r) for r in range(1, max_order + 1)}
+    std_raw = _same_row_tensors(read, n, d, max_order)
 
     mean_std = np.array([std_raw[1].get((c,)) for c in range(d)])
     mean_hat = med + s * mean_std
 
-    # every x_{i,c} is a basis element, at (0, idx), so the pseudo-moment of
-    # x_{i,a} x_{j,b} is the entry of their basis pair: one gather
-    xs = [positions[_x_mono(n, d, [(i, c)])][1] for i in range(n) for c in range(d)]
-    outer = M[np.ix_(xs, xs)].reshape(n, d, n, d).sum(axis=(0, 2)) / (n * n)
+    # every x_{i,c} is a basis element idx, first at the pair (0, idx) of
+    # packed index idx, so the pseudo-moment of x_{i,a} x_{j,b} is the entry
+    # of their basis pair: one gather
+    xs = pairs.index(np.eye(n * d, nv, n, dtype=int))
+    outer = pd.moment_matrix[np.ix_(xs, xs)].reshape(n, d, n, d).sum(axis=(0, 2)) / (n * n)
     cov = s * s * (std_raw[2].to_dense() - outer)
     cov_hat = SymmetricTensor.from_dense(0.5 * (cov + cov.T))
 
@@ -475,9 +475,7 @@ def estimate_moments(Y, config):
         "gap": sdp.duality_gap,
         "residuals": (sdp.primal_residual, sdp.dual_residual),
         "detail": res.detail,
-        "selection_weights": np.array(
-            [moment(_w_mono(n, d, i)) for i in range(n)]
-        ),
+        "selection_weights": read(np.eye(n, nv, dtype=int)),
     }
     return MomentEstimate(mean_hat=mean_hat, cov_hat=cov_hat,
                           higher_hats=higher, diagnostics=diagnostics,

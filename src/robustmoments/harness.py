@@ -157,18 +157,6 @@ def _json_value(value):
 # baseline estimators
 
 
-def baseline_estimators(sample, alphas=(0.1,)):
-    """Plain, median-based, and trimmed moment estimates of one sample."""
-    data = sample_array(sample)
-    out = {
-        "Empirical": _empirical_estimate(data),
-        "CoordMedian": _coord_median_estimate(data),
-    }
-    for alpha in alphas:
-        out["TrimmedMean(%g)" % alpha] = _trimmed_estimate(data, alpha)
-    return out
-
-
 def _empirical_estimate(data):
     emp = empirical_moments(data, 2)
     return MomentEstimate(

@@ -8,7 +8,6 @@ relaxations, whitening) sits on top of these three representations.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import combinations_with_replacement
 
@@ -234,14 +233,6 @@ class SymmetricTensor:
             self.values = values.copy()
 
     @classmethod
-    def from_entries(cls, dimension, order, entries):
-        """Build from {index tuple: value}; indices may be in any axis order."""
-        out = cls(dimension, order)
-        for idx, val in entries.items():
-            out.values[out._index[tuple(sorted(idx))]] = float(val)
-        return out
-
-    @classmethod
     def from_dense(cls, array):
         array = np.asarray(array, dtype=float)
         order = array.ndim
@@ -314,38 +305,6 @@ def _axis_permutations(idx):
     return set(permutations(idx))
 
 
-def symmetric_outer(u, order):
-    """u^{⊗order} as a SymmetricTensor."""
-    u = np.asarray(u, dtype=float)
-    out = SymmetricTensor(len(u), order)
-    for idx in out.indices():
-        val = 1.0
-        for i in idx:
-            val *= u[i]
-        out.values[out._index[idx]] = val
-    return out
-
-
-def identity_pair_tensor(dimension):
-    """Symmetrization of I ⊗ I as an order-4 tensor.
-
-    Contracting against u^{⊗4} gives ‖u‖⁴, i.e. the order-4 form of
-    (Σ u_i²)².  Used to subtract the Gaussian part of fourth moments.
-    """
-    dense = np.zeros((dimension,) * 4)
-    eye = np.eye(dimension)
-    for a in range(dimension):
-        for b in range(dimension):
-            for c in range(dimension):
-                for e in range(dimension):
-                    dense[a, b, c, e] = (
-                        eye[a, b] * eye[c, e]
-                        + eye[a, c] * eye[b, e]
-                        + eye[a, e] * eye[b, c]
-                    ) / 3.0
-    return SymmetricTensor.from_dense(dense)
-
-
 class EmpiricalMoments:
     """Mean, covariance, and raw moment tensors of a sample."""
 
@@ -390,66 +349,3 @@ def empirical_moments(sample, k):
     m2 = raw[1].as_matrix()
     cov = SymmetricTensor.from_dense(m2 - np.outer(mean, mean))
     return EmpiricalMoments(n, d, k, mean, raw, cov)
-
-
-def apply_linear_map(tensor, W):
-    """Tensor T' with <T', u^{⊗r}> = <T, (W u)^{⊗r}>.
-
-    Entrywise this is the full index contraction
-    T'_{i1..ir} = Σ_j T_{j1..jr} W_{j1 i1} ... W_{jr ir}.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.shape != (tensor.dimension, tensor.dimension):
-        raise ValueError("W must be square and match the tensor dimension")
-    dense = tensor.to_dense()
-    for _ in range(tensor.order):
-        # Contract the leading axis with W; after `order` rounds the axes
-        # return to their original positions.
-        dense = np.tensordot(dense, W, axes=([0], [0]))
-    return SymmetricTensor.from_dense(dense)
-
-
-# --- serialization -----------------------------------------------------------
-
-def save_sample(path, sample):
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in sample:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def load_sample(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no rows in sample file {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows in sample file")
-    return np.array(rows)
-
-
-def tensor_to_json(tensor):
-    entries = [
-        {"index": list(idx), "value": float(tensor.values[k])}
-        for idx, k in tensor._index.items()
-    ]
-    return json.dumps(
-        {"dimension": tensor.dimension, "order": tensor.order, "entries": entries}
-    )
-
-
-def tensor_from_json(text):
-    doc = json.loads(text)
-    out = SymmetricTensor(int(doc["dimension"]), int(doc["order"]))
-    for ent in doc["entries"]:
-        out.values[out._index[tuple(sorted(ent["index"]))]] = float(ent["value"])
-    return out

@@ -175,7 +175,7 @@ class PseudoDistribution:
         self.degree = degree
         top = max((max(b) for b in basis), default=0)
         self._exponents = np.array(basis, dtype=np.min_scalar_type(top))
-        self._upper = upper
+        self.upper = upper
 
     @property
     def basis(self):
@@ -183,14 +183,14 @@ class PseudoDistribution:
 
     @property
     def moment_matrix(self):
-        return unpack(self._upper, [len(self._exponents)])[0]
+        return unpack(self.upper, [len(self._exponents)])[0]
 
     @functools.cached_property
     def pseudo_moments(self):
         basis = self.basis
         moments = {}
         iu, ju = np.triu_indices(len(basis))
-        for i, j, val in zip(iu.tolist(), ju.tolist(), self._upper.tolist()):
+        for i, j, val in zip(iu.tolist(), ju.tolist(), self.upper.tolist()):
             moments.setdefault(monomial_mul(basis[i], basis[j]), val)
         return moments
 
@@ -227,10 +227,6 @@ class PseudoDistribution:
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.moment_matrix).min())
-
-
-def pseudo_expectation(pd, f):
-    return pd.pseudo_expectation(f)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ class _MonomialTable:
     """
 
     def __init__(self, E):
-        self.width = E.shape[1]
+        self.width, self.dtype = E.shape[1], E.dtype
         keys = _row_keys(E)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
@@ -442,6 +438,20 @@ class _MonomialTable:
         pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
         found = np.where(self.keys[pos] == q, self.order[pos], -1)
         return found.reshape(E.shape[:-1])
+
+    def index(self, E):
+        """Index of each exponent row of E (integers, any leading shape) in
+        the table; ValueError naming a row that is absent.  A row with an
+        exponent outside the table's dtype is absent: it is never cast."""
+        E = np.asarray(E)
+        fits = np.all((E >= 0) & (E <= np.iinfo(self.dtype).max), axis=-1)
+        at = self.find(np.where(fits[..., None], E, 0).astype(self.dtype))
+        at[~fits] = -1
+        if (at < 0).any():
+            mono = E.reshape(-1, self.width)[np.argmax(at.ravel() < 0)]
+            raise ValueError(f"monomial {tuple(mono.tolist())} not representable "
+                             "on the moment matrix")
+        return at
 
 
 def face_basis(K):
@@ -522,14 +532,16 @@ def _face_rows(V, sizes, num_free, num_rows, moment, other):
 class MomentRelaxation:
     """A compiled system: the SDP plus the maps needed to read answers back.
 
-    `moment_positions` maps each representable monomial to the entry (i, j),
-    i <= j, of the moment matrix that holds it, and `moment_gather` gives,
-    for each upper-triangle entry in row-major order, the flat index of the
-    entry that holds its monomial: X0.ravel()[moment_gather] is the packed
-    upper triangle of the Hankel-exact moment matrix.  `face` is the
-    echelon basis V of the moment block's face, built by `face_basis` from
-    the kernel vectors `relax` finds, and block 0 of the SDP is Z with
-    X0 = V Z V^T.  `aux_block_index` maps each auxiliary PSD block's name
+    `pairs` is the table of the moment matrix's upper-triangle pairs (i, j),
+    i <= j, in row-major order, keyed on the product of their two basis
+    monomials; `pairs.index(E)` gives, for each exponent row of E, the
+    first pair that holds it, which is also its entry of the packed
+    `PseudoDistribution.upper`.  `moment_gather` gives, for each pair, the
+    flat index of the first pair with its monomial:
+    X0.ravel()[moment_gather] is the packed upper triangle of the
+    Hankel-exact moment matrix.  `face` is the echelon basis V of the
+    moment block's face, built by `face_basis` from the kernel vectors
+    `relax` finds, and block 0 of the SDP is Z with X0 = V Z V^T.  `aux_block_index` maps each auxiliary PSD block's name
     to its SDP block.  `problem` is posed on `presolve`'s rows,
     rhs and objective as they are; `presolved` keeps the rest, the pivots
     that give back the free scalars (`extract`).
@@ -539,12 +551,12 @@ class MomentRelaxation:
     `problem.A`.
     """
 
-    def __init__(self, system, basis, problem, positions, gather, aux_index,
+    def __init__(self, system, basis, problem, pairs, gather, aux_index,
                  presolved, face, rows_implied, trivially_infeasible):
         self.system = system
         self.basis = basis
         self.problem = problem
-        self.moment_positions = positions
+        self.pairs = pairs
         self.moment_gather = gather
         self.aux_block_index = aux_index
         self.presolved = replace(presolved, rows=None, rhs=None, objective=None)
@@ -568,11 +580,9 @@ class MomentRelaxation:
 def _objective_terms(objective, nv):
     if objective is None:
         return {}
-    if isinstance(objective, Polynomial):
-        if objective.dimension != nv:
-            raise ValueError("objective dimension mismatch")
-        return dict(objective.terms)
-    return {tuple(m): float(c) for m, c in objective.items()}
+    if objective.dimension != nv:
+        raise ValueError("objective dimension mismatch")
+    return objective.terms
 
 
 def relax(system, objective=None, sense="min", basis=None):
@@ -633,11 +643,6 @@ def relax(system, objective=None, sense="min", basis=None):
     first = pairs.first
     canon = np.flatnonzero(first == np.arange(len(iu)))
     monos = products[canon]
-    iu_list, ju_list = iu.tolist(), ju.tolist()
-    positions = {
-        mono: (iu_list[p], ju_list[p])
-        for mono, p in zip(map(tuple, monos.tolist()), canon.tolist())
-    }
     gather = iu[first] * bsize + ju[first]
 
     # the rows' entries on X0, (row, i, j, value) with rows ascending, as
@@ -703,16 +708,12 @@ def relax(system, objective=None, sense="min", basis=None):
     width = sum(s * (s + 1) // 2 for s in block_sizes)
     column = unpack(np.arange(width), block_sizes)  # the packed column of X[blk][i, j]
 
-    # the affine rows and the objective row: their X0 entries, and their
-    # (row, column, value) entries on the aux blocks and free scalars
+    # the affine rows and the objective row: their X0 entries, at the first
+    # pair of each monomial (one lookup), and their (row, column, value)
+    # entries on the aux blocks and free scalars
     listed, other = [], []
     for aff in system.affine_equalities:
-        for mono, coef in aff.poly.terms.items():
-            if mono not in positions:
-                raise ValueError(
-                    f"affine equality references unrepresentable monomial {mono}"
-                )
-            listed.append((num_rows, *positions[mono], coef))
+        listed.extend((num_rows, mono, coef) for mono, coef in aff.poly.terms.items())
         other.extend((num_rows, column[aux_index[name]][i, j], coef)
                      for (name, i, j), coef in aff.psd.items())
         other.extend((num_rows, width + f, coef) for f, coef in aff.free.items())
@@ -723,19 +724,18 @@ def relax(system, objective=None, sense="min", basis=None):
             f"(moment block of size {bsize})"
         )
     sign = -1.0 if sense == "max" else 1.0
-    for mono, coef in _objective_terms(objective, nv).items():
-        if mono not in positions:
-            raise ValueError(f"objective monomial {mono} not representable")
-        listed.append((num_rows, *positions[mono], sign * coef))
-
-    moment = np.concatenate(moment + [np.reshape(listed, (-1, 4))])
+    listed.extend((num_rows, mono, sign * coef)
+                  for mono, coef in _objective_terms(objective, nv).items())
+    rows, terms, coefs = zip(*listed) if listed else ((), (), ())
+    at = pairs.index(np.reshape(terms, (-1, nv)))
+    moment = np.concatenate(moment + [np.column_stack([rows, iu[at], ju[at], coefs])])
     R = _face_rows(V, block_sizes, system.num_free, num_rows + 1, moment, other)
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
     presolved = presolve(R[:-1], rhs, system.num_free, objective=R[-1])
     problem = SdpProblem(block_sizes, presolved.rows, presolved.rhs, presolved.objective)
     return MomentRelaxation(
-        system, basis, problem, positions, gather, aux_index,
+        system, basis, problem, pairs, gather, aux_index,
         presolved, V, rows_implied, trivially_infeasible,
     )
 
@@ -767,9 +767,8 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None):
     obj_val = None
     if objective is not None:
         terms = _objective_terms(objective, system.num_vars)
-        positions = relaxation.moment_positions
-        M = pd.moment_matrix
-        obj_val = math.fsum(c * float(M[positions[m]]) for m, c in terms.items())
+        at = relaxation.pairs.index(np.reshape(list(terms), (-1, system.num_vars)))
+        obj_val = math.fsum(c * v for c, v in zip(terms.values(), pd.upper[at].tolist()))
     return SystemSolution(
         status=solution.status, pseudo=pd, aux=aux, free_values=free,
         objective_value=obj_val, sdp=solution, relaxation=relaxation,

@@ -345,95 +345,3 @@ def minimal_C(sample, k, ell=None):
                 f"no verified certificate at C={best:.6g} ({res.detail})"
             )
     return best
-
-
-# ---------------------------------------------------------------------------
-# closure transforms
-
-
-@dataclass
-class ClosureTransform:
-    """A distribution operation with its predicted C-inflation factor.
-
-    Transforms map a sample to a transformed sample; generators draw a fresh
-    sample of a target law.  `predicted_factor` bounds minimal_C(after) /
-    minimal_C(before) for transforms; for generators `predicted_C` is an
-    absolute parameter the law is expected to certify at.
-    """
-
-    name: str
-    predicted_factor: float | None = None
-    predicted_C: float | None = None
-    apply: object = None
-    generate: object = None
-    note: str = ""
-
-
-def _well_conditioned_matrix(d, rng):
-    q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    return q1 @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ q2
-
-
-def closure_generators(dimension=2, shift_scale=10.0, mixture_q=2,
-                       mixture_separation=3.0, seed=0):
-    """Sampler transforms with predicted parameter-inflation factors, used to
-    drive invariance property tests."""
-    rng0 = np.random.default_rng(seed)
-    A = _well_conditioned_matrix(dimension, rng0)
-    direction = rng0.normal(size=dimension)
-    shift = shift_scale * direction / np.linalg.norm(direction)
-
-    def apply_linear(sample, rng=None):
-        return np.asarray(sample) @ A.T
-
-    def apply_shift(sample, rng=None):
-        return np.asarray(sample) + shift
-
-    def apply_subsample(sample, rng):
-        X = np.asarray(sample)
-        n = X.shape[0]
-        idx = rng.choice(n, size=max(n // 2, 1), replace=False)
-        return X[idx]
-
-    def apply_product(sample, rng):
-        # columns drawn independently from the scalar sample's empirical law
-        x = np.asarray(sample, dtype=float).reshape(-1)
-        n = x.shape[0]
-        cols = [x[rng.integers(0, n, size=n)] for _ in range(dimension)]
-        return np.column_stack(cols)
-
-    means = np.zeros((mixture_q, dimension))
-    for i in range(mixture_q):
-        sign = 1.0 if i % 2 == 0 else -1.0
-        means[i, 0] = sign * mixture_separation * (1 + i // 2)
-
-    def generate_mixture(n, rng):
-        comps = rng.integers(0, mixture_q, size=n)
-        return means[comps] + rng.normal(size=(n, dimension))
-
-    return [
-        ClosureTransform(
-            name="linear", predicted_factor=1.0, apply=apply_linear,
-            note="invertible maps leave the parameter unchanged",
-        ),
-        ClosureTransform(
-            name="shift", predicted_factor=4.0, apply=apply_shift,
-            note="translations at most double the parameter; 4x is asserted",
-        ),
-        ClosureTransform(
-            name="subsample", predicted_factor=1.0, apply=apply_subsample,
-            note="i.i.d. subsampling is stable up to sampling error",
-        ),
-        ClosureTransform(
-            name="product", predicted_C=2.0, apply=apply_product,
-            note="products of unit-variance scalars with Gaussian-dominated "
-                 "even moments certify at C = 2",
-        ),
-        ClosureTransform(
-            name="mixture", predicted_C=10.0 * mixture_q,
-            generate=generate_mixture,
-            note="q-component unit-covariance mixtures certify at C "
-                 "proportional to q",
-        ),
-    ]

@@ -37,6 +37,7 @@ from robustmoments.estimators import (
 )
 from robustmoments.polycore import (
     Polynomial,
+    distinct_indices,
     empirical_moments,
     enumerate_monomials,
     monomial_mul,
@@ -270,21 +271,24 @@ def _every_multiplier_row(system, rel):
     """Each row E~[mult * g] = 0 a compiler without the face would build: one
     per equality g and monomial mult of degree <= ell - deg g whose products
     with g's terms are all representable, as coefficients on the flat
-    moment matrix, each monomial read at its position."""
-    positions, size = rel.moment_positions, len(rel.basis)
+    moment matrix, each monomial read at its first pair by `rel.pairs`."""
+    size = len(rel.basis)
+    iu, ju = np.triu_indices(size)
+    monos = dict.fromkeys(monomial_mul(rel.basis[i], rel.basis[j])
+                          for i, j in zip(iu.tolist(), ju.tolist()))
     rows = []
     for g in system.equalities:
         lead = max(g.terms, key=sum)
-        for mono in positions:
+        for mono in monos:
             mult = tuple(a - b for a, b in zip(mono, lead))
             if min(mult) < 0 or sum(mult) > system.relaxation_degree - g.degree():
                 continue
             prods = [monomial_mul(mult, gamma) for gamma in g.terms]
-            if all(p in positions for p in prods):
+            if all(p in monos for p in prods):
                 row = np.zeros(size * size)
-                for p, c in zip(prods, g.terms.values()):
-                    i, j = positions[p]
-                    row[i * size + j] += c
+                at = rel.pairs.index(np.array(prods))
+                for q, c in zip(at.tolist(), g.terms.values()):
+                    row[iu[q] * size + ju[q]] += c
                 rows.append(row)
     return np.array(rows)
 
@@ -516,6 +520,19 @@ class TestPlantedD2:
         assert est.diagnostics["relaxation"]["face_dim"] == 96
         mu = sample.clean_reference.mean(axis=0)
         assert np.linalg.norm(est.mean_hat - mu) <= 0.5
+
+    def test_estimate_has_one_entry_per_row_coordinate_and_tensor_entry(self):
+        # acceptance planted #8: the batched moment reads keep every shape
+        sample = planted_d2(12)
+        est = estimate_moments(
+            sample.data, EstimatorConfig(epsilon=1 / 12, params=SubgaussParams(2.0, 4))
+        )
+        w = est.diagnostics["selection_weights"]
+        assert w.dtype == np.float64 and w.shape == (12,)
+        assert est.mean_hat.shape == (2,)
+        assert sorted(est.higher_hats) == [3, 4]
+        for T in [est.cov_hat, *est.higher_hats.values()]:
+            assert T.values.shape == (len(distinct_indices(2, T.order)),)
 
     def test_covariance_reads_the_pseudo_moments_one_by_one(self):
         # reference: E~[x_{i,a} x_{j,b}] read per pair, as sums over the rows

@@ -17,9 +17,7 @@ from robustmoments import sosengine
 from robustmoments.polycore import (
     Polynomial,
     SymmetricTensor,
-    identity_pair_tensor,
     monomial_mul,
-    symmetric_outer,
 )
 from robustmoments.sdp import pack, unpack
 from robustmoments.sosengine import (
@@ -35,7 +33,6 @@ from robustmoments.sosengine import (
     find_sos_combination,
     gram_to_sos,
     presolve,
-    pseudo_expectation,
     relax,
     solve_system,
     sos_norm,
@@ -46,6 +43,16 @@ from robustmoments.sosengine import (
 from robustmoments.subgauss import minimal_C
 
 X = Polynomial.variable(1, 0)
+
+
+def _rank_one(v):
+    """v^{x4}: <T, u^{x4}> = <v, u>^4."""
+    return SymmetricTensor.from_dense(np.einsum("i,j,k,l->ijkl", v, v, v, v))
+
+
+def _pair_identity(d):
+    """Sym(I x I): <T, u^{x4}> = |u|^4 (`from_dense` symmetrizes)."""
+    return SymmetricTensor.from_dense(np.einsum("ab,ce->abce", np.eye(d), np.eye(d)))
 
 
 class TestSolveSystem:
@@ -126,15 +133,17 @@ class TestSolveSystem:
 
     def test_extract_reads_the_moment_matrix_by_position(self):
         # the gathered moment matrix equals the one the constructor builds
-        # from the pseudo-moments at each monomial's position
+        # from the pseudo-moments at each monomial's first pair
         x = Polynomial.variable(2, 0)
         y = Polynomial.variable(2, 1)
         system = ConstraintSystem(2, 4, equalities=[x * x + y * y - 1.0])
         res = solve_system(system, objective=x * y * y, sense="max")
         rel = res.relaxation
         X0 = rel.face @ res.sdp.primal_blocks[0] @ rel.face.T
-        moments = {mono: X0[i, j] for mono, (i, j) in rel.moment_positions.items()}
-        M = np.array([[moments[monomial_mul(a, b)] for b in rel.basis] for a in rel.basis])
+        at = rel.pairs.index(np.array([[monomial_mul(a, b) for b in rel.basis]
+                                       for a in rel.basis]))
+        iu, ju = np.triu_indices(len(rel.basis))
+        M = X0[iu[at], ju[at]]
         built = PseudoDistribution(2, 4, rel.basis, pack([M]))
         assert np.array_equal(res.pseudo.moment_matrix, built.moment_matrix)
         assert res.pseudo.pseudo_moments == built.pseudo_moments
@@ -308,6 +317,18 @@ class TestRelaxValidation:
                 psd_blocks=[PsdVarBlock("G", 2)], num_free=1,
             )
 
+    def test_unrepresentable_objective_rejected(self):
+        # the exponent keys are uint8, so x^256 read as a key would be x^0
+        system = ConstraintSystem(1, 2, equalities=[X * X - 1.0])
+        with pytest.raises(ValueError, match="representable"):
+            relax(system, objective=X ** 256)
+
+    def test_unrepresentable_affine_monomial_rejected(self):
+        # x^2 is no product of two elements of the basis {1}
+        system = ConstraintSystem(1, 2, affine_equalities=[AffineEquality(X * X - 1.0)])
+        with pytest.raises(ValueError, match="representable"):
+            relax(system, basis=[(0,)])
+
     def test_monomial_cap_enforced(self):
         # 30 variables at level 8: C(34, 4) = 46376 basis monomials, above
         # the default cap, refused before any is enumerated
@@ -321,7 +342,7 @@ def _edge_systems():
     its basis (None for the default) and its relax keywords."""
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     u = [Polynomial.variable(3, i) for i in range(3)]
-    T = symmetric_outer(np.array([1.0, 0.5, -0.25]), 4).add(identity_pair_tensor(3))
+    T = _rank_one(np.array([1.0, 0.5, -0.25])).add(_pair_identity(3))
     return {
         # affine rows only: no multiplier rows, no kernel, V = I
         "no-equalities": (ConstraintSystem(2, 2, affine_equalities=[
@@ -444,7 +465,7 @@ class TestPseudoDistribution:
         y = Polynomial.variable(2, 1)
         poly = 2.0 * x ** 3 * y - 0.5 * x * y + 1.25 * y ** 4 - 3.0
         direct = sum(wi * poly.evaluate(p) for wi, p in zip(w, pts))
-        assert pseudo_expectation(pd, poly) == pytest.approx(direct, abs=1e-10)
+        assert pd.pseudo_expectation(poly) == pytest.approx(direct, abs=1e-10)
         assert pd.min_eigenvalue() >= -1e-10
 
     def test_support_moment_matrix_is_the_exact_moments(self):
@@ -724,12 +745,12 @@ class TestFindSosCombination:
 
 class TestSosNorm:
     def test_rank_one_unit(self):
-        T = symmetric_outer(np.array([1.0, 0.0, 0.0]), 4)
+        T = _rank_one(np.array([1.0, 0.0, 0.0]))
         assert sos_norm(T) == pytest.approx(1.0, abs=1e-6)
 
     def test_scaled_pair_identity(self):
         # <3 Sym(IxI), u^{x4}> = 3|u|^4, so the norm is 3^{1/4}
-        T = identity_pair_tensor(2).scale(3.0)
+        T = _pair_identity(2).scale(3.0)
         assert sos_norm(T) == pytest.approx(3.0 ** 0.25, abs=1e-6)
 
     def test_zero_tensor(self):
@@ -738,7 +759,7 @@ class TestSosNorm:
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=3)
-        T = symmetric_outer(v, 4).add(identity_pair_tensor(3))
+        T = _rank_one(v).add(_pair_identity(3))
         lam = 2.7
         assert sos_norm(T.scale(lam)) == pytest.approx(
             lam ** 0.25 * sos_norm(T), abs=1e-6
@@ -746,8 +767,8 @@ class TestSosNorm:
 
     def test_upper_bounds_directional_values(self):
         rng = np.random.default_rng(11)
-        T = symmetric_outer(rng.normal(size=3), 4)
-        T = T.add(symmetric_outer(rng.normal(size=3), 4))
+        T = _rank_one(rng.normal(size=3))
+        T = T.add(_rank_one(rng.normal(size=3)))
         bound = sos_norm(T)
         for _ in range(20):
             u = rng.normal(size=3)

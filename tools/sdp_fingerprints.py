@@ -10,8 +10,8 @@ index within the call, and the SHA-256 of the relaxation's
 `problem.dump()`, `face` bytes, `moment_gather` bytes and row counts (m,
 nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
 it prints the SHA-256 of the call's result (`result_parts` says what it
-covers).  The last two lines hash all relaxations and all results.  A run
-takes about a minute and a half.
+covers; each array counts with its shape and dtype).  The last two lines
+hash all relaxations and all results.  A run takes about a minute.
 
 Two checkouts pose the same SDPs, and return the same results, when their
 outputs are equal:
@@ -70,11 +70,18 @@ def fingerprint(relaxation):
     return h.hexdigest()
 
 
+def _array_part(a):
+    """An array's shape, dtype and bytes: equal bytes of another shape differ."""
+    a = np.ascontiguousarray(a)
+    return repr((a.shape, a.dtype.str)).encode() + a.tobytes()
+
+
 def result_parts(result):
     """What a call's result is compared on, as bytes or exact reprs: an
-    estimate's mean, covariance, higher tensors, selection weights and
-    trace objective; the oracle's subset and minimal C; `certify`'s status,
-    failed order and margins; a certificate's JSON; a float as itself."""
+    estimate's mean, covariance, higher tensors and selection weights (each
+    array with its shape and dtype) and trace objective; the oracle's subset
+    and minimal C; `certify`'s status, failed order and margins; a
+    certificate's JSON; a float as itself."""
     if isinstance(result, float):
         return [repr(result)]
     if hasattr(result, "to_json"):
@@ -86,8 +93,8 @@ def result_parts(result):
     if diagnostics["mode"] == "Oracle":
         return [repr((diagnostics["subset"], float(diagnostics["minimal_C"])))]
     tensors = [result.cov_hat] + [result.higher_hats[r] for r in sorted(result.higher_hats)]
-    return [np.asarray(result.mean_hat).tobytes(), *(t.values.tobytes() for t in tensors),
-            np.asarray(diagnostics["selection_weights"]).tobytes(),
+    return [_array_part(result.mean_hat), *(_array_part(t.values) for t in tensors),
+            _array_part(diagnostics["selection_weights"]),
             repr(float(diagnostics["trace_objective"]))]
 
 
