@@ -21,22 +21,28 @@ every update is a sum of products of block-diagonal matrices, and the
 solution's blocks are cut from the diagonal.  One map, computed once per
 solve, gives each packed column's flat position in X and its mirror; A and
 C are expanded through it onto vec(X), each off-diagonal coefficient split
-half and half between X[i, j] and X[j, i].  A is held once: A(X) is
-A vec(X), and A^T(y) reads A^T y through a transposed view on A's arrays.
+half and half between X[i, j] and X[j, i].  The vec'd rows are held once,
+as CSR arrays with each entry's row beside it, and numpy applies them:
+A(X) and A^T(y) are `bincount` sums of entry products, in a sparse
+product's order.  On tiny problems each call costs more than its
+arithmetic, so X and S are stepped as one stack, with one Cholesky, one
+inverse and one `eigvalsh` for both.
 
 The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with one
 formula, after SDPA's F1 (Fujisawa, Kojima and Nakata, Math. Prog. 79,
 1997): for a row with q stored entries, S^{-1} A_k X is the sum of q outer
-products of columns of S^{-1} and rows of X, batched over the rows of equal
-q, and A vec(S^{-1} A_k X) is row k of M.  Posed rows hold at most about
-10 N entries, far from the N^2 at which a dense product per row pays.  Each
-iteration factors M, X and S once, each as the inverse of its Cholesky
-factor L: a Newton solve is two products with L^{-1}, O(m^2) each, and the
-factors of X and S give S^{-1} and both step lengths.  The direction taken
-gets one refinement step against its primal equation, measured on dX
-itself.  A solve that reaches its iteration limit, whose linear algebra
-fails, or whose direction is not finite, ends `MaxIterations` on the best
-iterate it saw.
+products of columns of S^{-1} and rows of X, batched over a group of rows,
+and A vec(S^{-1} A_k X) is row k of M.  Rows of adjacent q share a group,
+padded with weight-0 slots, while the padding costs less than a group's
+fixed overhead, so a tiny problem assembles in one group.  Posed rows hold
+at most about 10 N entries, far from the N^2 at which a dense product per
+row pays.  Each iteration factors M, X and S once, each as the inverse of
+its Cholesky factor L: a Newton solve is two products with L^{-1}, O(m^2)
+each, and the factors of X and S give S^{-1} and both step lengths.  The
+direction taken gets one refinement step against its primal equation,
+measured on dX itself.  A solve that reaches its iteration limit, whose
+linear algebra fails, or whose direction is not finite, ends
+`MaxIterations` on the best iterate it saw.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from scipy import sparse
 
 DEFAULT_CONSTRAINT_CAP = 20_000
 _CHUNK_FLOATS = 1 << 20  # floats in one Schur assembly temporary, at most
+_GROUP_FLOPS = 1 << 14  # a Schur group's fixed cost, about 15 us, in multiply-adds
 _STEP_FRACTION = 0.98  # share of the step to the cone boundary taken
 
 
@@ -89,9 +96,11 @@ def unpack(vec, sizes, off=1):
 
 
 def _columns(sizes):
-    """(block, i, j) arrays over the packed entry columns."""
-    grids = [(np.full((s, s), b), *np.indices((s, s))) for b, s in enumerate(sizes)]
-    return [pack(grid) for grid in zip(*grids)]
+    """(block, i, j) arrays over the packed entry columns: each block's
+    upper triangle, row-major, in the order `pack` writes them."""
+    tri = [np.nonzero(np.arange(s)[:, None] <= np.arange(s)) for s in sizes]
+    return [np.repeat(np.arange(len(sizes)), [len(i) for i, _ in tri]),
+            *(np.concatenate(c) for c in zip(*tri))]
 
 
 class SdpProblem:
@@ -103,7 +112,8 @@ class SdpProblem:
     A[k] . pack(X) = rhs[k], and the objective is c . pack(X).  A matrix
     coefficient a_ij of <A, X> is written a_ii on the diagonal and 2 a_ij
     once for each i < j, as `pack(mats, off=2)` writes it.  `objective` and
-    `constraints` read the data back as matrices and entry rows.
+    `constraints` read the data back as matrices and entry rows.  Data that
+    does not fit the block sizes, or is not finite, raises `ValueError`.
     """
 
     def __init__(self, block_sizes, A, rhs, c):
@@ -116,6 +126,8 @@ class SdpProblem:
         self.A = sparse.csr_matrix(A, dtype=float)
         self.A.sum_duplicates()  # one sorted entry per column, as dump reads it
         self.rhs, self.c = np.array(rhs, dtype=float), np.array(c, dtype=float)
+        if not all(np.isfinite(v).all() for v in (self.A.data, self.rhs, self.c)):
+            raise ValueError("rows, rhs and objective must be finite")
 
     @property
     def num_constraints(self):
@@ -187,6 +199,13 @@ class SdpSolution:
 
 
 def solve(problem, config=None):
+    """Solve `problem` and return an `SdpSolution` whose `status` is one of
+    `Optimal` (residuals and gap within `config.tol`), `Infeasible` (a
+    Farkas ray y with b.y > 0 and A^T(y) + S ~ 0 proves that no X is
+    feasible) or `MaxIterations` (the iteration limit, a numerical failure
+    or an apparently unbounded primal; `detail` says which, and the
+    solution is the best iterate seen).  Raises `SdpSizeError` past
+    `DEFAULT_CONSTRAINT_CAP` rows."""
     config = config or SdpConfig()
     if problem.num_constraints > DEFAULT_CONSTRAINT_CAP:
         raise SdpSizeError(
@@ -198,89 +217,96 @@ def solve(problem, config=None):
 class _HsdSolver:
     def __init__(self, problem, config):
         self.config = config
-        self.sizes = problem.block_sizes
-        self.m = problem.num_constraints
-        self.N = N = sum(self.sizes)
-        self.b = np.array(problem.rhs, dtype=float)
+        self.sizes = sizes = problem.block_sizes
+        self.m = m = problem.num_constraints
+        self.N = N = sum(sizes)
+        self.b = problem.rhs
         self.bnorm = 1.0 + float(np.linalg.norm(self.b))
         # the one map from the packed columns to vec(X): column (b, i, j) is
         # X[o_b + i, o_b + j], o_b the offset of block b, at flat index ij,
         # and its mirror at ji.  An off-diagonal coefficient puts half on
         # each orientation, so that a functional reads the entry once.
-        b, i, j = _columns(self.sizes)
-        o = np.cumsum([0] + self.sizes)[b]
+        b, i, j = _columns(sizes)
+        o = np.cumsum([0] + sizes)[b]
         ij, ji = (o + i) * N + o + j, (o + j) * N + o + i
         off = ij != ji
         half = np.where(off, 0.5, 1.0)
         C = np.zeros(N * N)
-        C[ij] += half * problem.c
-        C[ji[off]] += (half * problem.c)[off]
+        C[ij] = C[ji] = half * problem.c
         self.C = C.reshape(N, N)
-        ends = np.cumsum(self.sizes)
+        ends = np.cumsum(sizes)
         self.cnorm = 1.0 + max(
-            float(np.linalg.norm(self.C[e - s:e, e - s:e])) for s, e in zip(self.sizes, ends))
-        # the vec'd rows through the same map: tr(A_k X) = A[k] @ vec(X)
+            float(np.linalg.norm(self.C[e - s:e, e - s:e])) for s, e in zip(sizes, ends))
+        # the vec'd rows through the same map, as CSR arrays in column order
+        # with each entry's row beside it: tr(A_k X) = A[k] @ vec(X)
         P = problem.A
-        k, cols = np.repeat(np.arange(self.m), np.diff(P.indptr)), P.indices
+        k, cols = np.repeat(np.arange(m), np.diff(P.indptr)), P.indices
         val, part = half[cols] * P.data, off[cols]
-        self.A = sparse.csr_matrix(
-            (np.concatenate([val, val[part]]),
-             (np.concatenate([k, k[part]]), np.concatenate([ij[cols], ji[cols][part]]))),
-            shape=(self.m, N * N))
-        self.At = self.A.T  # a view on A's arrays: the rows are held once
-        # the columns of vec(X) that A reads, and A on those alone: the
-        # assembly copies only those rows of each group's T^T
-        self.used, cols = np.unique(self.A.indices, return_inverse=True)
+        rows = np.concatenate([k, k[part]])
+        cols = np.concatenate([ij[cols], ji[cols[part]]])
+        order = np.argsort(rows * N * N + cols)
+        self.rows, self.cols = rows[order], cols[order]
+        self.vals = np.concatenate([val, val[part]])[order]
+        counts = np.bincount(self.rows, minlength=m)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        # the columns of vec(X) that A reads, and A on those alone, on the
+        # same arrays: the assembly copies only those rows of each group's T^T
+        self.used, used_cols = np.unique(self.cols, return_inverse=True)
         self.A_used = sparse.csr_matrix(
-            (self.A.data, cols, self.A.indptr), shape=(self.m, len(self.used)))
-        # the rows grouped by entry count q as (rows, I, J, V), in chunks that
-        # bound the assembly's temporaries: two rows x q x N products, T
-        # (rows x N^2) and the rows x m result
+            (self.vals, used_cols, self.indptr), shape=(m, len(self.used)))
+        # the row groups as (rows, I, J, V), weight-0 slots padding each row
+        # to its group's q, in chunks that bound the assembly's temporaries:
+        # two rows x q x N products, T (rows x N^2) and the rows x m result
         self.groups = []
-        counts = np.diff(self.A.indptr)
-        for q in np.unique(counts[counts > 0]):
-            rows = np.flatnonzero(counts == q)
-            step = max(1, _CHUNK_FLOATS // max(q * N, N * N, self.m))
+        for rows, q in _schur_groups(counts, N):
+            step = max(1, _CHUNK_FLOATS // max(q * N, N * N, m))
             for chunk in np.split(rows, range(step, len(rows), step)):
-                pos = self.A.indptr[chunk][:, None] + np.arange(q)
-                cols = self.A.indices[pos]
-                self.groups.append((chunk, cols // N, cols % N, self.A.data[pos][:, :, None]))
+                slot = np.arange(q)
+                pad = slot >= counts[chunk][:, None]
+                pos = np.where(pad, 0, self.indptr[chunk][:, None] + slot)
+                I, J = np.divmod(self.cols[pos], N)
+                self.groups.append((chunk, I, J, np.where(pad, 0.0, self.vals[pos])[:, :, None]))
 
     def _apply_A(self, X):
-        return self.A @ X.ravel()
+        return np.bincount(self.rows, self.vals * X.take(self.cols), self.m)
 
     def _apply_At(self, y):
-        return (self.At @ y).reshape(self.N, self.N)
+        At_y = np.bincount(self.cols, self.vals * y.take(self.rows), self.N * self.N)
+        return At_y.reshape(self.N, self.N)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self):
         cfg = self.config
-        X, S = np.eye(self.N), np.eye(self.N)
+        XS = np.array((np.eye(self.N), np.eye(self.N)))  # X and S, stepped together
         y = np.zeros(self.m)
         tau, kappa = 1.0, 1.0
-        best = (np.inf, 0, X, S, y, tau)  # least merit seen, its iteration and iterate
+        best = (np.inf, 0, XS, y, tau)  # least merit seen, its iteration and iterate
         it = 0
 
         for it in range(1, cfg.max_iters + 1):
+            X, S = XS
             mu = (_inner(X, S) + tau * kappa) / (self.N + 1)
 
             r_P, R_D, cx, by, scaled = self._measure(X, S, y, tau)
             r_G = by - cx - kappa
             merit = _merit(scaled)
             if merit < best[0]:
-                best = (merit, it, X, S, y, tau)
+                best = (merit, it, XS, y, tau)
 
-            term = self._check_termination(X, S, y, cx, by, scaled)
+            term = self._check_termination(y, r_P, R_D, tau, cx, by, scaled)
             if term is not None:
-                return self._finish(*term, X, S, y, tau, it)
+                return self._finish(*term, XS, y, tau, it)
 
             try:
-                # one inverse factor each serves Sinv and both step lengths; an
-                # X that fails Cholesky falls back, an S ends the solve
-                LX = _inverse_cholesky(X)
-                LS = np.linalg.inv(np.linalg.cholesky(S))
-                Sinv = LS.T @ LS
+                # one inverse factor each, X's and S's factored together, serves
+                # Sinv and both step lengths; an X that fails Cholesky falls
+                # back, an S ends the solve
+                try:
+                    L = np.linalg.inv(np.linalg.cholesky(XS))
+                except np.linalg.LinAlgError:
+                    L = np.array((_inverse_cholesky(X), np.linalg.inv(np.linalg.cholesky(S))))
+                Sinv = L[1].T @ L[1]
                 factor = _schur_factor(self._schur_matrix(Sinv, X))
 
                 # affine probe: aim straight at mu = 0 to gauge achievable
@@ -290,48 +316,44 @@ class _HsdSolver:
                 # is cheap and the plain direction is markedly more robust near
                 # the cone boundary.  Both directions share the
                 # sigma-independent half of the system.
-                base = self._newton_base(X, tau, kappa, Sinv, factor, R_D)
+                base = self._newton_base(X, tau, kappa, Sinv, factor, r_P, R_D)
                 if base is None:
                     return self._abnormal(
-                        "singular Newton system", best, merit, X, S, y, tau, it
+                        "singular Newton system", best, merit, XS, y, tau, it
                     )
-                aff = self._direction(
-                    X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
-                    sigma=0.0, eta=1.0,
-                )
-                alpha_aff = self._max_step(LX, LS, tau, kappa, aff)
-                mu_aff = self._mu_after(X, S, tau, kappa, aff, alpha_aff)
+                aff = self._direction(X, tau, kappa, mu, Sinv, factor, base, R_D, r_G,
+                                      sigma=0.0, eta=1.0)
+                alpha_aff = self._max_step(L, tau, kappa, aff)
+                mu_aff = self._mu_after(XS, tau, kappa, aff, alpha_aff)
                 sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
-                corr = self._direction(
-                    X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
-                    sigma=sigma, eta=1.0 - sigma,
-                )
+                corr = self._direction(X, tau, kappa, mu, Sinv, factor, base, R_D, r_G,
+                                       sigma=sigma, eta=1.0 - sigma)
                 corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
-                alpha = _STEP_FRACTION * self._max_step(LX, LS, tau, kappa, corr)
+                alpha = _STEP_FRACTION * self._max_step(L, tau, kappa, corr)
                 alpha = min(alpha, 1.0)
             except np.linalg.LinAlgError:
                 return self._abnormal(
-                    "iterate left the cone numerically", best, merit, X, S, y, tau, it
+                    "iterate left the cone numerically", best, merit, XS, y, tau, it
                 )
             if not np.isfinite(alpha_aff + alpha):
                 return self._abnormal(
-                    "non-finite Newton direction", best, merit, X, S, y, tau, it
+                    "non-finite Newton direction", best, merit, XS, y, tau, it
                 )
             if alpha < 1e-10:
                 return self._abnormal(
-                    "step length collapsed", best, merit, X, S, y, tau, it
+                    "step length collapsed", best, merit, XS, y, tau, it
                 )
 
-            dX, dy, dS, dtau, dkappa = corr
-            X = _symmetrize(X + alpha * dX)
-            S = _symmetrize(S + alpha * dS)
+            # dX and dS are exactly symmetric, and so X and S stay so
+            dXS, dy, dtau, dkappa = corr
+            XS = XS + alpha * dXS
             y = y + alpha * dy
             tau += alpha * dtau
             kappa += alpha * dkappa
 
-        merit = _merit(self._measure(X, S, y, tau)[-1])
-        return self._abnormal("iteration limit", best, merit, X, S, y, tau, it)
+        merit = _merit(self._measure(*XS, y, tau)[-1])
+        return self._abnormal("iteration limit", best, merit, XS, y, tau, it)
 
     # -- termination --------------------------------------------------------
 
@@ -345,15 +367,15 @@ class _HsdSolver:
         by = float(self.b @ y)
         scaled = None
         if tau > 1e-10:
-            pres_abs = float(np.linalg.norm(r_P)) / tau
+            pres_abs = _norm(r_P) / tau
             pres = pres_abs / self.bnorm
-            dres = float(np.linalg.norm(R_D)) / tau / self.cnorm
+            dres = _norm(R_D) / tau / self.cnorm
             pobj, dobj = cx / tau, by / tau
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             scaled = (pres_abs, pres, dres, gap)
         return r_P, R_D, cx, by, scaled
 
-    def _check_termination(self, X, S, y, cx, by, scaled):
+    def _check_termination(self, y, r_P, R_D, tau, cx, by, scaled):
         tol = self.config.tol
         if scaled is not None:
             pres_abs, pres, dres, gap = scaled
@@ -365,14 +387,14 @@ class _HsdSolver:
             ):
                 return ("Optimal", "", None)
 
-        # Farkas tests for infeasibility: A^T(y) + S ~ 0 with <b,y> > 0
+        # Farkas tests for infeasibility: A^T(y) + S = tau C - R_D ~ 0, <b,y> > 0
         if by > tol:
-            cert = float(np.linalg.norm(self._apply_At(y) + S)) / by
+            cert = _norm(self.C * tau - R_D) / by
             if cert <= tol * self.cnorm * 10:
                 return ("Infeasible", "primal infeasibility certificate", (y / by, cert))
         # unbounded primal (dual infeasible): A(X) ~ 0 with <C,X> < 0
         if cx < -tol:
-            cert = float(np.linalg.norm(self._apply_A(X))) / (-cx)
+            cert = _norm(r_P + self.b * tau) / (-cx)
             if cert <= tol * self.bnorm * 10:
                 return (
                     "MaxIterations",
@@ -381,18 +403,18 @@ class _HsdSolver:
                 )
         return None
 
-    def _abnormal(self, detail, best, merit, X, S, y, tau, iterations):
+    def _abnormal(self, detail, best, merit, XS, y, tau, iterations):
         """End `MaxIterations` on the iterate of least merit seen: the last
         one, unless an earlier one was better."""
         best_merit, best_it, *iterate = best
         if best_merit < merit:
             detail += "; returned the best iterate (iteration %d)" % best_it
-            X, S, y, tau = iterate
-        return self._finish("MaxIterations", detail, None, X, S, y, tau, iterations)
+            XS, y, tau = iterate
+        return self._finish("MaxIterations", detail, None, XS, y, tau, iterations)
 
-    def _finish(self, status, detail, payload, X, S, y, tau, iterations):
+    def _finish(self, status, detail, payload, XS, y, tau, iterations):
         scale = max(tau, 1e-10)
-        Xh, yh, Sh = X / scale, y / scale, S / scale
+        (Xh, Sh), yh = XS / scale, y / scale
         r_P, R_D, pobj, dobj, _ = self._measure(Xh, Sh, yh, 1.0)
         ends = np.cumsum(self.sizes)
         ray, ray_res = (payload if payload is not None else (None, None))
@@ -400,10 +422,10 @@ class _HsdSolver:
             primal_blocks=[Xh[e - s:e, e - s:e] for s, e in zip(self.sizes, ends)],
             dual=yh,
             status=status,
-            primal_residual=float(np.linalg.norm(r_P)),
-            dual_residual=float(np.linalg.norm(R_D)),
+            primal_residual=_norm(r_P),
+            dual_residual=_norm(R_D),
             duality_gap=abs(pobj - dobj),
-            min_eigenvalue=float(np.linalg.eigvalsh(Xh).min()),
+            min_eigenvalue=float(np.linalg.eigvalsh(Xh)[0]),
             iterations=iterations,
             primal_objective=pobj,
             dual_objective=dobj,
@@ -421,43 +443,39 @@ class _HsdSolver:
         the rows of a group."""
         M = np.zeros((self.m, self.m))
         for rows, I, J, V in self.groups:
-            T = np.matmul((Sinv.T[I] * V).transpose(0, 2, 1), X[J])
+            T = np.matmul((Sinv.T.take(I, 0) * V).transpose(0, 2, 1), X.take(J, 0))
             M[rows] = (self.A_used @ T.reshape(len(rows), -1).T[self.used]).T
         return 0.5 * (M + M.T)
 
-    def _newton_base(self, X, tau, kappa, Sinv, factor, R_D):
-        """The sigma-independent half of the Newton system; None if singular."""
+    def _newton_base(self, X, tau, kappa, Sinv, factor, r_P, R_D):
+        """The sigma-independent half of the Newton system, (A(Q) - r_P,
+        <C, Q>, w1, b - A(P), den); None if singular."""
         # with P = S^{-1} C X and Q = S^{-1} R_D X:
-        P = Sinv @ self.C @ X
-        Q = Sinv @ R_D @ X
+        P, Q = Sinv @ np.array((self.C, R_D)) @ X
         g = self._apply_A(P)
-        h = self._apply_A(Q)
-        cbar = _inner(self.C, P)
-        e = _inner(self.C, Q)
+        b_g = self.b - g
         w1 = _schur_solve(factor, self.b + g)
-        den = float((self.b - g) @ w1) + cbar + kappa / tau
+        den = float(b_g @ w1) + _inner(self.C, P) + kappa / tau
         if abs(den) < 1e-300:
             return None
-        return g, h, e, w1, den
+        return self._apply_A(Q) - r_P, _inner(self.C, Q), w1, b_g, den
 
-    def _direction(self, X, tau, kappa, mu, Sinv, factor, base, r_P, R_D, r_G,
-                   sigma, eta):
-        g, h, e, w1, den = base
+    def _direction(self, X, tau, kappa, mu, Sinv, factor, base, R_D, r_G, sigma, eta):
+        """The direction (dX and dS stacked, dy, dtau, dkappa) at centering
+        weight sigma and residual weight eta."""
+        h_r, e, w1, b_g, den = base
         Xi = sigma * mu * Sinv - X
         rc_t = sigma * mu - tau * kappa
-        A_Xi = self._apply_A(Xi)
-        c_Xi = _inner(self.C, Xi)
-
-        v = eta * (h - r_P) - A_Xi
-        u = -eta * r_G + c_Xi - eta * e + rc_t / tau
+        v = eta * h_r - self._apply_A(Xi)
+        u = -eta * r_G + _inner(self.C, Xi) - eta * e + rc_t / tau
 
         w2 = _schur_solve(factor, v)
-        dtau = (u - float((self.b - g) @ w2)) / den
+        dtau = (u - float(b_g @ w2)) / den
         dy = w1 * dtau + w2
         dS = self.C * dtau - self._apply_At(dy) + eta * R_D
         dX = _symmetrize(Xi - Sinv @ dS @ X)
         dkappa = rc_t / tau - (kappa / tau) * dtau
-        return (dX, dy, dS, dtau, dkappa)
+        return np.array((dX, dS)), dy, dtau, dkappa
 
     def _refine(self, X, Sinv, factor, direction, r_P, eta):
         """One refinement step on the primal equation A(dX) - b dtau = -eta r_P.
@@ -468,28 +486,29 @@ class _HsdSolver:
         dS by -A^T(z) and dX by S^{-1} A^T(z) X, which removes it to first
         order.  A miss below a thousandth of the target is left alone.
         """
-        dX, dy, dS, dtau, dkappa = direction
-        e = self._apply_A(dX) - self.b * dtau + eta * r_P
-        if np.linalg.norm(e) <= 1e-3 * eta * np.linalg.norm(r_P):
+        dXS, dy, dtau, dkappa = direction
+        e = self._apply_A(dXS[0]) - self.b * dtau + eta * r_P
+        if _norm(e) <= 1e-3 * eta * _norm(r_P):
             return direction
         z = -_schur_solve(factor, e)
         At_z = self._apply_At(z)
-        return (dX + _symmetrize(Sinv @ At_z @ X), dy + z, dS - At_z, dtau, dkappa)
+        dXS[0] += _symmetrize(Sinv @ At_z @ X)
+        dXS[1] -= At_z
+        return dXS, dy + z, dtau, dkappa
 
     # -- step sizes ---------------------------------------------------------
 
-    def _max_step(self, LX, LS, tau, kappa, direction):
+    def _max_step(self, L, tau, kappa, direction):
         """Largest step to the boundary of the cones, or nan for a direction
         that is not finite.  For B with inverse Cholesky factor L^{-1},
         B + alpha dB stays PSD while alpha <= -1 / lambda_min(L^{-1} dB L^{-T}),
-        if that eigenvalue is < 0."""
-        dX, _, dS, dtau, dkappa = direction
+        if that eigenvalue is < 0; L stacks the factors of X and S."""
+        dXS, _, dtau, dkappa = direction
+        W = L @ dXS @ L.transpose(0, 2, 1)
+        if not np.isfinite(W).all():
+            return np.nan
         alpha = 1e30
-        for inv_L, d in ((LX, dX), (LS, dS)):
-            W = _symmetrize(inv_L @ d @ inv_L.T)
-            if not np.isfinite(W).all():
-                return np.nan
-            lam = float(np.linalg.eigvalsh(W).min())
+        for lam in np.linalg.eigvalsh(0.5 * (W + W.transpose(0, 2, 1)))[:, 0].tolist():
             if lam < 0:
                 alpha = min(alpha, -1.0 / lam)
         if dtau < 0:
@@ -498,15 +517,39 @@ class _HsdSolver:
             alpha = min(alpha, -kappa / dkappa)
         return alpha
 
-    def _mu_after(self, X, S, tau, kappa, direction, alpha):
-        dX, _, dS, dtau, dkappa = direction
+    def _mu_after(self, XS, tau, kappa, direction, alpha):
+        dXS, _, dtau, dkappa = direction
         alpha = min(alpha * _STEP_FRACTION, 1.0)
-        XS = _inner(X + alpha * dX, S + alpha * dS)
-        return (XS + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (self.N + 1)
+        XS_dot = _inner(*(XS + alpha * dXS))
+        return (XS_dot + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (self.N + 1)
+
+
+def _schur_groups(counts, N):
+    """The rows with entries as (rows, q) groups: rows of adjacent entry
+    counts share a group padded to its largest q while the padding a merge
+    adds, N^2 multiply-adds per padded slot, costs less than a group."""
+    n = np.bincount(counts, minlength=1)
+    n[0] = 0  # rows without entries join no group
+    tops, rows = [], 0
+    for q in np.flatnonzero(n).tolist():
+        if not tops or N * N * rows * (q - tops[-1]) >= _GROUP_FLOPS:
+            tops.append(q)
+            rows = 0
+        tops[-1], rows = q, rows + int(n[q])
+    group = np.searchsorted(tops, counts)
+    return [(np.flatnonzero((group == g) & (counts > 0)), q) for g, q in enumerate(tops)]
 
 
 def _inner(a, b):
-    return float(np.sum(a * b))
+    """<a, b> summed as np.sum sums it, without its wrapper: another order,
+    a dot product's, moves the last bits, and degenerate solves amplify
+    them into different certificates."""
+    return float(np.add.reduce(a * b, None))
+
+
+def _norm(v):
+    """||v||, computed as np.linalg.norm computes it, without its wrapper."""
+    return float(np.sqrt(np.vdot(v, v)))
 
 
 def _merit(scaled):
@@ -517,12 +560,14 @@ def _merit(scaled):
 def _schur_factor(M):
     """The inverse of the Cholesky factor of the Schur matrix M, with M's
     diagonal jittered in place until it factors."""
-    diag = M.diagonal().copy()
-    base = max(np.trace(M) / max(len(M), 1), 1.0)
+    diag = None
     for attempt in range(8):
         try:
             return np.linalg.inv(np.linalg.cholesky(M))
         except np.linalg.LinAlgError:
+            if diag is None:
+                diag = M.diagonal().copy()
+                base = max(np.trace(M) / max(len(M), 1), 1.0)
             # the same matrix as M + jitter * I, written in place
             np.fill_diagonal(M, diag + base * (1e-14 * 10 ** attempt))
     raise np.linalg.LinAlgError("Schur complement not PD")

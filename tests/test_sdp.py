@@ -217,14 +217,17 @@ def test_entry_constraints_match_dense():
             float(field)  # every numeric field is a plain number
     from robustmoments import sdp
 
-    solver = sdp._HsdSolver(dense, SdpConfig())
-    A_dense, A_entry = solver.A, sdp._HsdSolver(entry, SdpConfig()).A
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A_dense, attr), getattr(A_entry, attr))
-    # the rows are held once: the transpose is a view on the same arrays
-    assert np.shares_memory(solver.At.data, solver.A.data)
+    solver, other = sdp._HsdSolver(dense, SdpConfig()), sdp._HsdSolver(entry, SdpConfig())
+    for attr in ("indptr", "cols", "rows", "vals"):
+        assert np.array_equal(getattr(solver, attr), getattr(other, attr))
+    # each entry's row is the CSR row it sits in
+    assert np.array_equal(solver.rows, np.repeat(np.arange(4), np.diff(solver.indptr)))
+    # the rows are held once: the Schur projection reads the same arrays
+    assert np.shares_memory(solver.A_used.data, solver.vals)
     # X[0, 2] and X[2, 0] take half the coefficient each
-    assert A_dense.toarray()[3, 2] == A_dense.toarray()[3, 6] == 1.0
+    A_dense = np.zeros((4, 9))
+    A_dense[solver.rows, solver.cols] = solver.vals
+    assert A_dense[3, 2] == A_dense[3, 6] == 1.0
 
     a = solve(dense)
     b = solve(entry)
@@ -286,11 +289,11 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
     rng = np.random.default_rng(11)
     prob, rows = _mixed_problem(rng)
     solver = sdp._HsdSolver(prob, SdpConfig())
-    # one formula for every row: the entry rows with q = 1..4 and the two
-    # dense rows (q = 27 > N) are batched groups
-    qs = {I.shape[1] for _, I, _, _ in solver.groups}
-    assert {1, 2, 3, 4} <= qs
-    assert sum(len(chunk) for chunk, I, _, _ in solver.groups if I.shape[1] == 27) == 2
+    # one formula for every row: each row, entry row or dense (q = 27 > N),
+    # lands in exactly one batched group
+    _assert_groups_hold_the_rows(solver)
+    if chunk_floats is None:  # tiny: padding costs less than a group
+        assert len(solver.groups) == 1
 
     def pd(s):
         G = rng.normal(size=(s, s))
@@ -308,6 +311,41 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
     ref = 0.5 * (ref + ref.T)
     M = solver._schur_matrix(block_diag(*Sinv), block_diag(*X))
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _assert_groups_hold_the_rows(solver):
+    """Each row with entries is in exactly one group, whose slots hold its
+    stored entries in order and then padding of weight 0."""
+    counts = np.diff(solver.indptr)
+    grouped = np.concatenate([chunk for chunk, *_ in solver.groups])
+    assert sorted(grouped.tolist()) == np.flatnonzero(counts).tolist()
+    for chunk, I, J, V in solver.groups:
+        for k, i, j, v in zip(chunk, I, J, V[:, :, 0]):
+            lo, q = solver.indptr[k], counts[k]
+            assert np.array_equal((i * solver.N + j)[:q], solver.cols[lo:lo + q])
+            assert np.array_equal(v[:q], solver.vals[lo:lo + q])
+            assert not v[q:].any()
+
+
+def test_schur_groups_keep_far_entry_counts_apart_on_large_blocks():
+    # on a 64 x 64 block a padded slot costs 64^2 multiply-adds: rows of 2
+    # and of 27 stored entries stay in separate groups
+    from robustmoments import sdp
+
+    N, rng = 64, np.random.default_rng(7)
+    column = unpack(np.arange(N * (N + 1) // 2), [N])[0]
+    A = np.zeros((6, N * (N + 1) // 2))
+    for k in range(3):  # one off-diagonal entry: q = 2
+        A[k, column[k, k + 1]] = 1.0
+    for k in range(3, 6):  # a diagonal and 13 off-diagonal entries: q = 27
+        A[k, column[k, k]] = 1.0
+        A[k, column[k, rng.choice(np.arange(k + 1, N), 13, replace=False)]] = 1.0
+    prob = SdpProblem([N], A, np.ones(6), pack([np.eye(N)], off=2.0))
+    solver = sdp._HsdSolver(prob, SdpConfig())
+    assert np.diff(solver.indptr).tolist() == [2] * 3 + [27] * 3
+    _assert_groups_hold_the_rows(solver)
+    for chunk, *_ in solver.groups:
+        assert len({int(np.diff(solver.indptr)[k]) for k in chunk}) == 1
 
 
 def test_mixed_rows_solve_like_dense_model():
@@ -486,6 +524,40 @@ def test_problem_takes_packed_rows_as_given():
         SdpProblem([2, 1], A, [1.0], np.zeros(4))
     with pytest.raises(ValueError, match="do not fit"):
         SdpProblem([2, 1], A, [1.0, 2.0], np.zeros(3))
+
+
+@pytest.mark.parametrize("part, bad", [("c", np.nan), ("rhs", np.inf), ("A", np.nan)])
+def test_problem_rejects_non_finite_data(part, bad):
+    data = {"A": np.array([[1.0, 0.0, 2.0, 0.0]]), "rhs": np.array([1.0]),
+            "c": np.array([1.0, 0.0, 1.0, 0.5])}
+    data[part].flat[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        SdpProblem([2, 1], data["A"], data["rhs"], data["c"])
+
+
+def test_zero_rows_read_zero_and_solve_as_absent():
+    # an all-zero row (rhs 0) as the first row and in the middle: A reads
+    # exactly 0 on it, A^T gives it no weight, and the solve ends as the
+    # problem without it does
+    from robustmoments import sdp
+
+    rng = np.random.default_rng(12)
+    prob = _random_strictly_feasible(rng, [3, 2], 4)
+    want = solve(prob)
+    X = block_diag(_symmetric(rng, 3), _symmetric(rng, 2))
+    for at in (0, 2):
+        zero = SdpProblem(prob.block_sizes, np.insert(prob.A.toarray(), at, 0.0, axis=0),
+                          np.insert(prob.rhs, at, 0.0), prob.c)
+        solver = sdp._HsdSolver(zero, SdpConfig())
+        AX = solver._apply_A(X)
+        assert AX[at] == 0.0
+        assert np.array_equal(np.delete(AX, at), sdp._HsdSolver(prob, SdpConfig())._apply_A(X))
+        assert not solver._apply_At(np.eye(zero.num_constraints)[at]).any()
+        assert not solver._schur_matrix(np.eye(solver.N), X)[at].any()
+        got = solve(zero)
+        assert (got.status, got.iterations) == (want.status, want.iterations) == ("Optimal", 14)
+        assert got.primal_objective == pytest.approx(want.primal_objective, rel=1e-9)
+        assert got.dual[at] == 0.0
 
 
 # -- properties of the solver on random problems --------------------------------

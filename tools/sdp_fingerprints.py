@@ -10,8 +10,9 @@ index within the call, and the SHA-256 of the relaxation's
 `problem.dump()`, `face` bytes, `moment_gather` bytes and row counts (m,
 nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
 it prints the SHA-256 of the call's result (`result_parts` says what it
-covers; each array counts with its shape and dtype).  The last two lines
-hash all relaxations and all results.  A run takes about a minute.
+covers; each array counts with its shape and dtype), followed by the
+status and iteration count of each SDP solve the call made.  The last two
+lines hash all relaxations and all results.  A run takes about a minute.
 
 Two checkouts pose the same SDPs, and return the same results, when their
 outputs are equal:
@@ -21,13 +22,22 @@ outputs are equal:
     diff old.txt new.txt
 
 `--src` names the `src` directory of the package to fingerprint; it
-defaults to this checkout's.
+defaults to this checkout's.  A change of summation order changes the
+result hashes without changing the answers, so the numbers themselves can
+be compared within a tolerance: `--values FILE` writes each call's result
+values (`result_values`) to an `.npz`, and `--against FILE` prints, after
+each call's result line, the largest difference from that file's values
+relative to their largest magnitude, and the largest over all calls last:
+
+    python3 tools/sdp_fingerprints.py --src ../other/src --values old.npz
+    python3 tools/sdp_fingerprints.py --against old.npz
 """
 
 import argparse
 import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -98,6 +108,44 @@ def result_parts(result):
             repr(float(diagnostics["trace_objective"]))]
 
 
+def result_values(result):
+    """The numbers of `result_parts` as one float array: a certificate's
+    JSON numbers, `certify`'s margins, the oracle's subset and minimal C,
+    an estimate's arrays and trace objective, or the float itself."""
+    if isinstance(result, float):
+        return np.array([result])
+    if hasattr(result, "to_json"):
+        return np.array(_json_numbers(json.loads(result.to_json())), dtype=float)
+    if hasattr(result, "margins"):
+        return np.array([float(t) for _, t in sorted(result.margins.items())])
+    diagnostics = result.diagnostics
+    if diagnostics["mode"] == "Oracle":
+        return np.array([*diagnostics["subset"], diagnostics["minimal_C"]], dtype=float)
+    tensors = [result.cov_hat] + [result.higher_hats[r] for r in sorted(result.higher_hats)]
+    return np.concatenate([np.ravel(a) for a in (
+        result.mean_hat, *(t.values for t in tensors), diagnostics["selection_weights"],
+        [diagnostics["trace_objective"]])])
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _json_numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def relative_difference(got, want):
+    """max |got - want| / max |want|: 0 for equal arrays, inf when the
+    shapes differ or the difference is not finite."""
+    if got.shape != want.shape:
+        return np.inf
+    if np.array_equal(got, want, equal_nan=True):
+        return 0.0
+    diff, scale = np.max(np.abs(got - want)), np.max(np.abs(want))
+    return float(diff / scale) if np.isfinite(diff) and scale > 0 else np.inf
+
+
 def result_fingerprint(result):
     h = hashlib.sha256()
     for part in result_parts(result):
@@ -143,37 +191,57 @@ def _random_form(rng, d):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--values", metavar="FILE", help="write each call's result values")
+    parser.add_argument("--against", metavar="FILE", help="compare with values written before")
     args = parser.parse_args(argv)
     L = load_package(args.src)
     workloads = load_workloads()
+    reference = dict(np.load(args.against)) if args.against else None
 
-    captured = []
-    relax = L.sosengine.relax
+    captured, solves = [], []
+    relax, sdp_solve = L.sosengine.relax, L.sosengine.sdp_solve
 
     def capturing_relax(*a, **kw):
         relaxation = relax(*a, **kw)
         captured.append(fingerprint(relaxation))
         return relaxation
 
-    L.sosengine.relax = capturing_relax
+    def counting_solve(*a, **kw):
+        solution = sdp_solve(*a, **kw)
+        solves.append(f"{solution.status}/{solution.iterations}")
+        return solution
+
+    L.sosengine.relax, L.sosengine.sdp_solve = capturing_relax, counting_solve
     calls = [
         (f"{name}: {call.label}", call.fn)
         for name in sorted(workloads.BUILDERS)
         for call in workloads.build_calls(L, name, 0)
     ] + extra_calls(L)
     total, results = hashlib.sha256(), hashlib.sha256()
-    count = 0
-    for label, fn in calls:
+    count, values, worst = 0, {}, 0.0
+    for index, (label, fn) in enumerate(calls):
         captured.clear()
-        result = result_fingerprint(fn())
-        for k, digest in enumerate(captured):
-            print(f"{label} #{k} {digest}")
-            total.update(digest.encode())
-        print(f"{label} result {result}")
-        results.update(result.encode())
+        solves.clear()
+        result = fn()
+        digest = result_fingerprint(result)
+        for k, relaxation in enumerate(captured):
+            print(f"{label} #{k} {relaxation}")
+            total.update(relaxation.encode())
+        print(f"{label} result {digest} solves {' '.join(solves) or '-'}")
+        results.update(digest.encode())
         count += len(captured)
+        key = f"call{index}"
+        values[key] = result_values(result)
+        if reference is not None:
+            diff = relative_difference(values[key], reference[key]) if key in reference else np.inf
+            print(f"{label} relative difference {diff:.2e}")
+            worst = max(worst, diff)
     print(f"all {count} relaxations {total.hexdigest()}")
     print(f"all {len(calls)} results {results.hexdigest()}")
+    if reference is not None:
+        print(f"largest relative difference {worst:.2e}")
+    if args.values:
+        np.savez(args.values, **values)
 
 
 if __name__ == "__main__":
