@@ -3,7 +3,11 @@
 Solves min <C,X> s.t. <A_i,X> = b_i, X PSD with block-diagonal X.  The
 algorithm is a primal-dual interior-point method in the homogeneous self-dual
 embedding, with HKM search directions, Mehrotra predictor-corrector steps,
-and a dense Cholesky factorization of the Schur complement.  The embedding
+and a dense Cholesky factorization of the Schur complement.  The corrector
+takes the affine probe's second-order terms off its complementarity targets:
+S^{-1} dS_aff dX_aff, symmetrized, from the HKM target sigma mu S^{-1} - X,
+and dtau_aff dkappa_aff from sigma mu - tau kappa (Mehrotra, SIAM J. Optim.
+2(4), 1992; SDPT3 does the same with HKM directions).  The embedding
 lets the same iteration converge either to an optimal pair or to a Farkas
 ray proving infeasibility, which downstream certificate searches rely on to
 distinguish "no certificate exists" from "solver trouble".
@@ -211,7 +215,10 @@ def solve(problem, config=None):
         raise SdpSizeError(
             f"{problem.num_constraints} constraints exceed cap {DEFAULT_CONSTRAINT_CAP}"
         )
-    return _HsdSolver(problem, config).run()
+    # no numpy warning: a non-finite value ends the solve, with a named
+    # detail, through the finite checks in `run`
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _HsdSolver(problem, config).run()
 
 
 class _HsdSolver:
@@ -311,11 +318,9 @@ class _HsdSolver:
 
                 # affine probe: aim straight at mu = 0 to gauge achievable
                 # progress, then re-solve with the centering weight that probe
-                # suggests.  The second-order Mehrotra term is deliberately
-                # omitted: at these problem sizes the extra solve per iteration
-                # is cheap and the plain direction is markedly more robust near
-                # the cone boundary.  Both directions share the
-                # sigma-independent half of the system.
+                # suggests and Mehrotra's second-order term, the complementarity
+                # the probe's full step would leave behind.  Both directions
+                # share the sigma-independent half of the system.
                 base = self._newton_base(X, tau, kappa, Sinv, factor, r_P, R_D)
                 if base is None:
                     return self._abnormal(
@@ -328,7 +333,7 @@ class _HsdSolver:
                 sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
                 corr = self._direction(X, tau, kappa, mu, Sinv, factor, base, R_D, r_G,
-                                       sigma=sigma, eta=1.0 - sigma)
+                                       sigma=sigma, eta=1.0 - sigma, aff=aff)
                 corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
                 alpha = _STEP_FRACTION * self._max_step(L, tau, kappa, corr)
                 alpha = min(alpha, 1.0)
@@ -460,12 +465,20 @@ class _HsdSolver:
             return None
         return self._apply_A(Q) - r_P, _inner(self.C, Q), w1, b_g, den
 
-    def _direction(self, X, tau, kappa, mu, Sinv, factor, base, R_D, r_G, sigma, eta):
+    def _direction(self, X, tau, kappa, mu, Sinv, factor, base, R_D, r_G, sigma, eta,
+                   aff=None):
         """The direction (dX and dS stacked, dy, dtau, dkappa) at centering
-        weight sigma and residual weight eta."""
+        weight sigma and residual weight eta; given the affine probe `aff`,
+        its second-order terms S^{-1} dS dX and dtau dkappa come off the
+        complementarity targets.  Xi is read only through A, <C, .> and the
+        symmetrized dX, so it needs no symmetrizing of its own."""
         h_r, e, w1, b_g, den = base
         Xi = sigma * mu * Sinv - X
         rc_t = sigma * mu - tau * kappa
+        if aff is not None:
+            (dX_aff, dS_aff), _, dtau_aff, dkappa_aff = aff
+            Xi -= Sinv @ dS_aff @ dX_aff
+            rc_t -= dtau_aff * dkappa_aff
         v = eta * h_r - self._apply_A(Xi)
         u = -eta * r_G + _inner(self.C, Xi) - eta * e + rc_t / tau
 

@@ -42,7 +42,7 @@ from robustmoments.polycore import (
     enumerate_monomials,
     monomial_mul,
 )
-from robustmoments.sdp import unpack
+from robustmoments.sdp import SdpConfig, unpack
 from robustmoments.sosengine import (
     ConstraintSystem,
     RelaxationSizeError,
@@ -51,6 +51,7 @@ from robustmoments.sosengine import (
     sphere_polynomial,
 )
 from robustmoments.subgauss import SubgaussParams
+from test_acceptance import PLANTED_INSTANCES
 
 EPS12 = 1.0 / 12
 X1 = Polynomial.variable(1, 0)
@@ -558,6 +559,30 @@ class TestPlantedD2:
             for a in range(d)
         ])
         assert np.max(np.abs(est.cov_matrix() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestTightTolerance:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("index", [7, 8])
+    def test_acceptance_planted_instance_ends_optimal_at_tol_1e10(self, index, monkeypatch):
+        # near these degenerate optima a corrector without the second-order
+        # term ends #7 MaxIterations at tol 1e-10 ("iterate left the cone")
+        # and takes 62 iterations on #8
+        bulk, adversary, j, seed, C = PLANTED_INSTANCES[index]
+        if isinstance(bulk, str):
+            bulk = np.random.default_rng(int(bulk[5:])).standard_normal((12, 1))
+        sample = corrupt(bulk, adversary, j / 12, seed=seed)
+        monkeypatch.setattr(estimators, "SdpConfig",
+                            lambda max_iters, tol: SdpConfig(max_iters=max_iters, tol=1e-10))
+        est = estimate_moments(
+            sample.data, EstimatorConfig(epsilon=j / 12, params=SubgaussParams(C, 4))
+        )
+        assert est.diagnostics["status"] == "Optimal"
+        # the acceptance suite's criterion-6 mean bound
+        clean = sample.clean_reference
+        cov_clean = empirical_moments(clean, 2).covariance.as_matrix()
+        cap = 0.5 * np.linalg.norm(cov_clean, 2) ** 0.5
+        assert np.linalg.norm(est.mean_hat - clean.mean(axis=0)) <= cap
 
 
 class TestSoundness:

@@ -553,14 +553,18 @@ class TestCertificates:
         assert verify_certificate(upper, tolerance=1e-8).valid
         assert verify_certificate(lower, tolerance=1e-8).valid
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [
         lambda: build_interval_certificates(6, 0.001),
         lambda: [build_toolkit_certificate("IntervalFromPower", 6, delta=0.001)],
-    ], ids=["interval", "toolkit"])
+        lambda: build_interval_certificates(8, 0.001),
+    ], ids=["interval", "toolkit", "interval-k8"])
     def test_interval_search_ends_in_its_own_error(self, build):
-        # beside delta^k = 1e-18 the Schur assembly overflows and the Newton
-        # direction is not finite; the solve returns its best iterate, so the
-        # search raises its own error or returns certificates that verify
+        # beside delta^k = 1e-18 the Schur assembly can overflow and the
+        # Newton direction need not be finite; the solve then ends on its
+        # best iterate without a numpy warning, so the search raises its own
+        # error or returns certificates that verify.  k = 6 returns
+        # certificates; k = 8 ends in the search's error
         try:
             certs = build()
         except RuntimeError as exc:

@@ -11,8 +11,10 @@ index within the call, and the SHA-256 of the relaxation's
 nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
 it prints the SHA-256 of the call's result (`result_parts` says what it
 covers; each array counts with its shape and dtype), followed by the
-status and iteration count of each SDP solve the call made.  The last two
-lines hash all relaxations and all results.  A run takes about a minute.
+status and iteration count of each SDP solve the call made.  Then two
+lines hash all relaxations and all results, and the last line counts the
+solves, their iterations and their statuses, so that it alone shows what a
+solver change did.  A run takes a few seconds.
 
 Two checkouts pose the same SDPs, and return the same results, when their
 outputs are equal:
@@ -27,13 +29,15 @@ result hashes without changing the answers, so the numbers themselves can
 be compared within a tolerance: `--values FILE` writes each call's result
 values (`result_values`) to an `.npz`, and `--against FILE` prints, after
 each call's result line, the largest difference from that file's values
-relative to their largest magnitude, and the largest over all calls last:
+relative to their largest magnitude, and the largest over all calls after
+the hashes:
 
     python3 tools/sdp_fingerprints.py --src ../other/src --values old.npz
     python3 tools/sdp_fingerprints.py --against old.npz
 """
 
 import argparse
+import collections
 import hashlib
 import importlib
 import importlib.util
@@ -208,7 +212,7 @@ def main(argv=None):
 
     def counting_solve(*a, **kw):
         solution = sdp_solve(*a, **kw)
-        solves.append(f"{solution.status}/{solution.iterations}")
+        solves.append((solution.status, solution.iterations))
         return solution
 
     L.sosengine.relax, L.sosengine.sdp_solve = capturing_relax, counting_solve
@@ -221,13 +225,14 @@ def main(argv=None):
     count, values, worst = 0, {}, 0.0
     for index, (label, fn) in enumerate(calls):
         captured.clear()
-        solves.clear()
+        first = len(solves)
         result = fn()
         digest = result_fingerprint(result)
         for k, relaxation in enumerate(captured):
             print(f"{label} #{k} {relaxation}")
             total.update(relaxation.encode())
-        print(f"{label} result {digest} solves {' '.join(solves) or '-'}")
+        made = " ".join(f"{status}/{n}" for status, n in solves[first:])
+        print(f"{label} result {digest} solves {made or '-'}")
         results.update(digest.encode())
         count += len(captured)
         key = f"call{index}"
@@ -242,6 +247,9 @@ def main(argv=None):
         print(f"largest relative difference {worst:.2e}")
     if args.values:
         np.savez(args.values, **values)
+    statuses = collections.Counter(status for status, _ in solves)
+    print(f"{len(solves)} solves, {sum(n for _, n in solves)} iterations, "
+          + ", ".join(f"{status} {n}" for status, n in sorted(statuses.items())))
 
 
 if __name__ == "__main__":
