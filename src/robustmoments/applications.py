@@ -258,8 +258,8 @@ def robust_ica(Y, config=None, truth_mixing=None):
     data = data * signs[:, None]
     if config.truncate:
         data = truncate_preprocess(data, config.epsilon).data
-    second, fourth, n_used = _raw_24(data, config)
-    res = ica_from_moments(second, fourth, truth_mixing, seed=config.seed)
+    _, second, higher, n_used = _raw_moments(data, config)
+    res = ica_from_moments(second, higher[4], truth_mixing, seed=config.seed)
     res.diagnostics.update(
         sample_size=n_used,
         moment_source=config.moment_source,
@@ -268,15 +268,19 @@ def robust_ica(Y, config=None, truth_mixing=None):
     return res
 
 
-def _raw_24(data, config):
+def _raw_moments(data, config):
+    """The mean, the raw second moment matrix, the raw moment tensors of
+    order 3 and up (keyed by order, 4 at least) and the rows used, from the
+    moment source `config` names."""
     if config.moment_source == "empirical":
         emp = empirical_moments(data, 4)
-        return emp.raw(2).as_matrix(), emp.raw(4), emp.sample_size
+        higher = {r: emp.raw(r) for r in (3, 4)}
+        return emp.mean, emp.raw(2).as_matrix(), higher, emp.sample_size
     est = estimate_moments(
         data, EstimatorConfig(epsilon=config.epsilon, params=config.params)
     )
     second = est.cov_matrix() + np.outer(est.mean_hat, est.mean_hat)
-    return second, est.higher_hats[4], len(data)
+    return est.mean_hat, second, est.higher_hats, len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +373,9 @@ def robust_gmm(Y, q, config=None, truth_means=None):
     data = sample_array(Y)
     if config.truncate:
         data = truncate_preprocess(data, config.epsilon).data
-    if config.moment_source == "empirical":
-        emp = empirical_moments(data, 4)
-        first, second, third = emp.mean, emp.raw(2).as_matrix(), emp.raw(3)
-        n_used = emp.sample_size
-    else:
-        est = estimate_moments(
-            data, EstimatorConfig(epsilon=config.epsilon, params=config.params)
-        )
-        first = est.mean_hat
-        second = est.cov_matrix() + np.outer(est.mean_hat, est.mean_hat)
-        third = est.higher_hats[3]
-        n_used = len(data)
+    first, second, higher, n_used = _raw_moments(data, config)
     res = gmm_from_moments(
-        first, second, third, q,
+        first, second, higher[3], q,
         truth_means=truth_means,
         seed=config.seed,
     )

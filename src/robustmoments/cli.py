@@ -329,7 +329,8 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write output here")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
+    # None: the command's own default, CSV for sweep and JSON for the rest
+    common.add_argument("--format", choices=("csv", "json"), default=None)
 
     parser = argparse.ArgumentParser(prog="robustmoments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -415,11 +416,6 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # sweeps default to CSV; everything else to JSON
-    if argv and argv[0] == "sweep" and "--format" not in argv:
-        argv = list(argv) + ["--format", "csv"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

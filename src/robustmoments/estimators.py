@@ -13,7 +13,7 @@ import math
 import warnings
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corruption import CorruptedSample, sample_array
 from .polycore import (
@@ -27,9 +27,7 @@ from .polycore import (
 )
 from .sdp import SdpConfig
 from .sosengine import (
-    AffineEquality,
     ConstraintSystem,
-    PsdVarBlock,
     coefficient_matrix,
     solve_system,
     sphere_polynomial,
@@ -245,59 +243,45 @@ def build_B(params, sample_size, dimension):
     directional 2k'-th sample moment must equal q(u)(|u|^2 - 1) plus a sum
     of squares.  Eliminating u turns each order into one affine equality per
     u-coefficient: a row of `sosengine.coefficient_matrix` for the premise 1
-    and the equality |u|^2 - 1, whose columns are the free coefficients of q
-    and the PSD Gram block Q{k'} of the square term, set against the
-    row-variable moments.
+    and the equality |u|^2 - 1, whose columns are the packed PSD Gram block
+    Q{k'} of the square term and the free coefficients of q, set against
+    the row-variable moments.  `affine_rows` holds each order's Gram
+    columns, then each order's free columns, block-diagonally.
     """
     n, d = sample_size, dimension
     nv = _num_vars(n, d)
     square_avg = _sample_moment_map(n, d, 2)
     one, sphere = Polynomial.constant(d, 1.0), sphere_polynomial(d)
 
-    affine = []
-    psd_blocks = []
-    num_free = 0
+    polys, sizes, grams, frees = [], [], [], []
     zero = Polynomial.constant(nv, 0.0)
     for kp in certification_orders(params.k):
         lhs = _sample_moment_map(n, d, 2 * kp)
         power = _map_power(square_avg, kp, nv, d)
         scale = (params.C * kp) ** kp
-        rows, A, (qbasis,), (p_monos,) = coefficient_matrix(d, 2 * kp, [one], [sphere])
-        qname = "Q%d" % kp
-        psd_blocks.append(PsdVarBlock(qname, len(qbasis)))
-        gram = [(qname, i, j) for i, j in zip(*np.triu_indices(len(qbasis)))]
-        for beta, a_row in zip(rows, A.tolist()):
-            poly = lhs.get(beta, zero) - scale * power.get(beta, zero)
-            psd = {key: c for key, c in zip(gram, a_row) if c}
-            free = {num_free + f: c for f, c in enumerate(a_row[len(gram):]) if c}
-            affine.append(AffineEquality(poly, free=free, psd=psd))
-        num_free += len(p_monos)
+        rows, A, (qbasis,), _ = coefficient_matrix(d, 2 * kp, [one], [sphere])
+        polys.extend(lhs.get(beta, zero) - scale * power.get(beta, zero) for beta in rows)
+        sizes.append(len(qbasis))
+        gram = len(qbasis) * (len(qbasis) + 1) // 2
+        grams.append(A[:, :gram])
+        frees.append(A[:, gram:])
     return ConstraintSystem(
         num_vars=nv,
         relaxation_degree=params.effective_ell,
-        affine_equalities=affine,
-        psd_blocks=psd_blocks,
-        num_free=num_free,
+        affine_polys=polys,
+        psd_sizes=sizes,
+        affine_rows=np.hstack([_block_diagonal(grams), _block_diagonal(frees)]),
     )
 
 
-def _combine(base, extra):
-    """Merge two systems over the same polynomial variables."""
-    if base.num_vars != extra.num_vars:
-        raise ValueError("systems disagree on variable count")
-    offset = base.num_free
-    shifted = []
-    for aff in extra.affine_equalities:
-        free = {idx + offset: coef for idx, coef in aff.free.items()}
-        shifted.append(AffineEquality(aff.poly, free=free, psd=aff.psd))
-    return ConstraintSystem(
-        num_vars=base.num_vars,
-        relaxation_degree=max(base.relaxation_degree, extra.relaxation_degree),
-        equalities=list(base.equalities) + list(extra.equalities),
-        affine_equalities=list(base.affine_equalities) + shifted,
-        psd_blocks=list(base.psd_blocks) + list(extra.psd_blocks),
-        num_free=base.num_free + extra.num_free,
-    )
+def _block_diagonal(blocks):
+    """The 2-D blocks laid along the diagonal of one zero matrix."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _spectral_rows(data_shape, bound):
@@ -305,7 +289,7 @@ def _spectral_rows(data_shape, bound):
     a pseudo-moment matrix inequality."""
     n, d = data_shape
     nv = _num_vars(n, d)
-    affine = []
+    polys = []
     for a in range(d):
         for b in range(a, d):
             terms = {}
@@ -317,14 +301,14 @@ def _spectral_rows(data_shape, bound):
                     terms[mono] = terms.get(mono, 0.0) - 1.0 / (n * n)
             if a == b:
                 terms[(0,) * nv] = terms.get((0,) * nv, 0.0) - bound
-            affine.append(
-                AffineEquality(Polynomial(nv, terms), psd={("specbound", a, b): 1.0})
-            )
+            polys.append(Polynomial(nv, terms))
+    # row (a, b) reads the slack's entry (a, b), and rows go in packed order
     return ConstraintSystem(
         num_vars=nv,
         relaxation_degree=4,
-        affine_equalities=affine,
-        psd_blocks=[PsdVarBlock("specbound", d)],
+        affine_polys=polys,
+        psd_sizes=[d],
+        affine_rows=np.eye(len(polys)),
     )
 
 
@@ -401,12 +385,11 @@ def estimate_moments(Y, config):
     std = (data - med) / s
 
     ell = params.effective_ell if config.mode == "FullSos" else 4
-    system = build_A(std, config.epsilon, ell=ell)
     if config.mode == "FullSos":
-        system = _combine(system, build_B(params, n, d))
+        affine = build_B(params, n, d)
     else:
-        bound = config.spectral_bound / (s * s)
-        system = _combine(system, _spectral_rows((n, d), bound))
+        affine = _spectral_rows((n, d), config.spectral_bound / (s * s))
+    system = replace(affine, equalities=build_A(std, config.epsilon, ell=ell).equalities)
 
     basis = estimator_basis(n, d, config.mode)
     objective_terms = {}
@@ -460,7 +443,7 @@ def estimate_moments(Y, config):
         "relaxation": {
             "m": problem.num_constraints,
             "block_sizes": list(problem.block_sizes),
-            "free_eliminated": len(relaxation.presolved.pivots),
+            "free_eliminated": relaxation.free_eliminated,
             "face_dim": problem.block_sizes[0],
             "rows_implied": relaxation.rows_implied,
             "rows_vanished": relaxation.rows_vanished,

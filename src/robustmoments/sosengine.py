@@ -10,10 +10,10 @@ Both SDP builders, `relax` and `find_sos_combination`, write their equality
 rows as one dense matrix on the packed SDP entries (`sdp.pack`) and then
 the free scalars (the affine equalities' free variables, equality-multiplier
 coefficients and margins), and hand it to `presolve`.  It eliminates the
-free scalars, which come back from the PSD blocks after the solve, and
-leaves out the rows that vanish and those the others imply, naming any
-contradiction among them; `SdpProblem` takes what is left as it is, so
-every SDP posed here has PSD blocks only.
+free scalars, which `find_sos_combination` reads back from the PSD blocks
+after the solve, and leaves out the rows that vanish and those the others
+imply, naming any contradiction among them; `SdpProblem` takes what is
+left as it is, so every SDP posed here has PSD blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,70 +80,58 @@ def _zero_mono(nv):
     return (0,) * nv
 
 
+def _packed_width(sizes):
+    """The number of packed entries of symmetric blocks of these sizes."""
+    return sum(s * (s + 1) // 2 for s in sizes)
+
+
 # ---------------------------------------------------------------------------
 # constraint systems
 
 
-@dataclass(frozen=True)
-class PsdVarBlock:
-    """Auxiliary PSD matrix variable (e.g. a Gram matrix) of a given size."""
-
-    name: str
-    size: int
-
-
-class AffineEquality:
-    """Scalar equality  E~[poly] + sum(free) + sum(psd entries) = 0.
-
-    `free` maps free-variable index -> coefficient; `psd` maps
-    (block name, i, j) with i <= j -> coefficient on that single unordered
-    matrix entry.  Unlike plain polynomial equalities these are imposed once
-    (no multiplier expansion): they couple pseudo-moments to auxiliary
-    variables that carry no moments of their own.  `relax` eliminates the
-    free variables from these rows; they get no SDP block.
-    """
-
-    def __init__(self, poly, free=None, psd=None):
-        self.poly = poly
-        self.free = dict(free or {})
-        self.psd = {}
-        for (name, i, j), coef in (psd or {}).items():
-            if i > j:
-                i, j = j, i
-            self.psd[(name, i, j)] = self.psd.get((name, i, j), 0.0) + float(coef)
-
-
 @dataclass
 class ConstraintSystem:
+    """Polynomial equalities, imposed under every multiplier, and affine
+    equalities, each imposed once.
+
+    Affine equality r reads E~[affine_polys[r]] + affine_rows[r] . (x, z) = 0:
+    it couples pseudo-moments to auxiliary PSD blocks of `psd_sizes`, which
+    carry no moments of their own, and to free scalars z.  The columns of
+    `affine_rows` are those blocks' packed entries x, in `sdp.pack` order
+    with each off-diagonal coefficient written once, as `pack(..., off=2)`
+    writes it, then the free scalars; `num_free` is what the columns leave
+    for them.  `relax` eliminates the free scalars; they get no SDP block.
+    None for `affine_rows` means no coefficient on any block or scalar.
+    """
+
     num_vars: int
     relaxation_degree: int
     equalities: list = field(default_factory=list)
-    affine_equalities: list = field(default_factory=list)
-    psd_blocks: list = field(default_factory=list)
-    num_free: int = 0
+    affine_polys: list = field(default_factory=list)
+    psd_sizes: list = field(default_factory=list)
+    affine_rows: np.ndarray = None
 
     def __post_init__(self):
         ell = self.relaxation_degree
         if ell % 2 != 0 or ell < 2:
             raise ValueError("relaxation degree must be even and >= 2")
-        for poly in self.equalities:
+        for poly in list(self.equalities) + list(self.affine_polys):
             self._check(poly)
-        sizes = {b.name: b.size for b in self.psd_blocks}
-        if len(sizes) != len(self.psd_blocks):
-            raise ValueError("duplicate psd block name")
-        for aff in self.affine_equalities:
-            self._check(aff.poly)
-            for name, i, j in aff.psd:
-                if name not in sizes:
-                    raise ValueError(f"affine equality names no psd block {name!r}")
-                if not 0 <= i <= j < sizes[name]:
-                    raise ValueError(
-                        f"entry ({i}, {j}) outside psd block {name!r} of size "
-                        f"{sizes[name]}"
-                    )
-            for f in aff.free:
-                if not 0 <= f < self.num_free:
-                    raise ValueError(f"free index {f} outside 0..{self.num_free - 1}")
+        entries = _packed_width(self.psd_sizes)
+        if self.affine_rows is None:
+            self.affine_rows = np.zeros((len(self.affine_polys), entries))
+        self.affine_rows = np.asarray(self.affine_rows, dtype=float)
+        shape = self.affine_rows.shape
+        if len(shape) != 2 or shape[0] != len(self.affine_polys) or shape[1] < entries:
+            raise ValueError(
+                f"affine rows of shape {shape}: want one row per affine polynomial "
+                f"({len(self.affine_polys)}), each with at least the {entries} "
+                "packed psd block entries"
+            )
+
+    @property
+    def num_free(self):
+        return self.affine_rows.shape[1] - _packed_width(self.psd_sizes)
 
     def _check(self, poly):
         if poly.dimension != self.num_vars:
@@ -487,23 +475,18 @@ def face_basis(K):
     return V
 
 
-def _face_rows(V, sizes, num_free, num_rows, moment, other):
-    """The rows as one dense matrix for `presolve`.
+def _face_rows(V, width, num_rows, moment):
+    """The rows' moment parts as one dense matrix of `width` columns for
+    `presolve`, on Z's packed entries, the first columns; the rest stay 0.
 
-    The columns are the packed entries of the blocks of `sizes`, then the
-    free scalars.  `moment` is a k x 4 array of entries (row, i, j, value)
-    that read the unordered entry X0[i, j], grouped by row in ascending
-    order; `other` lists entries (row, column, value) on the other blocks'
-    packed columns and the free scalars, added in turn.  Block 0 is Z with
-    X0 = V Z V^T, so a row's X0 part <A, X0> becomes <V^T A V, Z>, on Z's
-    upper triangle; a part below `_VANISH_TOL` of its own scale vanishes on
-    the face and is zeroed.
+    `moment` is a k x 4 array of entries (row, i, j, value) that read the
+    unordered entry X0[i, j], grouped by row in ascending order.  Block 0
+    is Z with X0 = V Z V^T, so a row's X0 part <A, X0> becomes
+    <V^T A V, Z>, on Z's upper triangle; a part below `_VANISH_TOL` of its
+    own scale vanishes on the face and is zeroed.
     """
     r = V.shape[1]
-    width = sum(s * (s + 1) // 2 for s in sizes)
-    R = np.zeros((num_rows, width + num_free))
-    rows, cols, values = np.reshape(other, (-1, 3)).T
-    np.add.at(R, (rows.astype(int), cols.astype(int)), values)
+    R = np.zeros((num_rows, width))
     counts = np.bincount(moment[:, 0].astype(int), minlength=num_rows)
     starts = np.cumsum(counts) - counts
 
@@ -541,26 +524,24 @@ class MomentRelaxation:
     X0.ravel()[moment_gather] is the packed upper triangle of the
     Hankel-exact moment matrix.  `face` is the echelon basis V of the
     moment block's face, built by `face_basis` from the kernel vectors
-    `relax` finds, and block 0 of the SDP is Z with X0 = V Z V^T.  `aux_block_index` maps each auxiliary PSD block's name
-    to its SDP block.  `problem` is posed on `presolve`'s rows,
-    rhs and objective as they are; `presolved` keeps the rest, the pivots
-    that give back the free scalars (`extract`).
-    `rows_implied` counts the multiplier rows not built because the face
-    implies them, `rows_vanished` and `rows_dependent` the built rows the
-    presolve left out, and `nnz` the entries stored in the SDP's row matrix
-    `problem.A`.
+    `relax` finds, and block 0 of the SDP is Z with X0 = V Z V^T; the
+    auxiliary PSD blocks follow it.  `problem` is posed on `presolve`'s
+    rows, rhs and objective as they are.  `free_eliminated` counts the free
+    scalars the presolve eliminated, `rows_implied` the multiplier rows not
+    built because the face implies them, `rows_vanished` and
+    `rows_dependent` the built rows the presolve left out, and `nnz` the
+    entries stored in the SDP's row matrix `problem.A`.
     """
 
-    def __init__(self, system, basis, problem, pairs, gather, aux_index,
-                 presolved, face, rows_implied, trivially_infeasible):
+    def __init__(self, system, basis, problem, pairs, gather, presolved, face,
+                 rows_implied, trivially_infeasible):
         self.system = system
         self.basis = basis
         self.problem = problem
         self.pairs = pairs
         self.moment_gather = gather
-        self.aux_block_index = aux_index
-        self.presolved = replace(presolved, rows=None, rhs=None, objective=None)
         self.face = face
+        self.free_eliminated = len(presolved.pivots)
         self.rows_implied = rows_implied
         self.rows_vanished = presolved.vanished
         self.rows_dependent = presolved.dependent
@@ -568,13 +549,12 @@ class MomentRelaxation:
         self.nnz = problem.A.nnz
 
     def extract(self, solution):
-        blocks = solution.primal_blocks
-        free = self.presolved.free_values(pack(blocks)).tolist()
-        pd = PseudoDistribution(
+        """The pseudo-distribution of a solution: X0 = V Z V^T, read
+        Hankel-exact."""
+        Z = solution.primal_blocks[0]
+        return PseudoDistribution(
             self.system.num_vars, self.system.relaxation_degree, self.basis,
-            (self.face @ blocks[0] @ self.face.T).ravel()[self.moment_gather])
-        aux = {name: np.array(blocks[idx]) for name, idx in self.aux_block_index.items()}
-        return pd, aux, free
+            (self.face @ Z @ self.face.T).ravel()[self.moment_gather])
 
 
 def _objective_terms(objective, nv):
@@ -703,21 +683,14 @@ def relax(system, objective=None, sense="min", basis=None):
         trivially_infeasible = (
             "the equalities force E~[1] = 0: the face leaves out the constant"
         )
-    block_sizes = [V.shape[1]] + [blk.size for blk in system.psd_blocks]
-    aux_index = {blk.name: k + 1 for k, blk in enumerate(system.psd_blocks)}
-    width = sum(s * (s + 1) // 2 for s in block_sizes)
-    column = unpack(np.arange(width), block_sizes)  # the packed column of X[blk][i, j]
+    block_sizes = [V.shape[1]] + list(system.psd_sizes)
 
     # the affine rows and the objective row: their X0 entries, at the first
-    # pair of each monomial (one lookup), and their (row, column, value)
-    # entries on the aux blocks and free scalars
-    listed, other = [], []
-    for aff in system.affine_equalities:
-        listed.extend((num_rows, mono, coef) for mono, coef in aff.poly.terms.items())
-        other.extend((num_rows, column[aux_index[name]][i, j], coef)
-                     for (name, i, j), coef in aff.psd.items())
-        other.extend((num_rows, width + f, coef) for f, coef in aff.free.items())
-        num_rows += 1
+    # pair of each monomial (one lookup)
+    affine = num_rows
+    listed = [(affine + r, mono, coef) for r, poly in enumerate(system.affine_polys)
+              for mono, coef in poly.terms.items()]
+    num_rows += len(system.affine_polys)
     if num_rows > DEFAULT_CONSTRAINT_CAP:
         raise RelaxationSizeError(
             f"{num_rows} linear constraints exceed the cap {DEFAULT_CONSTRAINT_CAP} "
@@ -729,14 +702,18 @@ def relax(system, objective=None, sense="min", basis=None):
     rows, terms, coefs = zip(*listed) if listed else ((), (), ())
     at = pairs.index(np.reshape(terms, (-1, nv)))
     moment = np.concatenate(moment + [np.column_stack([rows, iu[at], ju[at], coefs])])
-    R = _face_rows(V, block_sizes, system.num_free, num_rows + 1, moment, other)
+    # the affine rows' columns on the auxiliary blocks and the free scalars
+    # follow Z's
+    z_width = _packed_width(block_sizes[:1])
+    R = _face_rows(V, z_width + system.affine_rows.shape[1], num_rows + 1, moment)
+    R[affine:num_rows, z_width:] = system.affine_rows
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
     presolved = presolve(R[:-1], rhs, system.num_free, objective=R[-1])
     problem = SdpProblem(block_sizes, presolved.rows, presolved.rhs, presolved.objective)
     return MomentRelaxation(
-        system, basis, problem, pairs, gather, aux_index,
-        presolved, V, rows_implied, trivially_infeasible,
+        system, basis, problem, pairs, gather, presolved, V, rows_implied,
+        trivially_infeasible,
     )
 
 
@@ -744,8 +721,6 @@ def relax(system, objective=None, sense="min", basis=None):
 class SystemSolution:
     status: str  # Optimal | Infeasible | MaxIterations
     pseudo: PseudoDistribution | None
-    aux: dict
-    free_values: list
     objective_value: float | None
     sdp: object
     relaxation: MomentRelaxation
@@ -759,19 +734,19 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None):
         solution = sdp_solve(relaxation.problem, config)
     if solution is None or solution.status == "Infeasible":
         return SystemSolution(
-            status="Infeasible", pseudo=None, aux={}, free_values=[],
-            objective_value=None, sdp=solution, relaxation=relaxation,
+            status="Infeasible", pseudo=None, objective_value=None, sdp=solution,
+            relaxation=relaxation,
             detail=relaxation.trivially_infeasible if solution is None else solution.detail,
         )
-    pd, aux, free = relaxation.extract(solution)
+    pd = relaxation.extract(solution)
     obj_val = None
     if objective is not None:
         terms = _objective_terms(objective, system.num_vars)
         at = relaxation.pairs.index(np.reshape(list(terms), (-1, system.num_vars)))
         obj_val = math.fsum(c * v for c, v in zip(terms.values(), pd.upper[at].tolist()))
     return SystemSolution(
-        status=solution.status, pseudo=pd, aux=aux, free_values=free,
-        objective_value=obj_val, sdp=solution, relaxation=relaxation,
+        status=solution.status, pseudo=pd, objective_value=obj_val, sdp=solution,
+        relaxation=relaxation,
         detail=solution.detail,
     )
 

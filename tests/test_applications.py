@@ -31,6 +31,11 @@ from robustmoments.corruption import (
     sample_clean,
 )
 from robustmoments.polycore import SymmetricTensor
+from robustmoments.subgauss import SubgaussParams
+
+# at eps = 0 the robust estimate pins every row, so it reproduces the
+# empirical moments up to the SDP solve's accuracy (tol 1e-9)
+ROBUST_AT_ZERO = AppConfig(seed=1, moment_source="robust", params=SubgaussParams(2.0, 4))
 
 
 def component_error(true_cols, got):
@@ -209,6 +214,16 @@ class TestIca:
         with pytest.raises(WhiteningError):
             robust_ica(flat, AppConfig(seed=0))
 
+    def test_robust_source_matches_empirical_at_zero_epsilon(self):
+        # gamma is compared, not the columns: on this sample the two sources'
+        # columns differ by up to 0.25, their gammas by 2e-10
+        A = np.array([[1.0, 0.4], [0.2, 0.9]])
+        data = sample_clean(ModelSpec("IcaModel", seed=5, A=A, source="rademacher"), 12)
+        robust = robust_ica(data, ROBUST_AT_ZERO)
+        assert robust.diagnostics["moment_source"] == "robust"
+        empirical = robust_ica(data, AppConfig(seed=1))
+        assert robust.gamma_hat == pytest.approx(empirical.gamma_hat, abs=1e-8)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AppConfig(moment_source="exact")
@@ -271,6 +286,13 @@ class TestGmm:
         data = sample_clean(spec, 20_000)
         with pytest.raises(WhiteningError):
             robust_gmm(data, 2, AppConfig())
+
+    def test_robust_source_matches_empirical_at_zero_epsilon(self):
+        data = sample_clean(ModelSpec("GaussianMixture", seed=11, means=self.MEANS), 12)
+        robust = robust_gmm(data, 2, ROBUST_AT_ZERO)
+        assert robust.diagnostics["moment_source"] == "robust"
+        empirical = robust_gmm(data, 2, AppConfig(seed=1))
+        assert np.allclose(robust.means_hat, empirical.means_hat, rtol=0.0, atol=1e-8)
 
     def test_q_beyond_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,12 @@ class TestSweep:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
 
+    def test_json_format_in_any_spelling(self, config, capsys):
+        # argparse also takes --format=json and the abbreviation --form
+        for spelling in (["--format=json"], ["--form", "json"]):
+            assert run(["sweep", "--config", config, *spelling]) == 0
+            assert len(json.loads(capsys.readouterr().out)) == 8
+
 
 class TestAppCommands:
     def test_gmm_single_component_is_sample_mean(self, tmp_path, capsys):

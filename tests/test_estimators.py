@@ -9,6 +9,7 @@ n) and against the subset-enumeration oracle.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from robustmoments.estimators import (
     EstimationInfeasible,
     EstimatorConfig,
     IdentifiabilityError,
-    _combine,
     _robust_standardization,
     build_A,
     build_B,
@@ -42,7 +42,7 @@ from robustmoments.polycore import (
     enumerate_monomials,
     monomial_mul,
 )
-from robustmoments.sdp import SdpConfig, unpack
+from robustmoments.sdp import SdpConfig, pack, unpack
 from robustmoments.sosengine import (
     ConstraintSystem,
     RelaxationSizeError,
@@ -113,17 +113,14 @@ class TestBuildB:
         # at k=2 the only certified order is 1 and the equation's two sides
         # coincide when C=1, so every row's polynomial part is zero
         B = build_B(SubgaussParams(1.0, 2), sample_size=3, dimension=2)
-        for eq in B.affine_equalities:
-            assert not eq.poly.terms or all(
-                c == 0.0 for c in eq.poly.terms.values()
-            )
+        for poly in B.affine_polys:
+            assert not poly.terms or all(c == 0.0 for c in poly.terms.values())
 
     def test_k2_rows_scale_with_constant(self):
         B = build_B(SubgaussParams(2.0, 2), sample_size=3, dimension=1)
         # LHS - C * LHS = -(C-1) * quadratic map: rows must be nonzero now
         assert any(
-            any(c != 0.0 for c in eq.poly.terms.values())
-            for eq in B.affine_equalities
+            any(c != 0.0 for c in poly.terms.values()) for poly in B.affine_polys
         )
 
     @pytest.mark.parametrize("d,k", [(2, 4), (2, 6), (1, 6)])
@@ -135,25 +132,26 @@ class TestBuildB:
         n, C = 3, 1.3
         B = build_B(SubgaussParams(C, k), sample_size=n, dimension=d)
         orders = list(range(2, k // 2 + 1))
-        assert [blk.name for blk in B.psd_blocks] == ["Q%d" % kp for kp in orders]
+        assert B.psd_sizes == [len(enumerate_monomials(d, kp)) for kp in orders]
         rng = np.random.default_rng(7)
         x = rng.standard_normal((n, d))
         p = rng.standard_normal(B.num_free)
-        grams = {}
-        for blk in B.psd_blocks:
-            Q = rng.standard_normal((blk.size, blk.size))
-            grams[blk.name] = Q.T @ Q
+        grams = []
+        for size in B.psd_sizes:
+            Q = rng.standard_normal((size, size))
+            grams.append(Q.T @ Q)
+        # each row's value on the Gram entries and the free scalars
+        tail = B.affine_rows @ np.concatenate([pack(grams), p])
 
         xvals = np.zeros(B.num_vars)
         xvals[n:] = x.ravel()
-        rows = iter(B.affine_equalities)
+        rows = iter(zip(B.affine_polys, tail))
         p_start = 0
-        for kp in orders:
+        for kp, G in zip(orders, grams):
             qbasis = enumerate_monomials(d, kp)
             p_monos = enumerate_monomials(d, 2 * kp - 2)
             p_order = p[p_start: p_start + len(p_monos)]
             p_start += len(p_monos)
-            G = grams["Q%d" % kp]
             betas = enumerate_monomials(d, 2 * kp)
             eqs = [next(rows) for _ in betas]
             for _ in range(4):
@@ -167,12 +165,8 @@ class TestBuildB:
                 direct = lhs - (C * kp * m2) ** kp - pu * (1 - u @ u) + v @ G @ v
 
                 assembled = 0.0
-                for beta, eq in zip(betas, eqs):
-                    val = eq.poly.evaluate(xvals)
-                    for idx, coef in eq.free.items():
-                        val += coef * p[idx]
-                    for (name, i, j), coef in eq.psd.items():
-                        val += coef * grams[name][i, j]
+                for beta, (poly, val) in zip(betas, eqs):
+                    val += poly.evaluate(xvals)
                     assembled += val * np.prod(u ** np.array(beta))
                 assert abs(direct - assembled) <= 1e-9
         assert p_start == B.num_free
@@ -180,7 +174,8 @@ class TestBuildB:
 
     def test_one_gram_block_per_order(self):
         B = build_B(SubgaussParams(1.0, 8), sample_size=2, dimension=1)
-        assert sorted(b.name for b in B.psd_blocks) == ["Q2", "Q3", "Q4"]
+        # Q2, Q3 and Q4 over the monomials of degree <= 2, 3 and 4 in u
+        assert B.psd_sizes == [3, 4, 5]
 
     def test_relaxation_has_no_free_blocks(self):
         # planted n=11, d=2 sample, standardized as `estimate_moments` does:
@@ -191,7 +186,7 @@ class TestBuildB:
         data = planted_d2(11).data
         med, s = _robust_standardization(data)
         B = build_B(SubgaussParams(2.0, 4), sample_size=11, dimension=2)
-        rel = relax(_combine(build_A((data - med) / s, 1 / 11), B),
+        rel = relax(replace(B, equalities=build_A((data - med) / s, 1 / 11).equalities),
                     basis=estimator_basis(11, 2))
         assert B.num_free == 6
         assert rel.problem.block_sizes == [66, 6]
@@ -444,8 +439,8 @@ class TestPlantedOutlier:
         assert rel_di["free_eliminated"] == 3
         assert rel_di["face_dim"] == 36
         med, s = _robust_standardization(Y.data)
-        system = _combine(build_A((Y.data - med) / s, EPS12),
-                          build_B(SubgaussParams(1.0, 4), 12, 1))
+        system = replace(build_B(SubgaussParams(1.0, 4), 12, 1),
+                         equalities=build_A((Y.data - med) / s, EPS12).equalities)
         rel = relax(system, basis=estimator_basis(12, 1))
         assert rel_di["m"] == rel.problem.num_constraints == 51
         # the 637 multiplier rows the face implies are never built; of the

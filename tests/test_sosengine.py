@@ -21,10 +21,8 @@ from robustmoments.polycore import (
 )
 from robustmoments.sdp import pack, unpack
 from robustmoments.sosengine import (
-    AffineEquality,
     CertPremise,
     ConstraintSystem,
-    PsdVarBlock,
     PseudoDistribution,
     RelaxationSizeError,
     SosCertificate,
@@ -89,7 +87,7 @@ class TestSolveSystem:
         # E~[y] = 1.5 E~[1] reads -0.5 E~[1] = 0, a multiple of E~[1] = 1
         y = Polynomial.variable(2, 1)
         system = ConstraintSystem(
-            2, 2, equalities=[y - 1.0], affine_equalities=[AffineEquality(y - 1.5)],
+            2, 2, equalities=[y - 1.0], affine_polys=[y - 1.5],
         )
         res = solve_system(system)
         assert res.status == "Infeasible"
@@ -101,7 +99,7 @@ class TestSolveSystem:
         # are dependent rows that the presolve finds clashing
         system = ConstraintSystem(
             1, 2,
-            affine_equalities=[AffineEquality(X - 1.0), AffineEquality(X - 2.0)],
+            affine_polys=[X - 1.0, X - 2.0],
         )
         res = solve_system(system)
         assert res.status == "Infeasible"
@@ -162,22 +160,18 @@ class TestSolveSystem:
         assert res.objective_value == pytest.approx(0.5, abs=1e-6)
 
     def test_free_and_psd_coupling(self):
-        # E~ x = f and G00 = 2f - 1 with G psd force E~ x >= 1/2
+        # E~ x = f and G00 = 2f - 1 with G psd force E~ x >= 1/2; the
+        # columns are G00, then f
         system = ConstraintSystem(
             1, 2,
-            affine_equalities=[
-                AffineEquality(X, free={0: -1.0}),
-                AffineEquality(Polynomial.constant(1, -1.0), free={0: 2.0},
-                               psd={("G", 0, 0): -1.0}),
-            ],
-            psd_blocks=[PsdVarBlock("G", 1)],
-            num_free=1,
+            affine_polys=[X, Polynomial.constant(1, -1.0)],
+            psd_sizes=[1],
+            affine_rows=[[0.0, -1.0], [-1.0, 2.0]],
         )
+        assert system.num_free == 1
         res = solve_system(system, objective=X, sense="min")
         assert res.status == "Optimal"
         assert res.objective_value == pytest.approx(0.5, abs=1e-5)
-        assert res.free_values[0] == pytest.approx(0.5, abs=1e-5)
-        assert res.aux["G"][0, 0] == pytest.approx(0.0, abs=1e-5)
 
 
 class TestPresolve:
@@ -296,26 +290,16 @@ class TestRelaxValidation:
         with pytest.raises(ValueError):
             relax(system, basis=[(1,), (0,)])
 
-    @pytest.mark.parametrize(
-        "free,psd,match",
-        [
-            ({}, {("H", 0, 0): 1.0}, "names no psd block 'H'"),
-            ({}, {("G", -1, 0): 1.0}, r"entry \(-1, 0\) outside psd block 'G'"),
-            ({}, {("G", 0, 2): 1.0}, r"entry \(0, 2\) outside psd block 'G'"),
-            ({-1: 1.0}, {}, r"free index -1 outside 0\.\.0"),
-            ({1: 1.0}, {}, r"free index 1 outside 0\.\.0"),
-        ],
-        ids=["unknown-block", "negative-entry", "entry-past-block",
-             "negative-free", "free-past-last"],
-    )
-    def test_affine_entries_outside_the_system_rejected(self, free, psd, match):
-        # G is 2x2 and there is one free scalar; an entry past either would
-        # read another column of the row matrix
-        with pytest.raises(ValueError, match=match):
-            ConstraintSystem(
-                1, 2, affine_equalities=[AffineEquality(X, free=free, psd=psd)],
-                psd_blocks=[PsdVarBlock("G", 2)], num_free=1,
-            )
+    def test_affine_rows_of_the_wrong_shape_rejected(self):
+        # G is 2x2, so its packed entries take 3 columns; refused: a row of
+        # 2 columns, two rows for one polynomial, a 1-D and a 3-D array
+        for rows in ([[1.0, 0.0]], [[1.0, 0.0, 0.0, 1.0]] * 2, [1.0, 0.0, 0.0],
+                     [[[1.0, 0.0, 0.0]]]):
+            with pytest.raises(ValueError, match="affine rows of shape"):
+                ConstraintSystem(1, 2, affine_polys=[X], psd_sizes=[2], affine_rows=rows)
+        # no rows given: none of the affine polynomials touches G
+        system = ConstraintSystem(1, 2, affine_polys=[X], psd_sizes=[2])
+        assert system.affine_rows.shape == (1, 3) and system.num_free == 0
 
     def test_unrepresentable_objective_rejected(self):
         # the exponent keys are uint8, so x^256 read as a key would be x^0
@@ -325,7 +309,7 @@ class TestRelaxValidation:
 
     def test_unrepresentable_affine_monomial_rejected(self):
         # x^2 is no product of two elements of the basis {1}
-        system = ConstraintSystem(1, 2, affine_equalities=[AffineEquality(X * X - 1.0)])
+        system = ConstraintSystem(1, 2, affine_polys=[X * X - 1.0])
         with pytest.raises(ValueError, match="representable"):
             relax(system, basis=[(0,)])
 
@@ -345,8 +329,8 @@ def _edge_systems():
     T = _rank_one(np.array([1.0, 0.5, -0.25])).add(_pair_identity(3))
     return {
         # affine rows only: no multiplier rows, no kernel, V = I
-        "no-equalities": (ConstraintSystem(2, 2, affine_equalities=[
-            AffineEquality(x - 0.5), AffineEquality(x * x + y * y - 1.0)]), None, {}),
+        "no-equalities": (ConstraintSystem(2, 2, affine_polys=[
+            x - 0.5, x * x + y * y - 1.0]), None, {}),
         # y is not representable on the basis, so y^2 - 1 has no multiplier
         "no-admissible-multiplier": (
             ConstraintSystem(2, 4, equalities=[y * y - 1.0, x * x - x]),
