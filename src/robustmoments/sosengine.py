@@ -117,6 +117,8 @@ class ConstraintSystem:
             raise ValueError("relaxation degree must be even and >= 2")
         for poly in list(self.equalities) + list(self.affine_polys):
             self._check(poly)
+        if any(s != int(s) or s < 1 for s in self.psd_sizes):
+            raise ValueError(f"psd block sizes {list(self.psd_sizes)}: want positive integers")
         entries = _packed_width(self.psd_sizes)
         if self.affine_rows is None:
             self.affine_rows = np.zeros((len(self.affine_polys), entries))

@@ -290,16 +290,32 @@ class TestRelaxValidation:
         with pytest.raises(ValueError):
             relax(system, basis=[(1,), (0,)])
 
-    def test_affine_rows_of_the_wrong_shape_rejected(self):
-        # G is 2x2, so its packed entries take 3 columns; refused: a row of
-        # 2 columns, two rows for one polynomial, a 1-D and a 3-D array
-        for rows in ([[1.0, 0.0]], [[1.0, 0.0, 0.0, 1.0]] * 2, [1.0, 0.0, 0.0],
-                     [[[1.0, 0.0, 0.0]]]):
-            with pytest.raises(ValueError, match="affine rows of shape"):
-                ConstraintSystem(1, 2, affine_polys=[X], psd_sizes=[2], affine_rows=rows)
-        # no rows given: none of the affine polynomials touches G
+    @pytest.mark.parametrize(
+        "sizes,rows,match",
+        [
+            ([1.5], [[1.0]], "psd block sizes"),
+            ([-2], [[1.0]], "psd block sizes"),
+            ([2, 1], [[1.0, 0.0, 0.0]], "affine rows of shape"),
+            ([2], [[1.0, 0.0]], "affine rows of shape"),
+            ([2], [[1.0, 0.0, 0.0, 1.0]] * 2, "affine rows of shape"),
+            ([2], [1.0, 0.0, 0.0], "affine rows of shape"),
+            ([2], [[[1.0, 0.0, 0.0]]], "affine rows of shape"),
+        ],
+        ids=["unknown-block", "negative-entry", "entry-past-block",
+             "negative-free", "free-past-last", "one-dimensional", "three-dimensional"],
+    )
+    def test_affine_entries_outside_the_system_rejected(self, sizes, rows, match):
+        # one affine polynomial against blocks of `sizes`; refused: a size no
+        # block has (-2 would pack to one entry), a row that stops inside the
+        # second block, a row too narrow for G's 3 packed entries (-1 free
+        # scalars), a second row with no polynomial, a 1-D and a 3-D array
+        with pytest.raises(ValueError, match=match):
+            ConstraintSystem(1, 2, affine_polys=[X], psd_sizes=sizes, affine_rows=rows)
+
+    def test_absent_affine_rows_touch_no_block(self):
         system = ConstraintSystem(1, 2, affine_polys=[X], psd_sizes=[2])
         assert system.affine_rows.shape == (1, 3) and system.num_free == 0
+        assert not system.affine_rows.any()
 
     def test_unrepresentable_objective_rejected(self):
         # the exponent keys are uint8, so x^256 read as a key would be x^0
