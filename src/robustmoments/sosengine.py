@@ -6,14 +6,19 @@ per equality-times-multiplier pair), extracts pseudo-distributions from the
 solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
 verifies certificates by explicit polynomial expansion.
 
-Both SDP builders, `relax` and `find_sos_combination`, write their equality
-rows as one dense matrix on the packed SDP entries (`sdp.pack`) and then
-the free scalars (the affine equalities' free variables, equality-multiplier
-coefficients and margins), and hand it to `presolve`.  It eliminates the
-free scalars, which `find_sos_combination` reads back from the PSD blocks
-after the solve, and leaves out the rows that vanish and those the others
-imply, naming any contradiction among them; `SdpProblem` takes what is
-left as it is, so every SDP posed here has PSD blocks only.
+Both SDP builders, `relax` and `find_sos_combination` (on
+`coefficient_matrix`), match monomials through one kernel on integer
+exponent arrays: a basis's pair products (`_pair_products`), polynomial
+terms as exponent rows (`_flatten`), and exact lookup by each row's bytes,
+with the distinct rows in grlex order (`_MonomialTable`).  Both write their
+equality rows as one dense matrix on the packed SDP entries (`sdp.pack`),
+then the free scalars (the affine equalities' free variables,
+equality-multiplier coefficients and margins), and hand it to `presolve`.
+It eliminates the free scalars, which `find_sos_combination` reads back
+from the PSD blocks after the solve, and leaves out the rows that vanish
+and those the others imply, naming any contradiction among them;
+`SdpProblem` takes what is left as it is, so every SDP posed here has PSD
+blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
@@ -32,9 +37,7 @@ The face implies some rows outright, and `relax` does not build them: the
 multiplier row of g with multiplier b*m, for b in the basis and m a kernel
 multiplier of g, reads through the Hankel rows as
     E~[b*m*g] = sum_gamma g_gamma X[b, m*gamma] = (X v)_b,
-and (X v)_b = (V Z V^T v)_b = 0 for every Z, because V^T v = 0.  The
-multiplier rows are enumerated on integer exponent arrays, with each
-monomial's bytes as its exact lookup key.
+and (X v)_b = (V Z V^T v)_b = 0 for every Z, because V^T v = 0.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .polycore import (
     Polynomial,
     enumerate_monomials,
     index_multiplicity,
-    monomial_mul,
     monomials_of_degree,
 )
 from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack
@@ -70,14 +72,6 @@ def _check_block_size(size, what):
             f"{what} over {size} basis monomials exceeds the cap "
             f"({DEFAULT_MONOMIAL_CAP} entries)"
         )
-
-
-def _grlex_key(mono):
-    return (sum(mono), tuple(-e for e in mono))
-
-
-def _zero_mono(nv):
-    return (0,) * nv
 
 
 def _packed_width(sizes):
@@ -177,11 +171,10 @@ class PseudoDistribution:
 
     @functools.cached_property
     def pseudo_moments(self):
-        basis = self.basis
+        products = _pair_products(self._exponents.astype(int))[2]
         moments = {}
-        iu, ju = np.triu_indices(len(basis))
-        for i, j, val in zip(iu.tolist(), ju.tolist(), self.upper.tolist()):
-            moments.setdefault(monomial_mul(basis[i], basis[j]), val)
+        for mono, val in zip(map(tuple, products.tolist()), self.upper.tolist()):
+            moments.setdefault(mono, val)
         return moments
 
     @classmethod
@@ -199,8 +192,7 @@ class PseudoDistribution:
         if basis is None:
             basis = enumerate_monomials(nv, degree // 2)
         B = np.array(basis, dtype=int).reshape(-1, nv)
-        iu, ju = np.triu_indices(len(B))
-        upper = w @ np.prod(pts[:, None, :] ** (B[iu] + B[ju]), axis=2)
+        upper = w @ np.prod(pts[:, None, :] ** _pair_products(B)[2], axis=2)
         return cls(nv, degree, basis, upper)
 
     def pseudo_expectation(self, f):
@@ -382,8 +374,28 @@ _ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-mapping temporary, at most
 
 
 def _grlex_order(E):
-    """The stable order that sorts the exponent rows of E by `_grlex_key`."""
+    """The stable order that sorts the exponent rows of E in grlex order:
+    by total degree, then by each exponent in turn, largest first."""
     return np.lexsort([*(~E[:, ::-1].T), E.sum(axis=1)])
+
+
+def _pair_products(B):
+    """The pairs i <= j of the basis exponent rows B, row-major, and their
+    products B[i] + B[j]."""
+    iu, ju = np.triu_indices(len(B))
+    return iu, ju, B[iu] + B[ju]
+
+
+def _flatten(polys, nv):
+    """The polynomials' terms in order, as (exponent rows, coefficients,
+    term count of each); ValueError for one not over nv variables."""
+    for p in polys:
+        if p.dimension != nv:
+            raise ValueError(f"polynomial over {p.dimension} variables in a "
+                             f"{nv}-variable problem")
+    E = np.array([m for p in polys for m in p.terms], dtype=int).reshape(-1, nv)
+    coefs = np.array([c for p in polys for c in p.terms.values()], dtype=float)
+    return E, coefs, np.array([len(p.terms) for p in polys], dtype=int)
 
 
 def _segments(counts):
@@ -410,7 +422,7 @@ class _MonomialTable:
     """
 
     def __init__(self, E):
-        self.width, self.dtype = E.shape[1], E.dtype
+        self.rows, self.width, self.dtype = E, E.shape[1], E.dtype
         keys = _row_keys(E)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
@@ -418,6 +430,14 @@ class _MonomialTable:
         starts[1:] = self.keys[1:] != self.keys[:-1]
         self.first = np.empty(len(keys), dtype=self.order.dtype)
         self.first[self.order] = self.order[starts][np.cumsum(starts) - 1]
+
+    def grlex(self):
+        """The distinct rows in grlex order, and each row's index among them."""
+        canon = np.flatnonzero(self.first == np.arange(len(self.first)))
+        canon = canon[_grlex_order(self.rows[canon])]
+        rank = np.empty(len(self.first), dtype=int)
+        rank[canon] = np.arange(len(canon))
+        return self.rows[canon], rank[self.first]
 
     def find(self, E):
         """Index of each row of E (any leading shape, the table's dtype) in
@@ -559,14 +579,6 @@ class MomentRelaxation:
             (self.face @ Z @ self.face.T).ravel()[self.moment_gather])
 
 
-def _objective_terms(objective, nv):
-    if objective is None:
-        return {}
-    if objective.dimension != nv:
-        raise ValueError("objective dimension mismatch")
-    return objective.terms
-
-
 def relax(system, objective=None, sense="min", basis=None):
     """Compile a constraint system into a moment-matrix SDP.
 
@@ -605,7 +617,7 @@ def relax(system, objective=None, sense="min", basis=None):
         basis = [tuple(b) for b in basis]
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis monomials")
-        if basis[0] != _zero_mono(nv):
+        if basis[0] != (0,) * nv:
             raise ValueError("basis must start with the constant monomial")
     bsize = len(basis)
     _check_block_size(bsize, "moment matrix")
@@ -616,15 +628,12 @@ def relax(system, objective=None, sense="min", basis=None):
     # just wide enough for every sum formed below, so a row key is short.
     eqs = [g for g in system.equalities if g.terms]
     B = np.array(basis, dtype=int).reshape(-1, nv)
-    T = np.array([mono for g in eqs for mono in g.terms], dtype=int).reshape(-1, nv)
+    T, coefs, counts = _flatten(eqs, nv)
     key = np.min_scalar_type(max(3 * int(B.max()) + int(T.max(initial=0)), len(eqs)))
     B, T = B.astype(key), T.astype(key)
-    iu, ju = np.triu_indices(bsize)
-    products = B[iu] + B[ju]
+    iu, ju, products = _pair_products(B)
     pairs = _MonomialTable(products)
     first = pairs.first
-    canon = np.flatnonzero(first == np.arange(len(iu)))
-    monos = products[canon]
     gather = iu[first] * bsize + ju[first]
 
     # the rows' entries on X0, (row, i, j, value) with rows ascending, as
@@ -643,12 +652,10 @@ def relax(system, objective=None, sense="min", basis=None):
     # kernel multiplier when each lies in the basis (its first pair is in
     # row 0, basis[0] = 1) and deg b*m <= ell - deg g for every b.
     top = int(B.sum(axis=1).max())
-    coefs = np.array([c for g in eqs for c in g.terms.values()])
-    counts = np.array([len(g.terms) for g in eqs], dtype=int)
     t_owner, _, t_start = _segments(counts)
     t_deg = T.sum(axis=1, dtype=int)
     lead = np.lexsort((-t_deg, t_owner))[t_start]  # g's first term of top degree
-    by_grlex = monos[_grlex_order(monos)]
+    by_grlex = pairs.grlex()[0]
     excluded = np.tile(by_grlex.sum(axis=1) > ell, (len(eqs), 1))  # deg m > ell - deg g
     eq, col = np.nonzero(T[lead])  # divisibility matters only where lead > 0
     np.logical_or.at(excluded, eq, by_grlex[:, col].T < T[lead[eq], col, None])
@@ -690,19 +697,17 @@ def relax(system, objective=None, sense="min", basis=None):
     # the affine rows and the objective row: their X0 entries, at the first
     # pair of each monomial (one lookup)
     affine = num_rows
-    listed = [(affine + r, mono, coef) for r, poly in enumerate(system.affine_polys)
-              for mono, coef in poly.terms.items()]
     num_rows += len(system.affine_polys)
     if num_rows > DEFAULT_CONSTRAINT_CAP:
         raise RelaxationSizeError(
             f"{num_rows} linear constraints exceed the cap {DEFAULT_CONSTRAINT_CAP} "
             f"(moment block of size {bsize})"
         )
-    sign = -1.0 if sense == "max" else 1.0
-    listed.extend((num_rows, mono, sign * coef)
-                  for mono, coef in _objective_terms(objective, nv).items())
-    rows, terms, coefs = zip(*listed) if listed else ((), (), ())
-    at = pairs.index(np.reshape(terms, (-1, nv)))
+    E, coefs, counts = _flatten(
+        list(system.affine_polys) + ([] if objective is None else [objective]), nv)
+    rows = affine + _segments(counts)[0]
+    coefs[rows == num_rows] *= -1.0 if sense == "max" else 1.0
+    at = pairs.index(E)
     moment = np.concatenate(moment + [np.column_stack([rows, iu[at], ju[at], coefs])])
     # the affine rows' columns on the auxiliary blocks and the free scalars
     # follow Z's
@@ -743,9 +748,8 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None):
     pd = relaxation.extract(solution)
     obj_val = None
     if objective is not None:
-        terms = _objective_terms(objective, system.num_vars)
-        at = relaxation.pairs.index(np.reshape(list(terms), (-1, system.num_vars)))
-        obj_val = math.fsum(c * v for c, v in zip(terms.values(), pd.upper[at].tolist()))
+        E, coefs, _ = _flatten([objective], system.num_vars)
+        obj_val = math.fsum((coefs * pd.upper[relaxation.pairs.index(E)]).tolist())
     return SystemSolution(
         status=solution.status, pseudo=pd, objective_value=obj_val, sdp=solution,
         relaxation=relaxation,
@@ -851,22 +855,15 @@ def _sos_sum(nv, parts):
     return total
 
 
-def _max_coef(poly):
-    return max((abs(c) for c in poly.terms.values()), default=0.0)
-
-
 def _gram_min_eig(parts, nv):
     """Min eigenvalue of the Gram matrix assembled from explicit square roots."""
     if not parts:
         return 0.0
-    monos = sorted({m for r in parts for m in r.terms}, key=_grlex_key)
-    pos = {m: i for i, m in enumerate(monos)}
+    E, coefs, counts = _flatten(parts, nv)
+    monos, col = _MonomialTable(E).grlex()
     R = np.zeros((len(parts), len(monos)))
-    for k, r in enumerate(parts):
-        for m, c in r.terms.items():
-            R[k, pos[m]] = c
-    G = R.T @ R
-    return float(np.linalg.eigvalsh(G).min())
+    R[_segments(counts)[0], col] = coefs
+    return float(np.linalg.eigvalsh(R.T @ R).min())
 
 
 def sphere_polynomial(nv):
@@ -886,14 +883,13 @@ def verify_certificate(cert, tolerance=1e-8):
         for prem in cert.general_premises:
             total = total + _sos_sum(nv, prem.multiplier_sos) * prem.constraint_product
             min_eig = min(min_eig, _gram_min_eig(prem.multiplier_sos, nv))
-        diff = cert.base_polynomial - total
     else:
         total = _sos_sum(nv, cert.sos_part)
         if cert.sphere_multiplier is not None:
             total = total + cert.sphere_multiplier * sphere_polynomial(nv)
         min_eig = _gram_min_eig(cert.sos_part, nv)
-        diff = cert.base_polynomial - total
-    residual = _max_coef(diff)
+    diff = cert.base_polynomial - total
+    residual = max((abs(c) for c in diff.terms.values()), default=0.0)
     ok = residual <= tolerance and min_eig >= -tolerance
     detail = "" if ok else f"identity residual {residual:.3e}, gram min eig {min_eig:.3e}"
     return VerifyResult(valid=ok, residual=residual, detail=detail)
@@ -913,57 +909,56 @@ class SosSearchResult:
     detail: str = ""
 
 
-def _multiplier_basis(nv, bound, homogeneous):
-    if homogeneous:
-        return monomials_of_degree(nv, bound) if bound >= 0 else []
-    return enumerate_monomials(nv, max(bound, 0))
-
-
 def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
                        homogeneous=False):
     """Coefficient-matching matrix of sum_S p_S*premise_S + sum_j q_j*eq_j.
 
     Returns (rows, A, bases, free_monos).  Row r of A gives the coefficient
-    of the monomial rows[r] (grlex order) as a linear function of the
+    of the monomial rows[r] (distinct, in grlex order: by degree, then by
+    each exponent in turn, largest first) as a linear function of the
     unknowns: each Gram upper-triangle entry over bases[S], weighted 2 off
     the diagonal, then each coefficient of q_j on free_monos[j].  Each
     multiplier takes the largest degree that keeps the identity within
-    `degree` (exactly that degree when `homogeneous`).  Both
-    `find_sos_combination` and `estimators.build_B` pose their identities on
-    this matrix.  A Gram basis over the cap of `relax`'s moment block raises
-    RelaxationSizeError before anything is allocated.
+    `degree` (exactly that degree when `homogeneous`).  A premise over
+    other than nv variables, or of a degree no multiplier fits, raises
+    ValueError.  Both `find_sos_combination` and `estimators.build_B` pose
+    their identities on this matrix.  A Gram basis over the cap of
+    `relax`'s moment block raises RelaxationSizeError before anything is
+    allocated.
     """
-    # per column (monomial shift, weight, premise): its entry in the row of
-    # shift*tau is weight * premise[tau]
-    columns = []
-    bases = []
+    premises = list(sos_premises) + list(equality_premises)
+    T, coefs, counts = _flatten(premises, nv)
+    multipliers = monomials_of_degree if homogeneous else enumerate_monomials
+    # per column, after an empty first entry: its monomial shift and weight;
+    # its entry in the row of shift*tau is weight * premise[tau]
+    shifts, weights, bases, free_monos = [np.zeros((0, nv), int)], [np.zeros(0)], [], []
     for p in sos_premises:
-        bound = (degree - p.degree()) // 2
-        if bound < 0 or (homogeneous and (degree - p.degree()) % 2 != 0):
+        excess = degree - p.degree()
+        if excess < 0 or (homogeneous and excess % 2 != 0):
             raise ValueError("premise degree incompatible with identity degree")
-        bas = _multiplier_basis(nv, bound, homogeneous)
-        if not bas:
+        bases.append(multipliers(nv, excess // 2))
+        if not bases[-1]:
             raise ValueError("empty Gram basis for a premise")
-        _check_block_size(len(bas), "Gram matrix")
-        for i, j in zip(*np.triu_indices(len(bas))):
-            columns.append((monomial_mul(bas[i], bas[j]), 1.0 if i == j else 2.0, p))
-        bases.append(bas)
-    free_monos = []
+        _check_block_size(len(bases[-1]), "Gram matrix")
+        iu, ju, products = _pair_products(np.array(bases[-1], dtype=int).reshape(-1, nv))
+        shifts.append(products)
+        weights.append(np.where(iu == ju, 1.0, 2.0))
     for e in equality_premises:
-        monos = _multiplier_basis(nv, degree - e.degree(), homogeneous)
-        free_monos.append(monos)
-        columns.extend((m, 1.0, e) for m in monos)
+        if e.degree() > degree:
+            raise ValueError("premise degree incompatible with identity degree")
+        free_monos.append(multipliers(nv, degree - e.degree()))
+        shifts.append(np.array(free_monos[-1], dtype=int).reshape(-1, nv))
+        weights.append(np.ones(len(free_monos[-1])))
 
-    entries = {}
-    for col, (shift, weight, premise) in enumerate(columns):
-        for tau, c in premise.terms.items():
-            entries[monomial_mul(shift, tau), col] = weight * c
-    rows = sorted({gamma for gamma, _ in entries}, key=_grlex_key)
-    row_of = {gamma: r for r, gamma in enumerate(rows)}
-    A = np.zeros((len(rows), len(columns)))
-    for (gamma, col), val in entries.items():
-        A[row_of[gamma], col] = val
-    return rows, A, bases, free_monos
+    # every (column, premise term) product, by column then term
+    shift, weight = np.concatenate(shifts), np.concatenate(weights)
+    col_premise = np.repeat(np.arange(len(premises)), [len(w) for w in weights[1:]])
+    col, offset, _ = _segments(counts[col_premise])
+    term = _segments(counts)[2][col_premise[col]] + offset
+    rows, at = _MonomialTable(shift[col] + T[term]).grlex()
+    A = np.zeros((len(rows), len(weight)))
+    A[at, col] = weight[col] * coefs[term]
+    return list(map(tuple, rows.tolist())), A, bases, free_monos
 
 
 def find_sos_combination(target, sos_premises, equality_premises=(), degree=None,
@@ -972,20 +967,21 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
 
     p_S are SOS (Gram PSD blocks), q_j are free polynomials, and t is
     maximized when a margin polynomial is given (a zero margin raises
-    ValueError: t would be unbounded).  Returns the raw pieces; the caller
-    assembles a certificate.
+    ValueError: t would be unbounded).  A premise or margin not over the
+    target's variables, or a premise of a degree no multiplier fits, raises
+    ValueError.  Returns the raw pieces; the caller assembles a certificate.
 
     The identity is posed on the matrix of `coefficient_matrix`, extended by
     a margin column and by a row for each margin or target monomial that no
-    multiplier reaches.  `presolve` takes that matrix: it removes the free
-    columns (the coefficients of q_j and t), so the SDP has only the Gram
-    blocks and maximizes t as a linear objective on them, and it names a
-    coefficient the identity cannot match; q_j and t come back by
-    back-substitution.  After the solve the identity is polished by least
-    squares on A, with the Grams projected to the PSD cone, and `residual`
-    is the largest coefficient error max|b - A x| of the polished identity.
-    A small residual is not a certificate: what a caller assembles is gated
-    by `verify_certificate`.
+    multiplier reaches, all in grlex order.  `presolve` takes that matrix:
+    it removes the free columns (the coefficients of q_j and t), so the SDP
+    has only the Gram blocks and maximizes t as a linear objective on them,
+    and it names a coefficient the identity cannot match; q_j and t come
+    back by back-substitution.  After the solve the identity is polished by
+    least squares on A, with the Grams projected to the PSD cone, and
+    `residual` is the largest coefficient error max|b - A x| of the polished
+    identity.  A small residual is not a certificate: what a caller
+    assembles is gated by `verify_certificate`.
     """
     nv = target.dimension
     if degree is None:
@@ -996,14 +992,17 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     rows, A_sos, bases, free_monos = coefficient_matrix(
         nv, degree, sos_premises, equality_premises, homogeneous
     )
-    margin_terms = {} if margin is None else margin.terms
-    gammas = sorted(set(rows) | set(margin_terms) | set(target.terms), key=_grlex_key)
-    row_of = {gamma: r for r, gamma in enumerate(gammas)}
+    # the target's terms, then the margin's, join the rows
+    E, coefs, counts = _flatten([target] + ([] if margin is None else [margin]), nv)
+    gammas, at = _MonomialTable(
+        np.concatenate([np.array(rows, dtype=int).reshape(-1, nv), E])).grlex()
+    at_sos, at_target, at_margin = np.split(at, np.cumsum([len(rows), counts[0]]))
     A = np.zeros((len(gammas), A_sos.shape[1] + (margin is not None)))
-    A[[row_of[gamma] for gamma in rows], :A_sos.shape[1]] = A_sos
-    for gamma, c in margin_terms.items():
-        A[row_of[gamma], -1] = c
-    b = np.array([target.terms.get(gamma, 0.0) for gamma in gammas])
+    A[at_sos, :A_sos.shape[1]] = A_sos
+    if margin is not None:
+        A[at_margin, -1] = coefs[len(at_target):]
+    b = np.zeros(len(gammas))
+    b[at_target] = coefs[:len(at_target)]
 
     # the Gram entries, then the free columns: multiplier coefficients and
     # the margin, which is maximized

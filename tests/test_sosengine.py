@@ -28,6 +28,7 @@ from robustmoments.sosengine import (
     SosCertificate,
     build_interval_certificates,
     build_toolkit_certificate,
+    coefficient_matrix,
     find_sos_combination,
     gram_to_sos,
     presolve,
@@ -418,12 +419,18 @@ def test_monomial_table_first_is_the_first_equal_row(E, picks):
     assert table.first.tolist() == table.find(E).tolist()
 
 
+def _grlex_key(mono):
+    """The grlex order as a sort key: total degree, then each exponent in
+    turn, largest first."""
+    return (sum(mono), tuple(-e for e in mono))
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(E=_exponent_rows, wide=st.booleans())
 def test_grlex_order_sorts_as_the_key(E, wide):
     # both sorts are stable, so repeated rows keep their order too
     E = E.astype(np.int64) if wide else E
-    want = sorted(range(len(E)), key=lambda r: sosengine._grlex_key(tuple(E[r].tolist())))
+    want = sorted(range(len(E)), key=lambda r: _grlex_key(tuple(E[r].tolist())))
     assert sosengine._grlex_order(E).tolist() == want
 
 
@@ -437,7 +444,7 @@ def test_quotients_of_a_grlex_sorted_list_stay_sorted(E, data):
                  dtype=E.dtype)
     S = E[sosengine._grlex_order(E)]
     Q = S[np.all(S >= d, axis=1)] - d
-    keys = [sosengine._grlex_key(tuple(q)) for q in Q.tolist()]
+    keys = [_grlex_key(tuple(q)) for q in Q.tolist()]
     assert keys == sorted(keys)
 
 
@@ -730,6 +737,29 @@ class TestFindSosCombination:
         assert [p.num_constraints for p in posed] == [48, 48]
         assert [p.block_sizes for p in posed] == [[20], [20]]
 
+    def test_premises_of_another_dimension_are_refused(self):
+        # a zip of exponent tuples would cut v^2 - 1 down to two constant terms
+        u = Polynomial.variable(1, 0)
+        v = Polynomial.variable(2, 1)
+        one = Polynomial.constant(1, 1.0)
+        with pytest.raises(ValueError, match="over 2 variables in a 1-variable"):
+            find_sos_combination(u * u, sos_premises=[one],
+                                 equality_premises=[v * v - 1.0], degree=2)
+        with pytest.raises(ValueError, match="over 2 variables in a 1-variable"):
+            find_sos_combination(u * u, sos_premises=[Polynomial.constant(2, 1.0)],
+                                 degree=2)
+        with pytest.raises(ValueError, match="over 2 variables in a 1-variable"):
+            find_sos_combination(u * u, sos_premises=[one], degree=2, margin=v * v)
+
+    def test_equality_premise_above_the_identity_degree_is_refused(self):
+        u = Polynomial.variable(1, 0)
+        one = Polynomial.constant(1, 1.0)
+        for homogeneous in (False, True):
+            with pytest.raises(ValueError, match="premise degree incompatible"):
+                coefficient_matrix(1, 2, [one], [u ** 4 - 1.0], homogeneous=homogeneous)
+        with pytest.raises(ValueError, match="premise degree incompatible"):
+            find_sos_combination(1.0 - u ** 4, [one], [u ** 4 - 1.0], degree=2)
+
     def test_gram_split_reassembles(self):
         u1 = Polynomial.variable(2, 0)
         u2 = Polynomial.variable(2, 1)
@@ -745,6 +775,59 @@ class TestFindSosCombination:
             total = total + r * r
         diff = target - total
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-7
+
+
+@st.composite
+def _identities(draw):
+    """Variables, identity degree, SoS and equality premises (degree <= 4,
+    small integer coefficients, each multiplier of a degree the mode
+    allows) and whether the identity is homogeneous."""
+    nv = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    homogeneous = draw(st.booleans())
+
+    def premise(degrees):
+        top = draw(st.sampled_from(degrees))
+        monos = st.tuples(*[st.integers(0, top)] * nv).filter(lambda m: sum(m) <= top)
+        lead = draw(st.tuples(*[st.integers(0, top)] * nv).filter(lambda m: sum(m) == top))
+        terms = draw(st.dictionaries(monos, st.integers(-3, 3), max_size=3))
+        terms[lead] = draw(st.sampled_from([-2, -1, 1, 2]))
+        return Polynomial(nv, terms)
+
+    sos_degrees = range(degree % 2, degree + 1, 2) if homogeneous else range(degree + 1)
+    sos = [premise(sos_degrees) for _ in range(draw(st.integers(0, 2)))]
+    eqs = [premise(range(degree + 1)) for _ in range(draw(st.integers(0, 2)))]
+    return nv, degree, sos, eqs, homogeneous
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(problem=_identities(), data=st.data())
+def test_coefficient_matrix_matches_the_expanded_identity(problem, data):
+    # integer premises and unknowns keep every sum exact
+    nv, degree, sos, eqs, homogeneous = problem
+    rows, A, bases, free_monos = coefficient_matrix(nv, degree, sos, eqs, homogeneous)
+    width = A.shape[1]
+    x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)),
+                 dtype=float)
+    total, k = Polynomial.constant(nv, 0.0), 0
+    for p, basis in zip(sos, bases):
+        n = len(basis)
+        G = np.zeros((n, n))
+        G[np.triu_indices(n)] = x[k:k + n * (n + 1) // 2]
+        G += np.triu(G, 1).T
+        k += n * (n + 1) // 2
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                square = Polynomial(nv, {bi: G[i, j]}) * Polynomial(nv, {bj: 1.0})
+                total = total + p * square
+    for e, monos in zip(eqs, free_monos):
+        total = total + e * Polynomial(nv, dict(zip(monos, x[k:k + len(monos)])))
+        k += len(monos)
+    assert k == width
+    assert (A @ x).tolist() == [total.coefficient(r) for r in rows]
+    assert set(total.terms) <= set(rows)
+    keys = [_grlex_key(r) for r in rows]
+    assert keys == sorted(set(keys))
 
 
 class TestSosNorm:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""SHA-256 fingerprints of every relaxation `sosengine.relax` poses, and of
-every call's result.
+"""SHA-256 fingerprints of every relaxation `sosengine.relax` poses, of
+every SDP the solver is given, and of every call's result.
 
 Runs one seed-0 pass of each benchmark workload (`perfbench/workloads.py`,
 imported read-only), the planted d=2 estimate at n=12, 16 and 20
@@ -11,10 +11,12 @@ index within the call, and the SHA-256 of the relaxation's
 nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
 it prints the SHA-256 of the call's result (`result_parts` says what it
 covers; each array counts with its shape and dtype), followed by the
-status and iteration count of each SDP solve the call made.  Then two
-lines hash all relaxations and all results, and the last line counts the
-solves, their iterations and their statuses, so that it alone shows what a
-solver change did.  A run takes a few seconds.
+status and iteration count of each SDP solve the call made, and by the
+SHA-256 of every SDP those solves were given (`problem_parts`): the
+relaxations' and the certificate searches' alike.  Then three lines hash
+all relaxations, all results and all posed SDPs, and the last line counts
+the solves, their iterations and their statuses, so that it alone shows
+what a solver change did.  A run takes a few seconds.
 
 Two checkouts pose the same SDPs, and return the same results, when their
 outputs are equal:
@@ -88,6 +90,15 @@ def _array_part(a):
     """An array's shape, dtype and bytes: equal bytes of another shape differ."""
     a = np.ascontiguousarray(a)
     return repr((a.shape, a.dtype.str)).encode() + a.tobytes()
+
+
+def problem_parts(problem):
+    """What a posed SDP is compared on: its block sizes and the arrays of
+    its sparse rows, rhs and objective, each with its shape and dtype."""
+    A = problem.A
+    return [_array_part(np.asarray(problem.block_sizes)), _array_part(A.indptr),
+            _array_part(A.indices), _array_part(A.data), _array_part(problem.rhs),
+            _array_part(problem.c)]
 
 
 def result_parts(result):
@@ -202,7 +213,7 @@ def main(argv=None):
     workloads = load_workloads()
     reference = dict(np.load(args.against)) if args.against else None
 
-    captured, solves = [], []
+    captured, solves, posed = [], [], []
     relax, sdp_solve = L.sosengine.relax, L.sosengine.sdp_solve
 
     def capturing_relax(*a, **kw):
@@ -210,8 +221,12 @@ def main(argv=None):
         captured.append(fingerprint(relaxation))
         return relaxation
 
-    def counting_solve(*a, **kw):
-        solution = sdp_solve(*a, **kw)
+    def counting_solve(problem, *a, **kw):
+        h = hashlib.sha256()
+        for part in problem_parts(problem):
+            h.update(part)
+        posed.append(h.hexdigest())
+        solution = sdp_solve(problem, *a, **kw)
         solves.append((solution.status, solution.iterations))
         return solution
 
@@ -221,7 +236,7 @@ def main(argv=None):
         for name in sorted(workloads.BUILDERS)
         for call in workloads.build_calls(L, name, 0)
     ] + extra_calls(L)
-    total, results = hashlib.sha256(), hashlib.sha256()
+    total, results, sdps = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count, values, worst = 0, {}, 0.0
     for index, (label, fn) in enumerate(calls):
         captured.clear()
@@ -234,6 +249,11 @@ def main(argv=None):
         made = " ".join(f"{status}/{n}" for status, n in solves[first:])
         print(f"{label} result {digest} solves {made or '-'}")
         results.update(digest.encode())
+        call_sdps = hashlib.sha256()
+        for problem in posed[first:]:
+            call_sdps.update(problem.encode())
+            sdps.update(problem.encode())
+        print(f"{label} posed {len(posed) - first} SDPs {call_sdps.hexdigest()}")
         count += len(captured)
         key = f"call{index}"
         values[key] = result_values(result)
@@ -243,6 +263,7 @@ def main(argv=None):
             worst = max(worst, diff)
     print(f"all {count} relaxations {total.hexdigest()}")
     print(f"all {len(calls)} results {results.hexdigest()}")
+    print(f"all {len(posed)} posed SDPs {sdps.hexdigest()}")
     if reference is not None:
         print(f"largest relative difference {worst:.2e}")
     if args.values:
