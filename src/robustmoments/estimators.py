@@ -19,15 +19,14 @@ from .corruption import CorruptedSample, sample_array
 from .polycore import (
     Polynomial,
     SymmetricTensor,
-    distinct_indices,
     empirical_moments,
-    monomial_mul,
     monomials_of_degree,
     multinomial,
 )
 from .sdp import SdpConfig
 from .sosengine import (
     ConstraintSystem,
+    _MonomialTable,
     coefficient_matrix,
     solve_system,
     sphere_polynomial,
@@ -103,29 +102,35 @@ class MomentEstimate:
 
 
 # ---------------------------------------------------------------------------
-# variable layout: w_0..w_{n-1}, then x_{i,c} at n + i*d + c
+# variable layout: monomials are exponent rows over n(1+d) columns, w_i at
+# column i and x_{i,c} at column n + i*d + c
 
 
-def _num_vars(n, d):
-    return n * (1 + d)
+def _layout(n, d):
+    """The variables' exponent rows: w[i] of w_i, shape (n, nv), and
+    x[i, c] of x_{i,c}, shape (n, d, nv)."""
+    rows = np.eye(n * (1 + d), dtype=int)
+    return rows[:n], rows[n:].reshape(n, d, -1)
 
 
-def _w_mono(n, d, i):
-    mono = [0] * _num_vars(n, d)
-    mono[i] = 1
-    return tuple(mono)
+def _row_powers(x, order):
+    """The monomials beta of one order in d variables, in
+    `monomials_of_degree` (so `distinct_indices`) order, and x_i^beta for
+    every row i and beta, shape (n, #beta, nv)."""
+    beta = np.array(monomials_of_degree(x.shape[1], order), dtype=int)
+    return beta, beta @ x
 
 
-def _x_mono(n, d, entries):
-    """Monomial with one exponent bump per (row, coord) pair in `entries`."""
-    mono = [0] * _num_vars(n, d)
-    for i, c in entries:
-        mono[n + i * d + c] += 1
-    return tuple(mono)
+def _poly(E, coefs):
+    """The polynomial with coefficients `coefs` on the distinct exponent
+    rows E, in that order."""
+    return Polynomial(E.shape[1], dict(zip(map(tuple, E.tolist()), coefs)))
 
 
 def estimator_basis(n, d, mode="FullSos"):
-    """Moment-matrix basis tailored to the selection structure.
+    """Moment-matrix basis tailored to the selection structure: 1, every
+    w_i, every x_{i,c}, every w_i x_{i,c}, and (FullSos) every x_{i,c}
+    x_{i,c'} with c <= c'; each family by row i, then by coordinate.
 
     Degree-2 elements are restricted to the pairs the constraints actually
     couple: w_i x_{i,c} products let the booleanity and selection rows pin
@@ -134,24 +139,13 @@ def estimator_basis(n, d, mode="FullSos"):
     """
     if mode not in ("FullSos", "MeanOnly"):
         raise ValueError("mode must be FullSos or MeanOnly")
-    nv = _num_vars(n, d)
-    basis = [(0,) * nv]
-    for i in range(n):
-        basis.append(_w_mono(n, d, i))
-    for i in range(n):
-        for c in range(d):
-            basis.append(_x_mono(n, d, [(i, c)]))
-    for i in range(n):
-        for c in range(d):
-            mono = list(_x_mono(n, d, [(i, c)]))
-            mono[i] += 1
-            basis.append(tuple(mono))
+    w, x = _layout(n, d)
+    nv = w.shape[1]
+    parts = [np.zeros((1, nv), dtype=int), w, x.reshape(-1, nv),
+             (x + w[:, None]).reshape(-1, nv)]
     if mode == "FullSos":
-        for i in range(n):
-            for c in range(d):
-                for cp in range(c, d):
-                    basis.append(_x_mono(n, d, [(i, c), (i, cp)]))
-    return basis
+        parts.append(_row_powers(x, 2)[1].reshape(-1, nv))
+    return list(map(tuple, np.concatenate(parts).tolist()))
 
 
 def build_A(Y, epsilon, ell=4):
@@ -184,56 +178,32 @@ def build_A(Y, epsilon, ell=4):
     n, d = data.shape
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must be in [0, 1)")
-    nv = _num_vars(n, d)
-    eqs = []
-    total = {_w_mono(n, d, i): 1.0 for i in range(n)}
-    total[(0,) * nv] = -(1.0 - epsilon) * n
-    eqs.append(Polynomial(nv, total))
-    for i in range(n):
-        w = _w_mono(n, d, i)
-        eqs.append(Polynomial(nv, {monomial_mul(w, w): 1.0, w: -1.0}))
-    for i in range(n):
-        w = _w_mono(n, d, i)
-        for c in range(d):
-            x = _x_mono(n, d, [(i, c)])
-            eqs.append(Polynomial(nv, {w: float(data[i, c]), monomial_mul(w, x): -1.0}))
+    w, x = _layout(n, d)
+    one = np.zeros(w.shape[1], dtype=int)
+    eqs = [_poly(np.vstack([w, one]), [1.0] * n + [-(1.0 - epsilon) * n])]
+    eqs += [_poly(np.stack([2 * w[i], w[i]]), [1.0, -1.0]) for i in range(n)]
+    eqs += [_poly(np.stack([w[i], w[i] + x[i, c]]), [data[i, c], -1.0])
+            for i in range(n) for c in range(d)]
     if epsilon == 0.0:
-        one = (0,) * nv
         for i in range(n):
-            eqs.append(Polynomial(nv, {_w_mono(n, d, i): 1.0, one: -1.0}))
-            for c in range(d):
-                x = _x_mono(n, d, [(i, c)])
-                eqs.append(Polynomial(nv, {x: 1.0, one: -float(data[i, c])}))
-    return ConstraintSystem(num_vars=nv, relaxation_degree=ell, equalities=eqs)
+            eqs.append(_poly(np.stack([w[i], one]), [1.0, -1.0]))
+            eqs += [_poly(np.stack([x[i, c], one]), [1.0, -data[i, c]]) for c in range(d)]
+    return ConstraintSystem(num_vars=w.shape[1], relaxation_degree=ell, equalities=eqs)
 
 
-def _map_power(base, power, nv, d):
-    out = {(0,) * d: Polynomial.constant(nv, 1.0)}
-    for _ in range(power):
-        nxt = {}
-        for b1, p1 in out.items():
-            for b2, p2 in base.items():
-                b = tuple(a + c for a, c in zip(b1, b2))
-                prod = p1 * p2
-                nxt[b] = nxt[b] + prod if b in nxt else prod
-        out = nxt
-    return out
+def _directional_sum(x, order):
+    """sum_i <x_i, u>^order as exponent rows over (u, x), one for each row
+    i and u-monomial beta, with the integer multinomial count of each."""
+    beta, powers = _row_powers(x, order)
+    E = np.concatenate([np.broadcast_to(beta, (len(x), *beta.shape)), powers], axis=2)
+    return E.reshape(-1, E.shape[2]), np.tile([multinomial(b) for b in beta], len(x))
 
 
-def _sample_moment_map(n, d, order):
-    """u-coefficient map of (1/n) sum_i <x_i, u>^order."""
-    nv = _num_vars(n, d)
-    out = {}
-    for beta in monomials_of_degree(d, order):
-        coef = float(multinomial(beta))
-        terms = {}
-        for i in range(n):
-            entries = []
-            for c, e in enumerate(beta):
-                entries.extend([(i, c)] * e)
-            terms[_x_mono(n, d, entries)] = coef / n
-        out[beta] = Polynomial(nv, terms)
-    return out
+def _merge(E, coefs):
+    """The distinct rows of E in grlex order, each with the sum of its
+    coefficients."""
+    rows, at = _MonomialTable(E).grlex()
+    return rows, np.bincount(at, weights=coefs, minlength=len(rows))
 
 
 def build_B(params, sample_size, dimension):
@@ -247,26 +217,41 @@ def build_B(params, sample_size, dimension):
     Q{k'} of the square term and the free coefficients of q, set against
     the row-variable moments.  `affine_rows` holds each order's Gram
     columns, then each order's free columns, block-diagonally.
+
+    Both sides are expanded on exponent rows over (u, x) with exact integer
+    multinomial counts, equal rows merged by count; each coefficient is
+    rounded once, when its count is scaled by 1/n (the 2k'-th moment) or by
+    (C k')^{k'} / n^{k'} (the power).
     """
     n, d = sample_size, dimension
-    nv = _num_vars(n, d)
-    square_avg = _sample_moment_map(n, d, 2)
+    _, x = _layout(n, d)
+    width = d + x.shape[2]
+    square, square_counts = _directional_sum(x, 2)
     one, sphere = Polynomial.constant(d, 1.0), sphere_polynomial(d)
 
     polys, sizes, grams, frees = [], [], [], []
-    zero = Polynomial.constant(nv, 0.0)
     for kp in certification_orders(params.k):
-        lhs = _sample_moment_map(n, d, 2 * kp)
-        power = _map_power(square_avg, kp, nv, d)
-        scale = (params.C * kp) ** kp
+        # (sum_i <x_i, u>^2)^k', one factor at a time
+        power, counts = np.zeros((1, width), dtype=int), np.ones(1)
+        for _ in range(kp):
+            power, counts = _merge((power[:, None] + square).reshape(-1, width),
+                                   np.outer(counts, square_counts).ravel())
+        moment, moment_counts = _directional_sum(x, 2 * kp)
+        scale = (params.C * kp) ** kp / n ** kp
+        terms, coefs = _merge(np.concatenate([moment, power]),
+                              np.concatenate([moment_counts / n, -scale * counts]))
+        # each u-monomial's polynomial in x on its row of the identity
         rows, A, (qbasis,), _ = coefficient_matrix(d, 2 * kp, [one], [sphere])
-        polys.extend(lhs.get(beta, zero) - scale * power.get(beta, zero) for beta in rows)
+        at = _MonomialTable(rows).index(terms[:, :d])
+        order = np.argsort(at, kind="stable")
+        cuts = np.searchsorted(at[order], np.arange(1, len(rows)))
+        polys.extend(map(_poly, np.split(terms[order, d:], cuts), np.split(coefs[order], cuts)))
         sizes.append(len(qbasis))
         gram = len(qbasis) * (len(qbasis) + 1) // 2
         grams.append(A[:, :gram])
         frees.append(A[:, gram:])
     return ConstraintSystem(
-        num_vars=nv,
+        num_vars=x.shape[2],
         relaxation_degree=params.effective_ell,
         affine_polys=polys,
         psd_sizes=sizes,
@@ -288,23 +273,22 @@ def _spectral_rows(data_shape, bound):
     """PSD slack block making bound*I - (1/n) sum (x_i - mu')(x_i - mu')^T
     a pseudo-moment matrix inequality."""
     n, d = data_shape
-    nv = _num_vars(n, d)
+    _, x = _layout(n, d)
+    zero = np.zeros((1, x.shape[2]), dtype=int)
     polys = []
-    for a in range(d):
-        for b in range(a, d):
-            terms = {}
-            for i in range(n):
-                terms[_x_mono(n, d, [(i, a), (i, b)])] = 1.0 / n
-            for i in range(n):
-                for j in range(n):
-                    mono = _x_mono(n, d, [(i, a), (j, b)])
-                    terms[mono] = terms.get(mono, 0.0) - 1.0 / (n * n)
-            if a == b:
-                terms[(0,) * nv] = terms.get((0,) * nv, 0.0) - bound
-            polys.append(Polynomial(nv, terms))
+    for a, b in zip(*np.triu_indices(d)):
+        # x_ia x_ib for each row i, x_ia x_jb for each other pair (i, j), and
+        # the constant (a zero one is dropped); when a = b, (i, j) and (j, i)
+        # are one monomial, counted twice
+        same = a == b
+        i, j = np.triu_indices(n, 1) if same else np.nonzero(~np.eye(n, dtype=bool))
+        E = np.concatenate([x[:, a] + x[:, b], x[i, a] + x[j, b], zero])
+        cross = -(2.0 if same else 1.0) / (n * n)
+        polys.append(_poly(E, [1.0 / n - 1.0 / (n * n)] * n + [cross] * len(i)
+                           + [-bound if same else 0.0]))
     # row (a, b) reads the slack's entry (a, b), and rows go in packed order
     return ConstraintSystem(
-        num_vars=nv,
+        num_vars=x.shape[2],
         relaxation_degree=4,
         affine_polys=polys,
         psd_sizes=[d],
@@ -331,15 +315,15 @@ def _robust_standardization(data):
     return med, s
 
 
-def _same_row_tensors(read, n, d, max_order):
+def _same_row_tensors(read, x, max_order):
     """The tensors (1/n) sum_i E~[x_i^idx] of orders 1..max_order, x_i the
-    variables of row i, from one `read` of pseudo-moments by exponent rows.
-    Each sum adds its n terms left to right."""
-    indices = [distinct_indices(d, r) for r in range(1, max_order + 1)]
-    flat = [idx for part in indices for idx in part]
-    values = read([[_x_mono(n, d, [(i, c) for c in idx]) for idx in flat] for i in range(n)])
-    parts = np.split(sum(values, 0.0) / n, np.cumsum([len(part) for part in indices])[:-1])
-    return {r: SymmetricTensor(d, r, v) for r, v in enumerate(parts, start=1)}
+    variables of row i (x from `_layout`), from one `read` of pseudo-moments
+    by exponent rows.  Each sum adds its n terms left to right."""
+    n, d, _ = x.shape
+    parts = [_row_powers(x, r)[1] for r in range(1, max_order + 1)]
+    values = read(np.concatenate(parts, axis=1))
+    sums = np.split(sum(values, 0.0) / n, np.cumsum([p.shape[1] for p in parts])[:-1])
+    return {r: SymmetricTensor(d, r, v) for r, v in enumerate(sums, start=1)}
 
 
 def _unstandardize_raw(tensors, med, s, order):
@@ -392,11 +376,7 @@ def estimate_moments(Y, config):
     system = replace(affine, equalities=build_A(std, config.epsilon, ell=ell).equalities)
 
     basis = estimator_basis(n, d, config.mode)
-    objective_terms = {}
-    for b in basis:
-        sq = monomial_mul(b, b)
-        objective_terms[sq] = objective_terms.get(sq, 0.0) + 1.0
-    objective = Polynomial(system.num_vars, objective_terms)
+    objective = _poly(2 * np.array(basis), np.ones(len(basis)))  # tr X = sum_b E~[b^2]
 
     res = solve_system(system, objective=objective, sense="min", basis=basis,
                        config=SdpConfig(max_iters=300, tol=1e-9))
@@ -415,7 +395,8 @@ def estimate_moments(Y, config):
         return pd.upper[pairs.index(E)]
 
     max_order = params.k if config.mode == "FullSos" else 2
-    std_raw = _same_row_tensors(read, n, d, max_order)
+    w, x = _layout(n, d)
+    std_raw = _same_row_tensors(read, x, max_order)
 
     mean_std = np.array([std_raw[1].get((c,)) for c in range(d)])
     mean_hat = med + s * mean_std
@@ -423,7 +404,7 @@ def estimate_moments(Y, config):
     # every x_{i,c} is a basis element idx, first at the pair (0, idx) of
     # packed index idx, so the pseudo-moment of x_{i,a} x_{j,b} is the entry
     # of their basis pair: one gather
-    xs = pairs.index(np.eye(n * d, nv, n, dtype=int))
+    xs = pairs.index(x.reshape(-1, nv))
     outer = pd.moment_matrix[np.ix_(xs, xs)].reshape(n, d, n, d).sum(axis=(0, 2)) / (n * n)
     cov = s * s * (std_raw[2].to_dense() - outer)
     cov_hat = SymmetricTensor.from_dense(0.5 * (cov + cov.T))
@@ -458,7 +439,7 @@ def estimate_moments(Y, config):
         "gap": sdp.duality_gap,
         "residuals": (sdp.primal_residual, sdp.dual_residual),
         "detail": res.detail,
-        "selection_weights": read(np.eye(n, nv, dtype=int)),
+        "selection_weights": read(w),
     }
     return MomentEstimate(mean_hat=mean_hat, cov_hat=cov_hat,
                           higher_hats=higher, diagnostics=diagnostics,

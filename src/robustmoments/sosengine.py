@@ -913,18 +913,18 @@ def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
                        homogeneous=False):
     """Coefficient-matching matrix of sum_S p_S*premise_S + sum_j q_j*eq_j.
 
-    Returns (rows, A, bases, free_monos).  Row r of A gives the coefficient
-    of the monomial rows[r] (distinct, in grlex order: by degree, then by
-    each exponent in turn, largest first) as a linear function of the
-    unknowns: each Gram upper-triangle entry over bases[S], weighted 2 off
-    the diagonal, then each coefficient of q_j on free_monos[j].  Each
-    multiplier takes the largest degree that keeps the identity within
-    `degree` (exactly that degree when `homogeneous`).  A premise over
-    other than nv variables, or of a degree no multiplier fits, raises
-    ValueError.  Both `find_sos_combination` and `estimators.build_B` pose
-    their identities on this matrix.  A Gram basis over the cap of
-    `relax`'s moment block raises RelaxationSizeError before anything is
-    allocated.
+    Returns (rows, A, bases, free_monos).  `rows` is an integer exponent
+    array of distinct monomials in grlex order (by degree, then by each
+    exponent in turn, largest first).  Row r of A gives the coefficient of
+    the monomial rows[r] as a linear function of the unknowns: each Gram
+    upper-triangle entry over bases[S], weighted 2 off the diagonal, then
+    each coefficient of q_j on free_monos[j].  Each multiplier takes the
+    largest degree that keeps the identity within `degree` (exactly that
+    degree when `homogeneous`).  A premise over other than nv variables, or
+    of a degree no multiplier fits, raises ValueError.  Both
+    `find_sos_combination` and `estimators.build_B` pose their identities
+    on this matrix.  A Gram basis over the cap of `relax`'s moment block
+    raises RelaxationSizeError before anything is allocated.
     """
     premises = list(sos_premises) + list(equality_premises)
     T, coefs, counts = _flatten(premises, nv)
@@ -958,7 +958,7 @@ def coefficient_matrix(nv, degree, sos_premises, equality_premises=(),
     rows, at = _MonomialTable(shift[col] + T[term]).grlex()
     A = np.zeros((len(rows), len(weight)))
     A[at, col] = weight[col] * coefs[term]
-    return list(map(tuple, rows.tolist())), A, bases, free_monos
+    return rows, A, bases, free_monos
 
 
 def find_sos_combination(target, sos_premises, equality_premises=(), degree=None,
@@ -994,8 +994,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     )
     # the target's terms, then the margin's, join the rows
     E, coefs, counts = _flatten([target] + ([] if margin is None else [margin]), nv)
-    gammas, at = _MonomialTable(
-        np.concatenate([np.array(rows, dtype=int).reshape(-1, nv), E])).grlex()
+    gammas, at = _MonomialTable(np.concatenate([rows, E])).grlex()
     at_sos, at_target, at_margin = np.split(at, np.cumsum([len(rows), counts[0]]))
     A = np.zeros((len(gammas), A_sos.shape[1] + (margin is not None)))
     A[at_sos, :A_sos.shape[1]] = A_sos

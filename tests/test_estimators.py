@@ -123,13 +123,16 @@ class TestBuildB:
             any(c != 0.0 for c in poly.terms.values()) for poly in B.affine_polys
         )
 
-    @pytest.mark.parametrize("d,k", [(2, 4), (2, 6), (1, 6)])
-    def test_numeric_roundtrip_matches_direct_equation(self, d, k):
+    @pytest.mark.parametrize(
+        "n,d,k", [(3, 2, 4), (3, 2, 6), (3, 1, 6), (12, 2, 4), (4, 1, 8)]
+    )
+    def test_numeric_roundtrip_matches_direct_equation(self, n, d, k):
         # per order k', reassemble sum_beta row(x, p, G) u^beta and compare
         # with the directly evaluated certified-moment equation at random
         # points; k=6 has two orders, so two Gram blocks and the second
-        # order's multiplier coefficients after the first's
-        n, C = 3, 1.3
+        # order's multiplier coefficients after the first's.  n=12, d=2,
+        # k=4 is the planted shape; k=8 has three orders and powers up to 4
+        C = 1.3
         B = build_B(SubgaussParams(C, k), sample_size=n, dimension=d)
         orders = list(range(2, k // 2 + 1))
         assert B.psd_sizes == [len(enumerate_monomials(d, kp)) for kp in orders]
@@ -200,6 +203,25 @@ class TestBuildB:
         # built the presolve leaves 17 vanished and 71 dependent ones out
         assert rel.rows_implied == 2047
         assert (rel.rows_vanished, rel.rows_dependent) == (17, 71)
+
+
+class TestSpectralRows:
+    def test_rows_read_the_covariance_against_the_slack_in_packed_order(self):
+        # at any point, row (a, b) is cov_ab - bound*delta_ab, cov the
+        # covariance about the sample mean, and it reads slack entry (a, b)
+        # in packed order: bound*I - cov as the slack meets every row
+        n, d, bound = 5, 3, 0.7
+        S = estimators._spectral_rows((n, d), bound)
+        assert S.psd_sizes == [d] and S.num_free == 0
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, d))
+        point = np.concatenate([rng.standard_normal(n), x.ravel()])
+        cov = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / n
+        iu, ju = np.triu_indices(d)
+        rows = np.array([poly.evaluate(point) for poly in S.affine_polys])
+        assert np.max(np.abs(rows - (cov - bound * np.eye(d))[iu, ju])) <= 1e-12
+        slack = bound * np.eye(d) - cov
+        assert np.max(np.abs(rows + S.affine_rows @ pack([slack]))) <= 1e-12
 
 
 class TestFace:
@@ -376,6 +398,18 @@ class TestEstimatorBasis:
         assert basis[0] == (0,) * (n * (1 + d))
         assert len(set(basis)) == size
 
+    def test_order_at_two_rows_in_the_plane(self):
+        # columns w_0, w_1, x_00, x_01, x_10, x_11: 1, then w_i, x_ic,
+        # w_i x_ic and x_ic x_ic' (c <= c'), each by row, then coordinate
+        assert estimator_basis(2, 2) == [
+            (0, 0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
+            (1, 0, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1),
+            (0, 0, 2, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 2, 0, 0),
+            (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 2),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # the estimator
@@ -518,11 +552,12 @@ class TestPlantedD2:
         assert np.linalg.norm(est.mean_hat - mu) <= 0.5
 
     def test_estimate_has_one_entry_per_row_coordinate_and_tensor_entry(self):
-        # acceptance planted #8: the batched moment reads keep every shape
+        # acceptance planted #8: the batched moment reads keep every shape;
+        # its corruption level 2.31 is past the warning threshold
         sample = planted_d2(12)
-        est = estimate_moments(
-            sample.data, EstimatorConfig(epsilon=1 / 12, params=SubgaussParams(2.0, 4))
-        )
+        with pytest.warns(RuntimeWarning, match="corruption level"):
+            cfg = EstimatorConfig(epsilon=1 / 12, params=SubgaussParams(2.0, 4))
+        est = estimate_moments(sample.data, cfg)
         w = est.diagnostics["selection_weights"]
         assert w.dtype == np.float64 and w.shape == (12,)
         assert est.mean_hat.shape == (2,)

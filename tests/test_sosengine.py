@@ -806,6 +806,7 @@ def test_coefficient_matrix_matches_the_expanded_identity(problem, data):
     # integer premises and unknowns keep every sum exact
     nv, degree, sos, eqs, homogeneous = problem
     rows, A, bases, free_monos = coefficient_matrix(nv, degree, sos, eqs, homogeneous)
+    rows = list(map(tuple, rows.tolist()))
     width = A.shape[1]
     x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)),
                  dtype=float)
