@@ -27,6 +27,8 @@ from .sdp import SdpConfig
 from .sosengine import (
     ConstraintSystem,
     _MonomialTable,
+    _merge,
+    _times,
     coefficient_matrix,
     solve_system,
     sphere_polynomial,
@@ -199,13 +201,6 @@ def _directional_sum(x, order):
     return E.reshape(-1, E.shape[2]), np.tile([multinomial(b) for b in beta], len(x))
 
 
-def _merge(E, coefs):
-    """The distinct rows of E in grlex order, each with the sum of its
-    coefficients."""
-    rows, at = _MonomialTable(E).grlex()
-    return rows, np.bincount(at, weights=coefs, minlength=len(rows))
-
-
 def build_B(params, sample_size, dimension):
     """Moment-growth certificate constraints on the row variables.
 
@@ -234,8 +229,7 @@ def build_B(params, sample_size, dimension):
         # (sum_i <x_i, u>^2)^k', one factor at a time
         power, counts = np.zeros((1, width), dtype=int), np.ones(1)
         for _ in range(kp):
-            power, counts = _merge((power[:, None] + square).reshape(-1, width),
-                                   np.outer(counts, square_counts).ravel())
+            power, counts = _merge(*_times(power, counts, square, square_counts))
         moment, moment_counts = _directional_sum(x, 2 * kp)
         scale = (params.C * kp) ** kp / n ** kp
         terms, coefs = _merge(np.concatenate([moment, power]),

@@ -4,13 +4,16 @@ Compiles a constraint system into a moment-matrix SDP (one PSD block for the
 main moment matrix, one per auxiliary matrix variable, one linear equality
 per equality-times-multiplier pair), extracts pseudo-distributions from the
 solution, searches for sum-of-squares certificates by Gram-matrix SDP, and
-verifies certificates by explicit polynomial expansion.
+verifies a certificate in the Gram form the search returns, by expanding its
+identity on exponent rows and checking each Gram matrix.
 
 Both SDP builders, `relax` and `find_sos_combination` (on
 `coefficient_matrix`), match monomials through one kernel on integer
 exponent arrays: a basis's pair products (`_pair_products`), polynomial
 terms as exponent rows (`_flatten`), and exact lookup by each row's bytes,
-with the distinct rows in grlex order (`_MonomialTable`).  Both write their
+with the distinct rows in grlex order (`_MonomialTable`); equal rows are
+summed by `_merge`.  `verify_certificate` expands a certificate's identity
+on the same kernel, but not on the search's matrix.  Both builders write their
 equality rows as one dense matrix on the packed SDP entries (`sdp.pack`),
 then the free scalars (the affine equalities' free variables,
 equality-multiplier coefficients and margins), and hand it to `presolve`.
@@ -762,26 +765,21 @@ def solve_system(system, objective=None, sense="min", basis=None, config=None):
 
 
 @dataclass
-class CertPremise:
-    """One term of a general certificate: (sum of squares) * constraint_product."""
-
-    constraint_product: Polynomial
-    multiplier_sos: list
-
-
-@dataclass
 class SosCertificate:
-    """Witness of a polynomial inequality.
+    """Witness of a polynomial inequality: the identity
 
-    Sphere form: base = sphere_multiplier*(|u|^2 - 1) + sum r_i^2.
-    General form: base = sum over premises of (sum r^2) * product(constraints).
+        base = sum_S p_S * (b_S^T G_S b_S) + sum_j q_j * e_j
+
+    with each G_S PSD.  `sos_terms` holds (premise p_S, basis b_S as
+    exponent tuples, Gram matrix G_S), `multipliers` holds (equality e_j,
+    multiplier q_j).  A sphere certificate is premise 1 with the multiplier
+    of |u|^2 - 1.
     """
 
     num_vars: int
     base_polynomial: Polynomial
-    sphere_multiplier: Polynomial | None = None
-    sos_part: list = field(default_factory=list)
-    general_premises: list | None = None
+    sos_terms: list = field(default_factory=list)
+    multipliers: list = field(default_factory=list)
 
     def to_json(self):
         def poly_terms(p):
@@ -790,21 +788,15 @@ class SosCertificate:
         payload = {
             "num_vars": self.num_vars,
             "base_polynomial": poly_terms(self.base_polynomial),
-            "sphere_multiplier": (
-                None if self.sphere_multiplier is None
-                else poly_terms(self.sphere_multiplier)
-            ),
-            "sos_part": [poly_terms(r) for r in self.sos_part],
-            "general_premises": (
-                None if self.general_premises is None
-                else [
-                    {
-                        "constraint_product": poly_terms(p.constraint_product),
-                        "multiplier_sos": [poly_terms(r) for r in p.multiplier_sos],
-                    }
-                    for p in self.general_premises
-                ]
-            ),
+            "sos_terms": [
+                {"premise": poly_terms(p), "basis": [list(m) for m in basis],
+                 "gram": np.asarray(G, dtype=float).tolist()}
+                for p, basis, G in self.sos_terms
+            ],
+            "multipliers": [
+                {"equality": poly_terms(e), "multiplier": poly_terms(q)}
+                for e, q in self.multipliers
+            ],
         }
         return json.dumps(payload, indent=2)
 
@@ -816,24 +808,22 @@ class SosCertificate:
         def poly(terms):
             return Polynomial(nv, {tuple(m): c for m, c in terms})
 
+        def gram(rows):
+            try:
+                return np.array(rows, dtype=float)
+            except (TypeError, ValueError):
+                return rows  # not a matrix: verify_certificate names the fault
+
         return cls(
             num_vars=nv,
             base_polynomial=poly(payload["base_polynomial"]),
-            sphere_multiplier=(
-                None if payload["sphere_multiplier"] is None
-                else poly(payload["sphere_multiplier"])
-            ),
-            sos_part=[poly(t) for t in payload["sos_part"]],
-            general_premises=(
-                None if payload["general_premises"] is None
-                else [
-                    CertPremise(
-                        constraint_product=poly(p["constraint_product"]),
-                        multiplier_sos=[poly(t) for t in p["multiplier_sos"]],
-                    )
-                    for p in payload["general_premises"]
-                ]
-            ),
+            sos_terms=[
+                (poly(t["premise"]), [tuple(m) for m in t["basis"]], gram(t["gram"]))
+                for t in payload["sos_terms"]
+            ],
+            multipliers=[
+                (poly(t["equality"]), poly(t["multiplier"])) for t in payload["multipliers"]
+            ],
         )
 
 
@@ -848,24 +838,6 @@ class VerifyResult:
         return "Valid" if self.valid else "Invalid"
 
 
-def _sos_sum(nv, parts):
-    total = Polynomial.constant(nv, 0.0)
-    for r in parts:
-        total = total + r * r
-    return total
-
-
-def _gram_min_eig(parts, nv):
-    """Min eigenvalue of the Gram matrix assembled from explicit square roots."""
-    if not parts:
-        return 0.0
-    E, coefs, counts = _flatten(parts, nv)
-    monos, col = _MonomialTable(E).grlex()
-    R = np.zeros((len(parts), len(monos)))
-    R[_segments(counts)[0], col] = coefs
-    return float(np.linalg.eigvalsh(R.T @ R).min())
-
-
 def sphere_polynomial(nv):
     """|u|^2 - 1, whose zero set is the unit sphere in nv variables."""
     return Polynomial(
@@ -873,23 +845,66 @@ def sphere_polynomial(nv):
     ) - 1.0
 
 
+def _merge(E, coefs):
+    """The distinct rows of E in grlex order, each with the sum of its
+    coefficients."""
+    rows, at = _MonomialTable(E).grlex()
+    return rows, np.bincount(at, weights=coefs, minlength=len(rows))
+
+
+def _times(E, coefs, F, gains):
+    """Every product of a term (E, coefs) with a term (F, gains), as
+    exponent rows and coefficients."""
+    return ((E[:, None] + F[None]).reshape(-1, E.shape[1]),
+            np.outer(coefs, gains).ravel())
+
+
+def _read_gram(basis, G, nv):
+    """The basis as exponent rows and G as a float array, and why they are
+    not a Gram matrix over that basis (None when they are)."""
+    try:
+        B = np.array(basis, dtype=int).reshape(len(basis), nv)
+        G = np.asarray(G, dtype=float)
+    except (TypeError, ValueError):
+        return None, None, f"basis or gram is not a numeric array over {nv} variables"
+    if G.shape != (len(B), len(B)):
+        return B, G, f"gram of shape {G.shape} over a basis of {len(B)}"
+    if not np.all(np.isfinite(G)):
+        return B, G, "gram has a non-finite entry"
+    if not np.array_equal(G, G.T):
+        return B, G, "gram is not symmetric"
+    return B, G, None
+
+
 def verify_certificate(cert, tolerance=1e-8):
-    """Valid iff the defining identity holds coefficientwise and every SOS part
-    has a PSD Gram matrix."""
+    """Valid iff base - sum_S p_S b_S^T G_S b_S - sum_j q_j e_j has every
+    coefficient at most `tolerance` in magnitude, and every G_S is finite,
+    square over its basis and symmetric, with lambda_min >= -tolerance.
+
+    The identity is expanded on exponent rows: each Gram entry of the upper
+    triangle, weighted 2 off the diagonal, times each premise term, and each
+    multiplier term times each equality term, with equal rows merged.  A
+    Gram that cannot be read makes the certificate Invalid, with infinite
+    residual and the fault named in `detail`.
+    """
     nv = cert.num_vars
-    min_eig = 0.0
-    if cert.general_premises is not None:
-        total = Polynomial.constant(nv, 0.0)
-        for prem in cert.general_premises:
-            total = total + _sos_sum(nv, prem.multiplier_sos) * prem.constraint_product
-            min_eig = min(min_eig, _gram_min_eig(prem.multiplier_sos, nv))
-    else:
-        total = _sos_sum(nv, cert.sos_part)
-        if cert.sphere_multiplier is not None:
-            total = total + cert.sphere_multiplier * sphere_polynomial(nv)
-        min_eig = _gram_min_eig(cert.sos_part, nv)
-    diff = cert.base_polynomial - total
-    residual = max((abs(c) for c in diff.terms.values()), default=0.0)
+    E, coefs, _ = _flatten([cert.base_polynomial], nv)
+    parts, min_eig = [(E, coefs)], math.inf
+    for s, (premise, basis, G) in enumerate(cert.sos_terms):
+        B, G, fault = _read_gram(basis, G, nv)
+        if fault:
+            return VerifyResult(False, math.inf, f"sos term {s}: {fault}")
+        iu, ju, products = _pair_products(B)
+        weights = np.where(iu == ju, -1.0, -2.0) * G[iu, ju]
+        parts.append(_times(products, weights, *_flatten([premise], nv)[:2]))
+        if len(G):
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(G)[0]))
+    for equality, multiplier in cert.multipliers:
+        E, coefs, counts = _flatten([equality, multiplier], nv)
+        parts.append(_times(E[:counts[0]], -coefs[:counts[0]], E[counts[0]:],
+                            coefs[counts[0]:]))
+    _, diff = _merge(*map(np.concatenate, zip(*parts)))
+    residual = float(np.max(np.abs(diff), initial=0.0))
     ok = residual <= tolerance and min_eig >= -tolerance
     detail = "" if ok else f"identity residual {residual:.3e}, gram min eig {min_eig:.3e}"
     return VerifyResult(valid=ok, residual=residual, detail=detail)
@@ -969,7 +984,8 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     maximized when a margin polynomial is given (a zero margin raises
     ValueError: t would be unbounded).  A premise or margin not over the
     target's variables, or a premise of a degree no multiplier fits, raises
-    ValueError.  Returns the raw pieces; the caller assembles a certificate.
+    ValueError.  Returns the pieces of the identity: each Gram block over
+    its basis, each multiplier and t, which a certificate holds as they are.
 
     The identity is posed on the matrix of `coefficient_matrix`, extended by
     a margin column and by a row for each margin or target monomial that no
@@ -980,8 +996,9 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     back by back-substitution.  After the solve the identity is polished by
     least squares on A, with the Grams projected to the PSD cone, and
     `residual` is the largest coefficient error max|b - A x| of the polished
-    identity.  A small residual is not a certificate: what a caller
-    assembles is gated by `verify_certificate`.
+    identity, and `grams` are those polished Grams, exactly symmetric.  A
+    small residual is not a certificate: what a caller builds from the
+    pieces is gated by `verify_certificate`.
     """
     nv = target.dimension
     if degree is None:
@@ -1023,8 +1040,8 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
             detail=presolved.contradiction if solution is None else solution.detail,
         )
 
-    grams = [np.array(G) for G in solution.primal_blocks]
-    vec = np.concatenate([pack(grams), presolved.free_values(pack(grams))])
+    x = pack(solution.primal_blocks)
+    vec = np.concatenate([x, presolved.free_values(x)])
     for _ in range(3):
         resid = b - A @ vec
         if np.max(np.abs(resid), initial=0.0) < 1e-14:
@@ -1038,7 +1055,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
             grams.append((V * np.clip(w, 0.0, None)) @ V.T)
         vec = np.concatenate([pack(grams), vec[n_gram:]])
 
-    free_polys, k = [], n_gram
+    grams, free_polys, k = unpack(vec[:n_gram], sizes), [], n_gram
     for monos in free_monos:
         free_polys.append(Polynomial(nv, dict(zip(monos, vec[k: k + len(monos)]))))
         k += len(monos)
@@ -1049,26 +1066,6 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         residual=float(np.max(np.abs(b - A @ vec), initial=0.0)),
         detail=solution.detail,
     )
-
-
-_SQUARE_DROP_TOL = 1e-12  # Gram eigenvalues below this share of the largest are dropped
-
-
-def gram_to_sos(basis, G):
-    """Split a PSD Gram matrix into explicit square polynomials."""
-    nv = len(basis[0])
-    G = 0.5 * (np.asarray(G) + np.asarray(G).T)
-    w, V = np.linalg.eigh(G)
-    top = max(float(w.max(initial=0.0)), 1.0)
-    parts = []
-    for lam, vec in zip(w, V.T):
-        if lam <= _SQUARE_DROP_TOL * top:
-            continue
-        coef = math.sqrt(lam)
-        terms = {m: coef * float(c) for m, c in zip(basis, vec) if abs(c) > 1e-15}
-        if terms:
-            parts.append(Polynomial(nv, terms))
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1114,8 @@ def _binomial_certificate(k):
     b = Polynomial.variable(2, 1)
     target = (2 ** (k - 1)) * (a ** k + b ** k) - (a + b) ** k
     if k == 2:
-        return SosCertificate(2, target, sos_part=[a - b])
+        return SosCertificate(2, target, [(Polynomial.constant(2, 1.0), [(1, 0), (0, 1)],
+                                           np.array([[1.0, -1.0], [-1.0, 1.0]]))])
     return _homogeneous_sos_certificate(target, k, "binomial")
 
 
@@ -1131,22 +1129,19 @@ def _amgm_certificate(k):
         product = product * w
     target = power_sum * (1.0 / k) - product
     if k == 2:
-        w0 = Polynomial.variable(2, 0)
-        w1 = Polynomial.variable(2, 1)
-        return SosCertificate(2, target, sos_part=[(w0 - w1) * (1 / math.sqrt(2))])
+        return SosCertificate(2, target, [(Polynomial.constant(2, 1.0), [(1, 0), (0, 1)],
+                                           np.array([[0.5, -0.5], [-0.5, 0.5]]))])
     return _homogeneous_sos_certificate(target, k, "am-gm")
 
 
 def _homogeneous_sos_certificate(target, k, name):
     """target as one sum of squares of forms of degree k / 2."""
     nv = target.dimension
-    result = find_sos_combination(
-        target, sos_premises=[Polynomial.constant(nv, 1.0)],
-        degree=k, homogeneous=True,
-    )
+    one = Polynomial.constant(nv, 1.0)
+    result = find_sos_combination(target, sos_premises=[one], degree=k, homogeneous=True)
     if result.status != "Optimal":
         raise RuntimeError(f"{name} certificate search failed: {result.detail}")
-    return SosCertificate(nv, target, sos_part=gram_to_sos(*result.grams[0]))
+    return SosCertificate(nv, target, [(one, *result.grams[0])])
 
 
 def _power_reduction_certificate(k):
@@ -1154,14 +1149,10 @@ def _power_reduction_certificate(k):
     one = Polynomial.constant(1, 1.0)
     if k == 2:
         # 2 - 2f = (1 - f^2) + (1 - f)^2, exactly
-        return SosCertificate(
-            1,
-            2.0 - 2.0 * f,
-            general_premises=[
-                CertPremise(one - f * f, [one]),
-                CertPremise(one, [one - f]),
-            ],
-        )
+        return SosCertificate(1, 2.0 - 2.0 * f, [
+            (one - f * f, [(0,)], np.array([[1.0]])),
+            (one, [(0,), (1,)], np.array([[1.0, -1.0], [-1.0, 1.0]])),
+        ])
     cert, detail = _premise_certificate(one - f, one - f ** k, [k])
     if cert is None:
         raise RuntimeError(f"power reduction certificate search failed: {detail}")
@@ -1179,13 +1170,9 @@ def _premise_certificate(target, premise, degrees, max_residual=math.inf):
         result = find_sos_combination(target, sos_premises=[one, premise], degree=degree)
         detail = result.detail
         if result.status == "Optimal" and result.residual <= max_residual:
-            return SosCertificate(
-                1, target,
-                general_premises=[
-                    CertPremise(one, gram_to_sos(*result.grams[0])),
-                    CertPremise(premise, gram_to_sos(*result.grams[1])),
-                ],
-            ), detail
+            return SosCertificate(1, target, [
+                (p, basis, G) for p, (basis, G) in zip([one, premise], result.grams)
+            ]), detail
     return None, detail
 
 

@@ -2,10 +2,10 @@
 
 A sample is certified with parameter C at order 2k' when the centered
 directional moment E <x-mu, u>^{2k'} is bounded by (C k' E <x-mu, u>^2)^{k'}
-for every unit u, witnessed by an explicit sphere-form SOS certificate.  The
-decision is made by maximizing the uniform slack t in
+for every unit u, witnessed by a sphere-form SOS certificate.  The decision
+is made by maximizing the uniform slack t in
 
-    target(u) - t (1 + |u|^2)^{l/2}  =  q(u) (|u|^2 - 1) + sum r_i(u)^2 ;
+    target(u) - t (1 + |u|^2)^{l/2}  =  q(u) (|u|^2 - 1) + b(u)^T G b(u) ;
 
 t >= 0 yields a certificate, t < 0 quantifies the deficit.  Orders 2..k/2 are
 checked (for k=2, the single order-1 inequality); the order-1 inequality for
@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polycore import Polynomial, empirical_moments, monomials_of_degree, multinomial
+from .polycore import Polynomial, empirical_moments, enumerate_monomials, multinomial
 from .sosengine import (
     SosCertificate,
     find_sos_combination,
-    gram_to_sos,
     sphere_polynomial,
     tensor_form,
     verify_certificate,
@@ -107,15 +106,11 @@ def _span_projection(centered):
     return root_n * U[:, keep], Vt[keep].T * (svals[keep] / root_n)
 
 
-def _expansion_squares(d, half_degree):
-    """(1 + |u|^2)^m as an explicit combination of squares: coefficient and
-    root monomial per term of the multinomial expansion."""
-    out = []
-    for total in range(half_degree + 1):
-        for mono in monomials_of_degree(d, total):
-            coef = math.comb(half_degree, total) * multinomial(mono)
-            out.append((float(coef), mono))
-    return out
+def _expansion_diagonal(d, half_degree):
+    """The diagonal Gram matrix D with b^T D b = (1 + |u|^2)^m over the basis
+    b = enumerate_monomials(d, m): the multinomial count of each square."""
+    return np.diag([float(math.comb(half_degree, sum(mono)) * multinomial(mono))
+                    for mono in enumerate_monomials(d, half_degree)])
 
 
 class _OrderData:
@@ -154,34 +149,28 @@ class _PreparedSample:
             )
 
 
-def _order_certificate(target, margin, ell, margin_squares=None):
-    """Maximize t in target - t margin = q (|u|^2 - 1) + sum r^2 (one SDP),
-    then assemble and verify the certificate at BUNDLE_TOLERANCE: the gate is
-    the check, not the solver status.  Given `margin_squares` (margin as a
-    sum of squares) it certifies `target`, a slack t >= 0 folded into the
-    squares; otherwise target - t margin.  Returns (result, certificate,
-    check), the last two None when the solve gives no margin value.
+def _order_certificate(target, margin, ell, margin_gram=None):
+    """Maximize t in target - t margin = q (|u|^2 - 1) + b^T G b (one SDP),
+    then build and verify the certificate at BUNDLE_TOLERANCE: the gate is
+    the check, not the solver status.  Given `margin_gram` (the Gram matrix
+    D of margin = b^T D b over the search's basis) it certifies `target`,
+    a slack t >= 0 folded into the Gram as G + t D; otherwise target -
+    t margin.  Returns (result, certificate, check), the last two None when
+    the solve gives no margin value.
     """
     d = target.dimension
-    res = find_sos_combination(
-        target, sos_premises=[Polynomial.constant(d, 1.0)],
-        equality_premises=[sphere_polynomial(d)], degree=ell, margin=margin,
-    )
+    one, sphere = Polynomial.constant(d, 1.0), sphere_polynomial(d)
+    res = find_sos_combination(target, sos_premises=[one], equality_premises=[sphere],
+                               degree=ell, margin=margin)
     t = res.margin_value
     if t is None:
         return res, None, None
-    sos_part = gram_to_sos(*res.grams[0])
-    if margin_squares is None:
+    (basis, G), = res.grams
+    if margin_gram is None:
         base = target - t * margin
     else:
-        base = target
-        slack = max(t, 0.0)
-        for coef, mono in margin_squares:
-            scale = math.sqrt(slack * coef)
-            if scale > 0.0:
-                sos_part.append(Polynomial(d, {mono: scale}))
-    cert = SosCertificate(num_vars=d, base_polynomial=base,
-                          sphere_multiplier=res.free_polys[0], sos_part=sos_part)
+        base, G = target, G + max(t, 0.0) * margin_gram
+    cert = SosCertificate(d, base, [(one, basis, G)], [(sphere, res.free_polys[0])])
     return res, cert, verify_certificate(cert, tolerance=BUNDLE_TOLERANCE)
 
 
@@ -192,12 +181,12 @@ def _certify_prepared(prep, params):
         return CertifyResult(status="Certified", bundle=bundle)
     ell = params.effective_ell
     margin = (sphere_polynomial(prep.rank) + 2.0) ** (ell // 2)  # (1+|u|^2)^{l/2}
-    margin_squares = _expansion_squares(prep.rank, ell // 2)
+    margin_gram = _expansion_diagonal(prep.rank, ell // 2)
     certificates = {}
     margins = {}
     for data in prep.order_data:
         res, cert, check = _order_certificate(
-            data.target(params.C), margin, ell, margin_squares
+            data.target(params.C), margin, ell, margin_gram
         )
         if res.status == "Infeasible":
             return CertifyResult(
@@ -256,7 +245,7 @@ def certify_from_moments(raw_moments, params):
 
     `raw_moments` lists E x, E x^2, ..., E x^k.  The directional inequality
     collapses to the exact scalar comparison m_{2k'} <= (C k' m_2)^{k'}, and
-    the certificate is a single explicit square.
+    the certificate is the 1 x 1 Gram matrix [[gap]] over the basis u^{k'}.
     """
     k = params.k
     centered = _centered_scalar_moments(raw_moments, k)
@@ -277,11 +266,9 @@ def certify_from_moments(raw_moments, params):
                 status="NotCertifiable", failed_order=kp, residual=-margins[kp],
                 margins=margins,
             )
-        certificates[kp] = SosCertificate(
-            num_vars=1,
-            base_polynomial=gap * u ** (2 * kp),
-            sos_part=[math.sqrt(max(gap, 0.0)) * u ** kp],
-        )
+        certificates[kp] = SosCertificate(1, gap * u ** (2 * kp), [
+            (Polynomial.constant(1, 1.0), [(kp,)], np.array([[max(gap, 0.0)]])),
+        ])
     bundle = SubgaussCertificateBundle(
         certificates, np.array([float(raw_moments[0])]), np.array([[1.0]])
     )

@@ -165,7 +165,9 @@ def test_criterion_04_certificate_toolkit():
         a = Polynomial.variable(2, 0)
         b = Polynomial.variable(2, 1)
         hand = SosCertificate(
-            2, 2.0 * a * a + 2.0 * b * b - (a + b) ** 2, sos_part=[a - b]
+            2, 2.0 * a * a + 2.0 * b * b - (a + b) ** 2,
+            [(Polynomial.constant(2, 1.0), [(1, 0), (0, 1)],
+              np.array([[1.0, -1.0], [-1.0, 1.0]]))],
         )
         assert verify_certificate(hand).residual == 0.0
         # hand identity 2: 2 - 2f = (1 - f^2) + (1 - f)^2, built exactly

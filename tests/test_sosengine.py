@@ -5,6 +5,7 @@ hand, exact support-measure moments, and identities whose residual must be
 zero by construction.
 """
 
+import json
 import math
 import time
 
@@ -21,7 +22,6 @@ from robustmoments.polycore import (
 )
 from robustmoments.sdp import pack, unpack
 from robustmoments.sosengine import (
-    CertPremise,
     ConstraintSystem,
     PseudoDistribution,
     RelaxationSizeError,
@@ -30,7 +30,6 @@ from robustmoments.sosengine import (
     build_toolkit_certificate,
     coefficient_matrix,
     find_sos_combination,
-    gram_to_sos,
     presolve,
     relax,
     solve_system,
@@ -494,35 +493,87 @@ class TestPseudoDistribution:
             pd.pseudo_expectation(X ** 4)
 
 
+_AB = [(1, 0), (0, 1)]  # the basis [a, b] in two variables
+_ONE2 = Polynomial.constant(2, 1.0)
+
+
+def _hand_target():
+    """2a^2 + 2b^2 - (a+b)^2 = (a-b)^2, whose Gram over [a, b] is
+    [[1, -1], [-1, 1]]."""
+    a = Polynomial.variable(2, 0)
+    b = Polynomial.variable(2, 1)
+    return 2.0 * a * a + 2.0 * b * b - (a + b) ** 2
+
+
 class TestCertificates:
     def test_hand_certificate_valid(self):
-        # 2a^2 + 2b^2 - (a+b)^2 = (a-b)^2
-        a = Polynomial.variable(2, 0)
-        b = Polynomial.variable(2, 1)
-        cert = SosCertificate(2, 2.0 * a * a + 2.0 * b * b - (a + b) ** 2,
-                              sos_part=[a - b])
+        cert = SosCertificate(2, _hand_target(),
+                              [(_ONE2, _AB, np.array([[1.0, -1.0], [-1.0, 1.0]]))])
         res = verify_certificate(cert)
         assert res.valid and res.residual == 0.0
 
     def test_corrupted_certificate_invalid(self):
-        a = Polynomial.variable(2, 0)
-        b = Polynomial.variable(2, 1)
-        cert = SosCertificate(2, 2.0 * a * a + 2.0 * b * b - (a + b) ** 2,
-                              sos_part=[a - 1.01 * b])
+        # the Gram of (a - 1.01 b)^2
+        cert = SosCertificate(2, _hand_target(),
+                              [(_ONE2, _AB, np.array([[1.0, -1.01], [-1.01, 1.0201]]))])
         res = verify_certificate(cert)
         assert not res.valid
         assert res.residual > 1e-3
 
     def test_sphere_form_certificate(self):
-        # on the unit circle: 1 - x^2 = y^2 + 1*(1 - x^2 - y^2)
+        # on the unit circle: 1 - x^2 = y^2 + (-1)*(x^2 + y^2 - 1)
         x = Polynomial.variable(2, 0)
-        y = Polynomial.variable(2, 1)
-        cert = SosCertificate(
-            2, 1.0 - x * x,
-            sphere_multiplier=Polynomial.constant(2, -1.0),
-            sos_part=[y],
-        )
+        cert = SosCertificate(2, 1.0 - x * x, [(_ONE2, [(0, 1)], np.array([[1.0]]))],
+                              [(sphere_polynomial(2), Polynomial.constant(2, -1.0))])
+        res = verify_certificate(cert)
+        assert res.valid and res.residual == 0.0
+
+    @pytest.mark.parametrize("gram,fault", [
+        (np.ones((2, 3)), "shape"),
+        (np.ones((3, 3)), "shape"),
+        (np.ones(2), "shape"),
+        (np.array([[1.0, -1.0], [-0.5, 1.0]]), "not symmetric"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+        (np.array([[np.inf, -1.0], [-1.0, 1.0]]), "non-finite"),
+        ([[1.0, -1.0], [-1.0]], "not a numeric array"),
+    ], ids=["2x3", "3x3", "vector", "asymmetric", "nan", "inf", "ragged"])
+    def test_malformed_gram_is_invalid(self, gram, fault):
+        cert = SosCertificate(2, _hand_target(), [(_ONE2, _AB, gram)])
+        res = verify_certificate(cert)
+        assert not res.valid and res.residual == math.inf
+        assert fault in res.detail
+
+    def test_malformed_gram_from_json_is_invalid(self):
+        # JSON carries NaN and lists of any shape; reading them raises nothing
+        good = SosCertificate(2, _hand_target(),
+                              [(_ONE2, _AB, np.array([[1.0, -1.0], [-1.0, 1.0]]))])
+        for gram, fault in [([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "shape"),
+                            ([[1.0, -1.0], [0.0, 1.0]], "not symmetric"),
+                            ([[1.0, float("nan")], [float("nan"), 1.0]], "non-finite"),
+                            ([[1.0, -1.0], [-1.0]], "not a numeric array")]:
+            payload = json.loads(good.to_json())
+            payload["sos_terms"][0]["gram"] = gram
+            res = verify_certificate(SosCertificate.from_json(json.dumps(payload)))
+            assert not res.valid and fault in res.detail
+
+    def test_indefinite_gram_is_invalid(self):
+        # a^2 - b^2 holds exactly with diag(1, -1) over [a, b], which is not PSD
+        a = Polynomial.variable(2, 0)
+        b = Polynomial.variable(2, 1)
+        cert = SosCertificate(2, a * a - b * b, [(_ONE2, _AB, np.diag([1.0, -1.0]))])
+        res = verify_certificate(cert)
+        assert res.residual == 0.0
+        assert not res.valid and "gram min eig -1.000e+00" in res.detail
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_moved_gram_entry_is_invalid(self, entry):
+        cert = build_toolkit_certificate("Binomial", 2)
         assert verify_certificate(cert).valid
+        premise, basis, G = cert.sos_terms[0]
+        G = G.copy()
+        G[entry] += 1e-6
+        assert not verify_certificate(SosCertificate(2, cert.base_polynomial,
+                                                     [(premise, basis, G)])).valid
 
     def test_json_roundtrip(self):
         cert = build_toolkit_certificate("PowerReduction", 4)
@@ -608,24 +659,28 @@ def _polynomials(draw, nv):
 
 @st.composite
 def _certificates(draw):
-    """A sphere-form or a general-premise certificate with arbitrary terms."""
+    """A certificate with arbitrary premises, bases, Grams and multipliers."""
     nv = draw(st.integers(1, 4))
-    squares = st.lists(_polynomials(nv), max_size=3)
-    if draw(st.booleans()):
-        return SosCertificate(nv, draw(_polynomials(nv)),
-                              sphere_multiplier=draw(st.none() | _polynomials(nv)),
-                              sos_part=draw(squares))
-    premises = st.lists(st.builds(CertPremise, _polynomials(nv), squares),
-                        min_size=1, max_size=3)
-    return SosCertificate(nv, draw(_polynomials(nv)), general_premises=draw(premises))
+    monomials = st.tuples(*[st.integers(0, 4)] * nv)
+    sos_terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        basis = draw(st.lists(monomials, min_size=1, max_size=3, unique=True))
+        entries = st.lists(_COEFFICIENTS, min_size=len(basis), max_size=len(basis))
+        gram = np.array(draw(st.lists(entries, min_size=len(basis), max_size=len(basis))))
+        sos_terms.append((draw(_polynomials(nv)), basis, gram))
+    multipliers = draw(st.lists(st.tuples(_polynomials(nv), _polynomials(nv)), max_size=3))
+    return SosCertificate(nv, draw(_polynomials(nv)), sos_terms, multipliers)
 
 
-def _certificate_terms(cert):
-    """The terms of every polynomial of a certificate, in a fixed order."""
-    polys = [cert.base_polynomial, cert.sphere_multiplier, *cert.sos_part]
-    for premise in cert.general_premises or []:
-        polys += [premise.constraint_product, *premise.multiplier_sos]
-    return [None if p is None else p.terms for p in polys]
+def _certificate_parts(cert):
+    """Every term, basis and Gram of a certificate, the Grams as shape and
+    bytes, in a fixed order."""
+    parts = [cert.base_polynomial.terms]
+    for premise, basis, gram in cert.sos_terms:
+        parts += [premise.terms, basis, gram.shape, gram.dtype, gram.tobytes()]
+    for equality, multiplier in cert.multipliers:
+        parts += [equality.terms, multiplier.terms]
+    return parts
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -633,8 +688,51 @@ def _certificate_terms(cert):
 def test_certificate_json_round_trip_is_exact(cert):
     back = SosCertificate.from_json(cert.to_json())
     assert back.num_vars == cert.num_vars
-    assert (back.general_premises is None) == (cert.general_premises is None)
-    assert _certificate_terms(back) == _certificate_terms(cert)
+    assert _certificate_parts(back) == _certificate_parts(cert)
+
+
+@st.composite
+def _integer_certificates(draw):
+    """A certificate in 1-3 variables whose Grams are symmetric, and whose
+    Grams, premises and multipliers have small integer coefficients."""
+    nv = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 3)] * nv)
+
+    def poly():
+        return Polynomial(nv, draw(st.dictionaries(monomials, st.integers(-3, 3),
+                                                   max_size=4)))
+
+    sos_terms = []
+    for _ in range(draw(st.integers(0, 2))):
+        basis = draw(st.lists(monomials, min_size=1, max_size=4, unique=True))
+        size = len(basis) * (len(basis) + 1) // 2
+        upper = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        sos_terms.append((poly(), basis, unpack(np.array(upper, dtype=float),
+                                                [len(basis)])[0]))
+    multipliers = [(poly(), poly()) for _ in range(draw(st.integers(0, 2)))]
+    return SosCertificate(nv, poly(), sos_terms, multipliers)
+
+
+def _expanded_residual(cert):
+    """The largest coefficient of base - sum p b^T G b - sum q e, expanded
+    with `Polynomial` arithmetic over every entry of each Gram."""
+    nv = cert.num_vars
+    total = cert.base_polynomial
+    for premise, basis, gram in cert.sos_terms:
+        for i, mi in enumerate(basis):
+            for j, mj in enumerate(basis):
+                entry = Polynomial(nv, {mi: gram[i, j]}) * Polynomial(nv, {mj: 1.0})
+                total = total - premise * entry
+    for equality, multiplier in cert.multipliers:
+        total = total - multiplier * equality
+    return max((abs(c) for c in total.terms.values()), default=0.0)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cert=_integer_certificates())
+def test_verify_residual_matches_the_expanded_identity(cert):
+    # integer coefficients make every sum exact, so the two must agree exactly
+    assert verify_certificate(cert).residual == _expanded_residual(cert)
 
 
 class TestFindSosCombination:
@@ -769,10 +867,12 @@ class TestFindSosCombination:
             degree=2, homogeneous=True,
         )
         assert res.status == "Optimal"
-        parts = gram_to_sos(*res.grams[0])
+        basis, G = res.grams[0]
+        assert np.array_equal(G, G.T)
         total = Polynomial.constant(2, 0.0)
-        for r in parts:
-            total = total + r * r
+        for i, mi in enumerate(basis):
+            for j, mj in enumerate(basis):
+                total = total + Polynomial(2, {mi: G[i, j]}) * Polynomial(2, {mj: 1.0})
         diff = target - total
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-7
 

@@ -16,6 +16,8 @@ import pytest
 
 from robustmoments import subgauss
 from robustmoments.corruption import PointMass, corrupt
+from robustmoments.polycore import Polynomial, enumerate_monomials
+from robustmoments.sosengine import coefficient_matrix, sphere_polynomial
 from robustmoments.subgauss import (
     CertifyResult,
     SubgaussParams,
@@ -102,6 +104,22 @@ class TestSampleCertify:
         res = certify(xs, SubgaussParams(C=1.0, k=k))
         assert res.status == "NotCertifiable"
         assert res.failed_order == 2
+
+    @pytest.mark.parametrize("ell", [4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slack_gram_writes_the_margin(self, d, ell):
+        # certify folds its slack t into the Gram as G + t D: b^T D b must be
+        # the margin (1 + |u|^2)^{l/2} over the search's own Gram basis b
+        basis = enumerate_monomials(d, ell // 2)
+        one = Polynomial.constant(d, 1.0)
+        _, _, (gram_basis,), _ = coefficient_matrix(d, ell, [one], [sphere_polynomial(d)])
+        assert gram_basis == basis
+        D = subgauss._expansion_diagonal(d, ell // 2)
+        total = Polynomial.constant(d, 0.0)
+        for i, mi in enumerate(basis):
+            for j, mj in enumerate(basis):
+                total = total + Polynomial(d, {mi: D[i, j]}) * Polynomial(d, {mj: 1.0})
+        assert total.terms == ((sphere_polynomial(d) + 2.0) ** (ell // 2)).terms
 
     def test_constant_sample_trivially_certified(self):
         res = certify(np.ones((5, 3)), SubgaussParams(C=1.0, k=4))

@@ -11,7 +11,9 @@ index within the call, and the SHA-256 of the relaxation's
 nnz, `rows_implied`, `rows_vanished`, `rows_dependent`).  After each call
 it prints the SHA-256 of the call's result (`result_parts` says what it
 covers; each array counts with its shape and dtype), followed by the
-status and iteration count of each SDP solve the call made, and by the
+status and iteration count of each SDP solve the call made; after the
+result line of a call that returns a certificate, that certificate's
+residual as the package's own `verify_certificate` reads it; and then the
 SHA-256 of every SDP those solves were given (`problem_parts`): the
 relaxations' and the certificate searches' alike.  Then three lines hash
 all relaxations, all results and all posed SDPs, and the last line counts
@@ -248,6 +250,9 @@ def main(argv=None):
             total.update(relaxation.encode())
         made = " ".join(f"{status}/{n}" for status, n in solves[first:])
         print(f"{label} result {digest} solves {made or '-'}")
+        if isinstance(result, L.sosengine.SosCertificate):
+            residual = L.sosengine.verify_certificate(result).residual
+            print(f"{label} certificate residual {residual:.2e}")
         results.update(digest.encode())
         call_sdps = hashlib.sha256()
         for problem in posed[first:]:
