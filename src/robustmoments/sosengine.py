@@ -14,12 +14,12 @@ terms as exponent rows (`_flatten`), and exact lookup by each row's bytes,
 with the distinct rows in grlex order (`_MonomialTable`); equal rows are
 summed by `_merge`.  `verify_certificate` expands a certificate's identity
 on the same kernel, but not on the search's matrix.  Both builders write their
-equality rows as one dense matrix on the packed SDP entries (`sdp.pack`),
+equality rows as one CSR matrix on the packed SDP entries (`sdp.pack`),
 then the free scalars (the affine equalities' free variables,
-equality-multiplier coefficients and margins), and hand it to `presolve`.
-It eliminates the free scalars, which `find_sos_combination` reads back
-from the PSD blocks after the solve, and leaves out the rows that vanish
-and those the others imply, naming any contradiction among them;
+equality-multiplier coefficients and margins), and hand it to
+`sdp.presolve`.  It eliminates the free scalars, which `find_sos_combination`
+reads back from the PSD blocks after the solve, and leaves out the rows that
+vanish and those the others imply, naming any contradiction among them;
 `SdpProblem` takes what is left as it is, so every SDP posed here has PSD
 blocks only.
 
@@ -60,7 +60,17 @@ from .polycore import (
     index_multiplicity,
     monomials_of_degree,
 )
-from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack
+from .sdp import (
+    _FILL_TOL,
+    DEFAULT_CONSTRAINT_CAP,
+    SdpConfig,
+    SdpProblem,
+    _csr,
+    _pivoted_cholesky,
+    pack,
+    presolve,
+    unpack,
+)
 from .sdp import solve as sdp_solve
 
 
@@ -215,165 +225,10 @@ class PseudoDistribution:
 
 
 # ---------------------------------------------------------------------------
-# the presolve every SDP here is posed through
-
-_FREE_TOL = 1e-12  # a free column below this share of its own scale is absent
-_FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
-_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
-
-
-def _pivoted_cholesky(G, tol):
-    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
-
-    Each step takes the row with the largest residual diagonal, its squared
-    distance from the span of the rows taken so far, and stops once that is
-    at most `tol`.  Returns (pivots in pivot order, L) with L L^T = G on the
-    pivot rows and L[:, :len(pivots)] the coordinates of every row in an
-    orthonormal basis of their span.
-    """
-    n = len(G)
-    L = np.zeros((n, n))
-    resid = G.diagonal().copy()
-    pivots = []
-    for step in range(n):
-        p = int(np.argmax(resid))
-        if resid[p] <= tol:
-            break
-        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
-        col[pivots] = 0.0
-        L[:, step] = col
-        resid -= col * col
-        resid[p] = -np.inf
-        pivots.append(p)
-    return pivots, L[:, :len(pivots)]
-
-
-@dataclass
-class Presolved:
-    """Equality rows on SDP entries, as `presolve` leaves them.
-
-    `rows` (dense, on the packed entry columns) and `rhs` are the rows kept,
-    in input order, and `objective` the reduced objective on those columns,
-    its constant dropped: what `SdpProblem` takes.  `pivots`
-    hold (free column, pivot row, rhs) for back-substitution.  `vanished`
-    and `dependent` count the rows left out, and `contradiction` names a
-    left-out row whose rhs the kept rows do not reproduce, or is None.
-    """
-
-    rows: np.ndarray
-    rhs: np.ndarray
-    objective: np.ndarray
-    pivots: list
-    num_free: int
-    vanished: int
-    dependent: int
-    contradiction: str | None
-
-    def free_values(self, x):
-        """The free scalars at entry values x, by back-substitution in
-        reverse pivot order; absent columns are 0."""
-        y = np.concatenate([x, np.zeros(self.num_free)])
-        for col, row, rhs in reversed(self.pivots):
-            y[col] = rhs - row @ y  # row[col] = 1 multiplies y[col] = 0 here
-        return y[len(x):]
-
-
-def presolve(A, b, num_free, objective=None):
-    """Reduce the equality rows A y = b, y = (x, z), to rows on x alone.
-
-    The columns of A are the SDP entries x, packed as `sdp.pack` packs
-    them, then `num_free` free scalars z.  `objective` is a linear
-    objective on y to minimize, or None.  The rows that hold a free column
-    are reduced in A in place.
-
-    For each free column in turn the pivot is the live row with the largest
-    |coefficient| (partial pivoting); it is subtracted from every other row
-    and from the objective, and kept for back-substitution.  A column whose
-    largest remaining coefficient is below `_FREE_TOL` of its own scale is
-    absent and takes the value 0; an absent column that still has an
-    objective coefficient is unbounded and raises ValueError.  (Anjos and
-    Burer, SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
-
-    Of the rows left, those with no coefficient vanish, and those in the
-    span of the others are dependent, found by a pivoted Cholesky of the
-    Gram matrix of the unit-scaled rows; both are left out.  A left-out row
-    whose rhs the kept rows do not reproduce makes the system infeasible.
-    """
-    width = A.shape[1]
-    n = width - num_free
-    b = np.array(b, dtype=float)
-    c = np.zeros(width) if objective is None else np.array(objective, dtype=float)
-    touched = np.flatnonzero(np.any(A[:, n:] != 0.0, axis=1))
-    T, bt = A[touched], b[touched]
-    col_scale = np.max(np.abs(T), axis=0, initial=0.0)
-    c_scale = np.max(np.abs(c), initial=0.0)
-    fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
-    live = np.ones(len(touched), dtype=bool)
-    pivots = []
-    for col in range(n, width):
-        height = np.where(live, np.abs(T[:, col]), 0.0)
-        if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
-            if abs(c[col]) > _FREE_TOL * c_scale:
-                raise ValueError(
-                    f"free scalar {col - n} has an objective coefficient but "
-                    "no constraint row: the objective is unbounded"
-                )
-            T[:, col] = 0.0
-            continue
-        p = int(np.argmax(height))
-        live[p] = False
-        row, rhs = T[p] / T[p, col], bt[p] / T[p, col]
-        others = np.flatnonzero(live & (T[:, col] != 0.0))
-        lam = T[others, col]
-        T[others] -= np.outer(lam, row)
-        T[others, col] = 0.0
-        bt[others] -= lam * rhs
-        c -= c[col] * row
-        pivots.append((col, row, rhs))
-    T[np.abs(T) <= fill_floor] = 0.0
-    A[touched], b[touched] = T, bt
-    c[np.abs(c) <= _FILL_TOL * c_scale] = 0.0
-
-    left = np.ones(len(A), dtype=bool)
-    left[touched[~live]] = False
-    X = A[:, :n]
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    vanished = np.flatnonzero(left & (norms == 0.0))
-    contradiction = None
-    if np.any(np.abs(b[vanished]) > 1e-12):
-        contradiction = "an equality row vanishes but demands %r" % (
-            b[vanished][np.argmax(np.abs(b[vanished]))]
-        )
-    rest = np.flatnonzero(left & (norms > 0.0))
-    unit = X[rest] / norms[rest, None]
-    bu = b[rest] / norms[rest]
-    kept, L = _pivoted_cholesky(unit @ unit.T, _DEPENDENT_TOL)
-    dependent = sorted(set(range(len(rest))) - set(kept))
-    if dependent and contradiction is None:
-        # each dependent row is alpha . (kept rows) with Lk^T alpha = L[row]
-        alpha = np.linalg.solve(L[kept].T, L[dependent].T)
-        want = bu[kept] @ alpha
-        spread = 1.0 + np.abs(bu[kept]) @ np.abs(alpha)
-        bad = np.abs(bu[dependent] - want) > 1e-9 * spread
-        if np.any(bad):
-            k = np.argmax(bad)
-            scale = norms[rest[dependent[k]]]
-            contradiction = "dependent equality rows demand %r and %r" % (
-                float(bu[dependent[k]] * scale), float(want[k] * scale)
-            )
-    kept = rest[sorted(kept)]
-    return Presolved(
-        X[kept], b[kept], c[:n], pivots, num_free, len(vanished), len(dependent),
-        contradiction,
-    )
-
-
-# ---------------------------------------------------------------------------
 # facial reduction of the moment block
 
 _FACE_TOL = 1e-10  # eigenvalues of K^T K below this share of the largest are 0
 _VANISH_TOL = 1e-10  # a mapped row below this share of its own scale vanishes
-_ROW_CHUNK_FLOATS = 1 << 20  # floats in one row-mapping temporary, at most
 
 
 def _grlex_order(E):
@@ -501,36 +356,49 @@ def face_basis(K):
 
 
 def _face_rows(V, width, num_rows, moment):
-    """The rows' moment parts as one dense matrix of `width` columns for
-    `presolve`, on Z's packed entries, the first columns; the rest stay 0.
+    """The rows' moment parts as a CSR matrix of `width` columns for
+    `presolve`, on Z's packed entries, the first columns.
 
     `moment` is a k x 4 array of entries (row, i, j, value) that read the
     unordered entry X0[i, j], grouped by row in ascending order.  Block 0
     is Z with X0 = V Z V^T, so a row's X0 part <A, X0> becomes
-    <V^T A V, Z>, on Z's upper triangle; a part below `_VANISH_TOL` of its
-    own scale vanishes on the face and is zeroed.
+    <V^T A V, Z>: each entry adds value * V[i, a] * V[j, b] to Z's packed
+    column of (min(a, b), max(a, b)), for every nonzero V[i, a] and
+    V[j, b] (the halves of A's two orientations meet the off-diagonal
+    weight 2 of `pack(..., off=2)`).  A sum below `_FILL_TOL` of the row's
+    largest |value| is dropped, and a row whose sums all stay below
+    `_VANISH_TOL` of it vanishes on the face.
     """
     r = V.shape[1]
-    R = np.zeros((num_rows, width))
-    counts = np.bincount(moment[:, 0].astype(int), minlength=num_rows)
-    starts = np.cumsum(counts) - counts
+    row, I, J = moment[:, :3].astype(int).T
+    W = moment[:, 3]
+    nz_row, nz_col = np.nonzero(V)
+    count = np.bincount(nz_row, minlength=len(V))
+    start = np.cumsum(count) - count
+    # each entry's products of a nonzero of V[i] with one of V[j]
+    e, k, _ = _segments(count[I] * count[J])
+    ka, kb = np.divmod(k, count[J][e])
+    a, b = nz_col[start[I][e] + ka], nz_col[start[J][e] + kb]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    col = lo * r - lo * (lo - 1) // 2 + hi - lo
+    keys, at = np.unique(row[e] * (r * (r + 1) // 2) + col, return_inverse=True)
+    coef = np.bincount(at, weights=W[e] * V[I[e], a] * V[J[e], b], minlength=len(keys))
+    rows, cols = np.divmod(keys, r * (r + 1) // 2)
+    scale = _row_max(row, np.abs(W), num_rows)[rows]
+    keep = np.abs(coef) > _FILL_TOL * scale
+    keep &= _row_max(rows[keep], np.abs(coef[keep]), num_rows)[rows] > _VANISH_TOL * scale
+    return _csr(rows[keep], cols[keep], coef[keep], (num_rows, width))
 
-    # rows grouped by X0 entry count: with H the sum of
-    # value/2 * V[i]^T V[j], V^T A V = H + H^T
-    for q in np.unique(counts[counts > 0]):
-        group = np.flatnonzero(counts == q)
-        step = max(1, _ROW_CHUNK_FLOATS // (q * r * r))
-        for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
-            ijv = moment[starts[chunk][:, None] + np.arange(q), 1:]  # chunk x q x 3
-            I, J, W = ijv[..., 0].astype(int), ijv[..., 1].astype(int), ijv[..., 2]
-            H = np.matmul((V[I] * (0.5 * W[..., None])).transpose(0, 2, 1), V[J])
-            H += H.transpose(0, 2, 1)  # V^T A V, without a second chunk-sized copy
-            coef = pack([H], off=2.0)
-            scale = np.max(np.abs(W), axis=1, keepdims=True)
-            coef[np.abs(coef) <= _FILL_TOL * scale] = 0.0
-            coef[np.max(np.abs(coef), axis=1) <= _VANISH_TOL * scale[:, 0]] = 0.0
-            R[chunk, :coef.shape[1]] = coef
-    return R
+
+def _row_max(rows, vals, num_rows):
+    """The largest of the values in each row, 0 in a row without one; the
+    rows ascend."""
+    out = np.zeros(num_rows)
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    out[rows[first]] = np.maximum.reduceat(vals, first)
+    return out
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +419,8 @@ class MomentRelaxation:
     moment block's face, built by `face_basis` from the kernel vectors
     `relax` finds, and block 0 of the SDP is Z with X0 = V Z V^T; the
     auxiliary PSD blocks follow it.  `problem` is posed on `presolve`'s
-    rows, rhs and objective as they are.  `free_eliminated` counts the free
+    CSR rows, rhs and objective as they are: the rows are never held as a
+    dense rows x packed-width matrix.  `free_eliminated` counts the free
     scalars the presolve eliminated, `rows_implied` the multiplier rows not
     built because the face implies them, `rows_vanished` and
     `rows_dependent` the built rows the presolve left out, and `nnz` the
@@ -602,12 +471,14 @@ def relax(system, objective=None, sense="min", basis=None):
     rows E~[b*m*g] = 0 with b in the basis and m a kernel multiplier of g
     are not built: with the Hankel rows each reads (X0 v)_b = 0, which
     V^T v = 0 makes hold for every Z (`rows_implied` counts them).  The
-    rows built, and the objective as one more row, are mapped onto Z in one
-    dense matrix (`_face_rows`), and `presolve` eliminates the free scalars
-    and leaves out the rows that vanish on the face and those dependent on
-    the rest.  The relaxation is `trivially_infeasible`, and no SDP needs
-    solving, when the face leaves out the constant monomial or the presolve
-    finds a contradiction.  The constraint cap counts the rows built.
+    rows built, and the objective as one more row, are mapped onto Z as
+    CSR entries (`_face_rows`); the affine rows' entries on the auxiliary
+    blocks and free scalars join them as columns after Z's.  `presolve`
+    eliminates the free scalars and leaves out the rows that vanish on the
+    face and those dependent on the rest.  The relaxation is
+    `trivially_infeasible`, and no SDP needs solving, when the face leaves
+    out the constant monomial or the presolve finds a contradiction.  The
+    constraint cap counts the rows built.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
@@ -661,7 +532,9 @@ def relax(system, objective=None, sense="min", basis=None):
     by_grlex = pairs.grlex()[0]
     excluded = np.tile(by_grlex.sum(axis=1) > ell, (len(eqs), 1))  # deg m > ell - deg g
     eq, col = np.nonzero(T[lead])  # divisibility matters only where lead > 0
-    np.logical_or.at(excluded, eq, by_grlex[:, col].T < T[lead[eq], col, None])
+    first = np.flatnonzero(np.diff(eq, prepend=-1))
+    excluded[eq[first]] |= np.logical_or.reduceat(
+        by_grlex[:, col].T < T[lead[eq], col, None], first)
     g_of, m_of = np.nonzero(~excluded)
     mult = by_grlex[m_of] - T[lead[g_of]]
     owner, offset, starts = _segments(counts[g_of])
@@ -715,11 +588,18 @@ def relax(system, objective=None, sense="min", basis=None):
     # the affine rows' columns on the auxiliary blocks and the free scalars
     # follow Z's
     z_width = _packed_width(block_sizes[:1])
-    R = _face_rows(V, z_width + system.affine_rows.shape[1], num_rows + 1, moment)
-    R[affine:num_rows, z_width:] = system.affine_rows
+    width = z_width + system.affine_rows.shape[1]
+    R = _face_rows(V, width, num_rows + 1, moment)
+    end = R.indptr[-2]  # the objective row, the last, has Z entries only
+    objective = np.zeros(width)
+    objective[R.indices[end:]] = R.data[end:]
+    ar, ac = np.nonzero(system.affine_rows)
+    R = _csr(np.concatenate([np.repeat(np.arange(num_rows), np.diff(R.indptr[:-1])), affine + ar]),
+             np.concatenate([R.indices[:end], z_width + ac]),
+             np.concatenate([R.data[:end], system.affine_rows[ar, ac]]), (num_rows, width))
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
-    presolved = presolve(R[:-1], rhs, system.num_free, objective=R[-1])
+    presolved = presolve(R, rhs, system.num_free, objective=objective)
     problem = SdpProblem(block_sizes, presolved.rows, presolved.rhs, presolved.objective)
     return MomentRelaxation(
         system, basis, problem, pairs, gather, presolved, V, rows_implied,
@@ -802,11 +682,20 @@ class SosCertificate:
 
     @classmethod
     def from_json(cls, text):
+        """The certificate `to_json` wrote.  A monomial that is not a list
+        of `num_vars` exponents raises ValueError naming its field; a Gram
+        that is not a matrix is kept as read, for `verify_certificate`."""
         payload = json.loads(text)
         nv = payload["num_vars"]
 
-        def poly(terms):
-            return Polynomial(nv, {tuple(m): c for m, c in terms})
+        def monomial(m, where):
+            if not isinstance(m, list) or len(m) != nv:
+                raise ValueError(f"{where}: {m!r} is not a list of {nv} exponents")
+            return tuple(m)
+
+        def poly(terms, where):
+            return Polynomial(nv, {monomial(m, f"{where} term {k}"): c
+                                   for k, (m, c) in enumerate(terms)})
 
         def gram(rows):
             try:
@@ -816,13 +705,17 @@ class SosCertificate:
 
         return cls(
             num_vars=nv,
-            base_polynomial=poly(payload["base_polynomial"]),
+            base_polynomial=poly(payload["base_polynomial"], "base_polynomial"),
             sos_terms=[
-                (poly(t["premise"]), [tuple(m) for m in t["basis"]], gram(t["gram"]))
-                for t in payload["sos_terms"]
+                (poly(t["premise"], f"sos_terms[{s}].premise"),
+                 [monomial(m, f"sos_terms[{s}].basis[{k}]") for k, m in enumerate(t["basis"])],
+                 gram(t["gram"]))
+                for s, t in enumerate(payload["sos_terms"])
             ],
             multipliers=[
-                (poly(t["equality"]), poly(t["multiplier"])) for t in payload["multipliers"]
+                (poly(t["equality"], f"multipliers[{j}].equality"),
+                 poly(t["multiplier"], f"multipliers[{j}].multiplier"))
+                for j, t in enumerate(payload["multipliers"])
             ],
         )
 
@@ -1028,7 +921,8 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     objective = np.zeros(A.shape[1])
     if margin is not None:
         objective[-1] = -1.0
-    presolved = presolve(A.copy(), b, num_free, objective)
+    nz = np.nonzero(A)
+    presolved = presolve(_csr(*nz, A[nz], A.shape), b, num_free, objective)
     solution = None
     if presolved.contradiction is None:
         problem = SdpProblem(sizes, presolved.rows, presolved.rhs, presolved.objective)

@@ -8,6 +8,7 @@ n) and against the subset-enumeration oracle.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -203,6 +204,24 @@ class TestBuildB:
         # built the presolve leaves 17 vanished and 71 dependent ones out
         assert rel.rows_implied == 2047
         assert (rel.rows_vanished, rel.rows_dependent) == (17, 71)
+
+    def test_relaxation_rows_stay_sparse_at_n20(self):
+        # planted d=2 at n = 20, standardized as `estimate_moments` does:
+        # the rows reach the SDP as CSR: dense, the 417 rows on 7287 packed
+        # columns would take 24.3 MB alone, and the compile peaked at 77 MB
+        data = planted_d2(20).data
+        med, s = _robust_standardization(data)
+        B = build_B(SubgaussParams(2.0, 4), sample_size=20, dimension=2)
+        system = replace(B, equalities=build_A((data - med) / s, 1 / 20).equalities)
+        basis = estimator_basis(20, 2)
+        tracemalloc.start()
+        try:
+            rel = relax(system, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel.problem.block_sizes == [120, 6]
+        assert peak <= 25e6
 
 
 class TestSpectralRows:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import block_diag
 
 from robustmoments.sdp import (
@@ -524,6 +525,30 @@ def test_problem_takes_packed_rows_as_given():
         SdpProblem([2, 1], A, [1.0], np.zeros(4))
     with pytest.raises(ValueError, match="do not fit"):
         SdpProblem([2, 1], A, [1.0, 2.0], np.zeros(3))
+
+
+def test_problem_stores_one_canonical_csr():
+    # the same rows, dense and as a CSR matrix with unsorted int64 indices,
+    # a duplicate entry and explicit zeros: the stored arrays are the same
+    # bytes with the same dtypes, and the input is not changed
+    dense = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    data = np.array([2.0, 0.0, 1.0, 1.0, 1.0, 2.0, 0.0])
+    indices = np.array([2, 3, 0, 3, 1, 1, 2], dtype=np.int64)
+    indptr = np.array([0, 3, 6, 7], dtype=np.int64)
+    rows = sparse.csr_matrix((data, indices, indptr), shape=dense.shape)
+    rows.indices, rows.indptr = indices.copy(), indptr.copy()  # keep int64
+    assert rows.indices.dtype == rows.indptr.dtype == np.int64
+    assert not rows.has_sorted_indices
+    assert np.array_equal(rows.toarray(), dense)
+    rhs, c = [1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.5]
+    want = SdpProblem([2, 1], dense, rhs, c).A
+    got = SdpProblem([2, 1], rows, rhs, c).A
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert want.indices.dtype == np.int32 and want.nnz == 4
+    assert np.array_equal(rows.data, data) and np.array_equal(rows.indices, indices)
+    assert np.array_equal(rows.indptr, indptr)
 
 
 @pytest.mark.parametrize("part, bad", [("c", np.nan), ("rhs", np.inf), ("A", np.nan)])

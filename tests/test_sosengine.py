@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from robustmoments import sosengine
 from robustmoments.polycore import (
@@ -196,58 +197,61 @@ class TestPresolve:
                 A[r, len(x) + np.array(sorted(cols))] = rng.standard_normal(len(cols))
         rhs = A @ np.concatenate([x, z])
 
-        pre = presolve(A.copy(), rhs, num_free)
+        rows = sparse.csr_matrix(A)
+        pre = presolve(rows, rhs, num_free)
+        assert np.array_equal(rows.toarray(), A)  # the input is not changed
         assert len(pre.rhs) == len(A) - num_free
         assert pre.vanished == pre.dependent == 0
         assert np.max(np.abs(pre.rows @ x - pre.rhs)) <= 1e-12
         assert np.max(np.abs(pre.free_values(x) - z)) <= 1e-12
         # rows without a free column pass through untouched
-        assert np.array_equal(pre.rows[-4:], A[8:, :len(x)])
+        assert np.array_equal(pre.rows[-4:].toarray(), A[8:, :len(x)])
         assert np.array_equal(pre.rhs[-4:], rhs[8:])
 
     def test_reverse_pivot_order(self):
         # z1 appears only beside z0: X00 + z0 = 1 and 2 z0 - z1 = 0; z0
         # pivots on the second row, which keeps z1, so z1 must come back first
-        pre = presolve(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]]), [1.0, 0.0], 2)
-        assert len(pre.rows) == 0
+        pre = presolve(sparse.csr_matrix([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]]), [1.0, 0.0], 2)
+        assert pre.rows.shape[0] == 0
         assert pre.free_values(np.array([0.4])) == pytest.approx([0.6, 1.2], abs=1e-15)
 
     def test_rank_deficient_column_is_zero(self):
         # columns X00, X01, X11, z0, z1; z0 and z1 only ever appear as z0 + z1
         A = np.array([[1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0, 2.0]])
-        pre = presolve(A, [1.0, 3.0], 2)
-        assert len(pre.rows) == 1
+        pre = presolve(sparse.csr_matrix(A), [1.0, 3.0], 2)
+        assert pre.rows.shape[0] == 1
         x = np.array([0.5, 0.0, 2.0])  # X00 - X11 / 2 = -1/2
-        assert pre.rows[0] @ x == pytest.approx(pre.rhs[0], abs=1e-15)
+        assert (pre.rows @ x)[0] == pytest.approx(pre.rhs[0], abs=1e-15)
         z = pre.free_values(x)
         assert z[1] == 0.0
         assert z[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_objective_on_absent_column_is_unbounded(self):
         with pytest.raises(ValueError, match="unbounded"):
-            presolve(np.array([[1.0, 1.0, 0.0]]), [1.0], 2, objective=[0.0, 0.0, -1.0])
+            presolve(sparse.csr_matrix([[1.0, 1.0, 0.0]]), [1.0], 2,
+                     objective=[0.0, 0.0, -1.0])
 
     def test_objective_moves_onto_psd_entries(self):
         # min -z0 with X00 + 2 X01 + z0 = 1: the objective becomes X00 + 2 X01
-        pre = presolve(np.array([[1.0, 2.0, 0.0, 1.0]]), [1.0], 1,
+        pre = presolve(sparse.csr_matrix([[1.0, 2.0, 0.0, 1.0]]), [1.0], 1,
                        objective=[0.0, 0.0, 0.0, -1.0])
-        assert len(pre.rows) == 0
+        assert pre.rows.shape[0] == 0
         assert pre.objective.tolist() == [1.0, 2.0, 0.0]
 
     def test_vanished_row(self):
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        pre = presolve(A.copy(), [1.0, 1e-13], 0)
+        A = sparse.csr_matrix([[1.0, 0.0], [0.0, 0.0]])
+        pre = presolve(A, [1.0, 1e-13], 0)
         assert pre.vanished == 1 and pre.contradiction is None
-        assert pre.rows.tolist() == [[1.0, 0.0]]
-        pre = presolve(A.copy(), [1.0, 0.5], 0)
+        assert pre.rows.toarray().tolist() == [[1.0, 0.0]]
+        pre = presolve(A, [1.0, 0.5], 0)
         assert "vanishes" in pre.contradiction
 
     def test_dependent_rows(self):
-        A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        pre = presolve(A.copy(), [1.0, 2.0, 3.0], 0)
+        A = sparse.csr_matrix([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+        pre = presolve(A, [1.0, 2.0, 3.0], 0)
         assert pre.dependent == 1 and pre.contradiction is None
-        assert len(pre.rows) == 2
-        pre = presolve(A.copy(), [1.0, 3.0, 3.0], 0)
+        assert pre.rows.shape[0] == 2
+        pre = presolve(A, [1.0, 3.0, 3.0], 0)
         assert "dependent" in pre.contradiction
 
 
@@ -265,7 +269,7 @@ def test_presolve_on_random_consistent_systems(seed, n, k, extra):
     x, z = rng.standard_normal(n), rng.standard_normal(k)
     M = np.hstack([A, F])
     b = M @ np.concatenate([x, z])
-    pre = presolve(M.copy(), b, k)
+    pre = presolve(sparse.csr_matrix(M), b, k)
     assert pre.contradiction is None
     assert np.max(np.abs(pre.rows @ x - pre.rhs)) <= 1e-9 * (1 + np.max(np.abs(b)))
     if k and np.linalg.matrix_rank(F) == k:
@@ -273,7 +277,74 @@ def test_presolve_on_random_consistent_systems(seed, n, k, extra):
         assert err <= 1e-12 * np.linalg.cond(F) * (1 + np.max(np.abs(b)))
     # moving b off the range of [A F] leaves a clash the presolve names
     U = np.linalg.svd(M)[0]
-    assert presolve(M.copy(), b + U[:, -1], k).contradiction is not None
+    assert presolve(sparse.csr_matrix(M), b + U[:, -1], k).contradiction is not None
+
+
+def _dense_face_rows(V, width, num_rows, moment):
+    """The face rows as one dense matrix, by the definition: for each row,
+    H the sum of value/2 * V[i]^T V[j] over its entries, V^T A V = H + H^T
+    packed with off-diagonal weight 2, then the fill and vanish floors."""
+    R = np.zeros((num_rows, width))
+    for row in range(num_rows):
+        I, J, W = moment[moment[:, 0] == row, 1:].T
+        if not len(W):
+            continue
+        H = (V[I.astype(int)] * (0.5 * W[:, None])).T @ V[J.astype(int)]
+        coef = pack([H + H.T], off=2.0)
+        scale = np.max(np.abs(W))
+        coef[np.abs(coef) <= sosengine._FILL_TOL * scale] = 0.0
+        if np.max(np.abs(coef)) <= sosengine._VANISH_TOL * scale:
+            coef[:] = 0.0
+        R[row, :len(coef)] = coef
+    return R
+
+
+def _face_case(rng, signs):
+    """A random echelon basis V (0/+-1 when `signs`) and moment entries:
+    random rows, then a row that cancels, a row at the vanish level and a
+    row with a fill-level entry beside one of 1."""
+    size, r = int(rng.integers(3, 9)), 0
+    while r == 0:
+        free = np.flatnonzero(rng.random(size) < 0.6)
+        r = len(free)
+    V = np.zeros((size, r))
+    V[free, np.arange(r)] = 1.0
+    for i in np.setdiff1d(np.arange(size), free):
+        cols = rng.choice(r, size=min(r, int(rng.integers(0, 3))), replace=False)
+        k = len(cols)
+        V[i, cols] = rng.choice([-1.0, 1.0], k) if signs else rng.standard_normal(k)
+    rows = []
+    for row in range(int(rng.integers(1, 8))):
+        for _ in range(int(rng.integers(0, 5))):
+            i, j = rng.integers(size, size=2)  # i > j and repeats included
+            w = rng.choice([-2.0, -0.75, 0.25, 0.5, 1.0, 3.0]) if signs else rng.standard_normal()
+            rows.append((row, i, j, w))
+    n = rows[-1][0] + 1 if rows else 0
+    i, j = rng.choice(free, size=2)  # rows of V[f] = I, never 0
+    rows += [(n, i, j, 1.5), (n, j, i, -1.5),  # <A, X0> = 0: vanishes
+             (n + 1, i, j, 1.0), (n + 1, j, i, -1.0), (n + 1, i, i, 2.0 ** -36),
+             (n + 2, j, j, 1.0), (n + 2, i, i, 2.0 ** -50)]
+    return V, n + 3, np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("signs", [True, False], ids=["selection", "general"])
+def test_face_rows_match_the_dense_definition(signs):
+    rng = np.random.default_rng(11 if signs else 12)
+    for _ in range(200):
+        V, num_rows, moment = _face_case(rng, signs)
+        width = V.shape[1] * (V.shape[1] + 1) // 2 + 3
+        want = _dense_face_rows(V, width, num_rows, moment)
+        got = sosengine._face_rows(V, width, num_rows, moment)
+        assert got.shape == (num_rows, width) and got.has_canonical_format
+        assert not np.any(got.data == 0.0)
+        got = got.toarray()
+        # the floors: two rows vanish, and the fill-level entry is dropped
+        assert not np.any(got[-3:-1]) and np.count_nonzero(got[-1]) == 1
+        if signs:
+            assert np.array_equal(got, want)
+        else:
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 class TestRelaxValidation:
@@ -372,7 +443,9 @@ def _edge_systems():
     ("no-equalities", (3, 6, 0, 0, 0)),
     ("no-admissible-multiplier", (2, 3, 3, 0, 0)),
     ("no-kernel-multiplier", (2, 3, 0, 0, 0)),
-    ("sos-norm-degree-6", (88, 290, 35, 0, 39)),
+    # which of two dependent rows is kept turns on the last bits of the
+    # unit-row Gram matrix; summed on the rows' entries it keeps 283 entries
+    ("sos-norm-degree-6", (88, 283, 35, 0, 39)),
     ("wide-exponents", (1, 1, 2, 0, 0)),
     ("mixed", (22, 43, 20, 0, 0)),
 ])
@@ -555,6 +628,23 @@ class TestCertificates:
             payload["sos_terms"][0]["gram"] = gram
             res = verify_certificate(SosCertificate.from_json(json.dumps(payload)))
             assert not res.valid and fault in res.detail
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: p["sos_terms"][0]["basis"].__setitem__(0, 5), r"sos_terms\[0\]\.basis\[0\]"),
+        (lambda p: p["sos_terms"][0]["basis"].__setitem__(1, [0, 1, 0]),
+         r"sos_terms\[0\]\.basis\[1\]"),
+        (lambda p: p["base_polynomial"][2].__setitem__(0, [2]), "base_polynomial term 2"),
+        (lambda p: p["sos_terms"][0]["premise"][0].__setitem__(0, 0),
+         r"sos_terms\[0\]\.premise term 0"),
+    ], ids=["basis-int", "basis-length", "base-length", "premise-int"])
+    def test_malformed_monomial_from_json_names_its_field(self, edit, field):
+        good = SosCertificate(2, _hand_target(),
+                              [(_ONE2, _AB, np.array([[1.0, -1.0], [-1.0, 1.0]]))])
+        payload = json.loads(good.to_json())
+        assert len(payload["base_polynomial"]) == 3
+        edit(payload)
+        with pytest.raises(ValueError, match=field):
+            SosCertificate.from_json(json.dumps(payload))
 
     def test_indefinite_gram_is_invalid(self):
         # a^2 - b^2 holds exactly with diag(1, -1) over [a, b], which is not PSD
