@@ -18,10 +18,6 @@ constraints), so everything is dense and deterministic.
 A problem keeps one format from its builders to the solver: one sparse row
 matrix A on the packed entries of X (each block's upper triangle, row-major,
 block by block; `pack` and `unpack` convert), with A[k] . pack(X) = <A_k, X>.
-The builders hand their equality rows, CSR on those columns and then on
-free scalars, to `presolve`, which eliminates the free scalars and leaves
-out the rows that vanish or depend on the others; no step between the
-builders and the solver holds the rows as a dense matrix.
 The solver works on one N x N matrix with the blocks on its diagonal, N the
 sum of the block sizes: posed problems have one dominant block and at most a
 few tiny ones.  X, S and the directions stay exactly zero off the blocks, as
@@ -55,7 +51,6 @@ linear algebra fails, or whose direction is not finite, ends
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -189,203 +184,6 @@ class SdpProblem:
         return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# the presolve every SDP of the package is posed through
-
-_FREE_TOL = 1e-12  # a free column below this share of its own scale is absent
-_FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
-_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
-
-
-def _csr(rows, cols, vals, shape):
-    """The CSR matrix of the entries (rows, cols, vals), each row's entries
-    in the order given; within a row they must be by column ascending."""
-    index = np.int32 if max(shape[1], len(vals)) < 2**31 else np.int64  # as scipy picks
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_matrix((vals[order], cols[order].astype(index), indptr), shape=shape)
-
-
-def _pivoted_cholesky(G, tol):
-    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
-
-    Each step takes the row with the largest residual diagonal, its squared
-    distance from the span of the rows taken so far, and stops once that is
-    at most `tol`.  Returns (pivots in pivot order, L) with L L^T = G on the
-    pivot rows and L[:, :len(pivots)] the coordinates of every row in an
-    orthonormal basis of their span.
-    """
-    n = len(G)
-    L = np.zeros((n, n))
-    resid = G.diagonal().copy()
-    pivots = []
-    for step in range(n):
-        p = int(np.argmax(resid))
-        if resid[p] <= tol:
-            break
-        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
-        col[pivots] = 0.0
-        L[:, step] = col
-        resid -= col * col
-        resid[p] = -np.inf
-        pivots.append(p)
-    return pivots, L[:, :len(pivots)]
-
-
-@dataclass
-class Presolved:
-    """Equality rows on SDP entries, as `presolve` leaves them.
-
-    `rows` (CSR, on the packed entry columns) and `rhs` are the rows kept,
-    in input order, and `objective` the reduced objective on those columns,
-    its constant dropped: what `SdpProblem` takes, and stores as it is.
-    `pivots` hold (free column, dense pivot row, rhs) for back-substitution.
-    `vanished` and `dependent` count the rows left out, and `contradiction`
-    names a left-out row whose rhs the kept rows do not reproduce, or is
-    None.
-    """
-
-    rows: np.ndarray
-    rhs: np.ndarray
-    objective: np.ndarray
-    pivots: list
-    num_free: int
-    vanished: int
-    dependent: int
-    contradiction: str | None
-
-    def free_values(self, x):
-        """The free scalars at entry values x, by back-substitution in
-        reverse pivot order; absent columns are 0."""
-        y = np.concatenate([x, np.zeros(self.num_free)])
-        for col, row, rhs in reversed(self.pivots):
-            y[col] = rhs - row @ y  # row[col] = 1 multiplies y[col] = 0 here
-        return y[len(x):]
-
-
-def presolve(A, b, num_free, objective=None):
-    """Reduce the equality rows A y = b, y = (x, z), to rows on x alone.
-
-    A is a CSR matrix with one entry per column in each row, by column, and
-    it is not changed.  Its columns are the SDP entries x, packed as `pack`
-    packs them, then `num_free` free scalars z.  `objective` is a linear
-    objective on y (dense) to minimize, or None.
-
-    Only the rows that hold a free column are reduced, as one dense block
-    read from and written back to their entries.  For each free column in
-    turn the pivot is the live row with the largest |coefficient| (partial
-    pivoting); it is subtracted from every other row and from the
-    objective, and kept for back-substitution.  A column whose
-    largest remaining coefficient is below `_FREE_TOL` of its own scale is
-    absent and takes the value 0; an absent column that still has an
-    objective coefficient is unbounded and raises ValueError.  (Anjos and
-    Burer, SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
-
-    Of the rows left, those with no coefficient vanish, and those in the
-    span of the others are dependent, found by a pivoted Cholesky of the
-    Gram matrix of the unit-scaled rows, formed on their entries; both are
-    left out.  A left-out row whose rhs the kept rows do not reproduce
-    makes the system infeasible.  (Andersen and Andersen, Math. Prog. 71,
-    1995, presolve sparse rows the same way.)
-    """
-    m, width = A.shape
-    n = width - num_free
-    b = np.array(b, dtype=float)
-    c = np.zeros(width) if objective is None else np.array(objective, dtype=float)
-    row_of = np.repeat(np.arange(m), np.diff(A.indptr))
-    holds = np.bincount(row_of[A.indices >= n], minlength=m) > 0
-    touched, mine = np.flatnonzero(holds), holds[row_of]
-    T, bt = np.zeros((len(touched), width)), b[touched]
-    T[np.cumsum(holds)[row_of[mine]] - 1, A.indices[mine]] = A.data[mine]
-    col_scale = np.max(np.abs(T), axis=0, initial=0.0)
-    c_scale = np.max(np.abs(c), initial=0.0)
-    fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
-    live = np.ones(len(touched), dtype=bool)
-    pivots = []
-    for col in range(n, width):
-        height = np.where(live, np.abs(T[:, col]), 0.0)
-        if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
-            if abs(c[col]) > _FREE_TOL * c_scale:
-                raise ValueError(
-                    f"free scalar {col - n} has an objective coefficient but "
-                    "no constraint row: the objective is unbounded"
-                )
-            T[:, col] = 0.0
-            continue
-        p = int(np.argmax(height))
-        live[p] = False
-        row, rhs = T[p] / T[p, col], bt[p] / T[p, col]
-        others = np.flatnonzero(live & (T[:, col] != 0.0))
-        lam = T[others, col]
-        T[others] -= np.outer(lam, row)
-        T[others, col] = 0.0
-        bt[others] -= lam * rhs
-        c -= c[col] * row
-        pivots.append((col, row, rhs))
-    T[np.abs(T) <= fill_floor] = 0.0
-    b[touched] = bt
-    c[np.abs(c) <= _FILL_TOL * c_scale] = 0.0
-
-    # the rows on x: the reduced rows in place of those that held a free
-    # column, the pivot rows left out; every entry is in a row left
-    T = T[live, :n]
-    tr, tc = np.nonzero(T)
-    rows = np.concatenate([row_of[~mine], touched[live][tr]])
-    cols = np.concatenate([A.indices[~mine], tc])
-    vals = np.concatenate([A.data[~mine], T[tr, tc]])
-    left = np.ones(m, dtype=bool)
-    left[touched[~live]] = False
-    norms = np.sqrt(np.bincount(rows, weights=vals * vals, minlength=m))
-    vanished = np.flatnonzero(left & (norms == 0.0))
-    contradiction = None
-    if np.any(np.abs(b[vanished]) > 1e-12):
-        contradiction = "an equality row vanishes but demands %r" % (
-            b[vanished][np.argmax(np.abs(b[vanished]))]
-        )
-    rest = np.flatnonzero(left & (norms > 0.0))
-    bu = b[rest] / norms[rest]
-    G = _gram(np.searchsorted(rest, rows), cols, vals / norms[rows], len(rest))
-    kept, L = _pivoted_cholesky(G, _DEPENDENT_TOL)
-    dependent = sorted(set(range(len(rest))) - set(kept))
-    if dependent and contradiction is None:
-        # each dependent row is alpha . (kept rows) with Lk^T alpha = L[row]
-        alpha = np.linalg.solve(L[kept].T, L[dependent].T)
-        want = bu[kept] @ alpha
-        spread = 1.0 + np.abs(bu[kept]) @ np.abs(alpha)
-        bad = np.abs(bu[dependent] - want) > 1e-9 * spread
-        if np.any(bad):
-            k = np.argmax(bad)
-            scale = norms[rest[dependent[k]]]
-            contradiction = "dependent equality rows demand %r and %r" % (
-                float(bu[dependent[k]] * scale), float(want[k] * scale)
-            )
-    kept = rest[sorted(kept)]
-    take = np.zeros(m, dtype=bool)
-    take[kept] = True
-    take = take[rows]
-    return Presolved(
-        _csr(np.searchsorted(kept, rows[take]), cols[take], vals[take], (len(kept), n)),
-        b[kept], c[:n], pivots, num_free, len(vanished), len(dependent), contradiction,
-    )
-
-
-def _gram(rows, cols, vals, size):
-    """The Gram matrix of the `size` rows of the entries (rows, cols, vals):
-    every pair of entries in a column adds its product, the columns taken
-    in ascending order."""
-    order = np.argsort(cols, kind="stable")
-    count = np.bincount(cols)
-    pairs = count * count
-    g = np.repeat(np.arange(len(count)), pairs)
-    k = np.arange(len(g)) - (np.cumsum(pairs) - pairs)[g]
-    first = (np.cumsum(count) - count)[g]
-    p, q = np.divmod(k, count[g])
-    i, j = order[first + p], order[first + q]
-    G = np.bincount(rows[i] * size + rows[j], weights=vals[i] * vals[j], minlength=size * size)
-    return G.reshape(size, size)
-
-
 @dataclass
 class SdpSolution:
     """The result of `solve`, scaled back from the embedding by tau.
@@ -485,6 +283,10 @@ class _HsdSolver:
                 pos = np.where(pad, 0, self.indptr[chunk][:, None] + slot)
                 I, J = np.divmod(self.cols[pos], N)
                 self.groups.append((chunk, I, J, np.where(pad, 0.0, self.vals[pos])[:, :, None]))
+        # the assembly's products T, sized for the largest chunk and reused
+        # by every iteration: made afresh, an array of megabytes is mapped
+        # and faulted in afresh each time
+        self._products = np.empty(max((len(g[0]) for g in self.groups), default=0) * N * N)
 
     def _apply_A(self, X):
         return np.bincount(self.rows, self.vals * X.take(self.cols), self.m)
@@ -659,9 +461,12 @@ class _HsdSolver:
         columns of S^{-1} and rows of X, one per stored entry, batched over
         the rows of a group."""
         M = np.zeros((self.m, self.m))
+        N = self.N
         for rows, I, J, V in self.groups:
-            T = np.matmul((Sinv.T.take(I, 0) * V).transpose(0, 2, 1), X.take(J, 0))
-            M[rows] = (self.A_used @ T.reshape(len(rows), -1).T[self.used]).T
+            k = len(rows)
+            T = np.matmul((Sinv.T.take(I, 0) * V).transpose(0, 2, 1), X.take(J, 0),
+                          out=self._products[:k * N * N].reshape(k, N, N))
+            M[rows] = (self.A_used @ T.reshape(k, -1).T[self.used]).T
         return 0.5 * (M + M.T)
 
     def _newton_base(self, X, tau, kappa, Sinv, factor, r_P, R_D):

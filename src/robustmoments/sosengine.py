@@ -16,10 +16,10 @@ summed by `_merge`.  `verify_certificate` expands a certificate's identity
 on the same kernel, but not on the search's matrix.  Both builders write their
 equality rows as one CSR matrix on the packed SDP entries (`sdp.pack`),
 then the free scalars (the affine equalities' free variables,
-equality-multiplier coefficients and margins), and hand it to
-`sdp.presolve`.  It eliminates the free scalars, which `find_sos_combination`
-reads back from the PSD blocks after the solve, and leaves out the rows that
-vanish and those the others imply, naming any contradiction among them;
+equality-multiplier coefficients and margins), and hand it to `presolve`.
+It eliminates the free scalars, which `find_sos_combination` reads back
+from the PSD blocks after the solve, and leaves out the rows that vanish
+and those the others imply, naming any contradiction among them;
 `SdpProblem` takes what is left as it is, so every SDP posed here has PSD
 blocks only.
 
@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .polycore import (
     DEFAULT_MONOMIAL_CAP,
@@ -60,17 +61,7 @@ from .polycore import (
     index_multiplicity,
     monomials_of_degree,
 )
-from .sdp import (
-    _FILL_TOL,
-    DEFAULT_CONSTRAINT_CAP,
-    SdpConfig,
-    SdpProblem,
-    _csr,
-    _pivoted_cholesky,
-    pack,
-    presolve,
-    unpack,
-)
+from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack
 from .sdp import solve as sdp_solve
 
 
@@ -225,6 +216,204 @@ class PseudoDistribution:
 
 
 # ---------------------------------------------------------------------------
+# the presolve every SDP here is posed through
+
+_FREE_TOL = 1e-12  # a free column below this share of its own scale is absent
+_FILL_TOL = 1e-14  # reduced entries below this share of the largest are zeroed
+_DEPENDENT_TOL = 1e-12  # squared distance of a unit row from the rows kept
+_TIE_TOL = 1e-12  # residuals this close to the largest, as a share, tie
+
+
+def _csr(rows, cols, vals, shape):
+    """The CSR matrix of the entries (rows, cols, vals), each row's entries
+    in the order given; within a row they must be by column ascending."""
+    index = np.int32 if max(shape[1], len(vals)) < 2**31 else np.int64  # as scipy picks
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((vals[order], cols[order].astype(index), indptr), shape=shape)
+
+
+def _pivoted_cholesky(G, tol, tie=0.0):
+    """Pivots and factor of a pivoted Cholesky of the Gram matrix G.
+
+    Each step takes the row with the largest residual diagonal, its squared
+    distance from the span of the rows taken so far, and stops once that is
+    at most `tol`.  Residuals within `tie` of the largest, as a share of it,
+    count as equal, and the lowest-indexed of them is taken: rows equally
+    far from the span in exact arithmetic are then chosen by their order,
+    not by the last bits of G.  Returns (pivots in pivot order, L) with
+    L L^T = G on the pivot rows and L[:, :len(pivots)] the coordinates of
+    every row in an orthonormal basis of their span.
+    """
+    n = len(G)
+    L = np.zeros((n, n))
+    resid = G.diagonal().copy()
+    pivots = []
+    for step in range(n):
+        top = np.max(resid)
+        if top <= tol:
+            break
+        p = int(np.argmax(resid >= top * (1.0 - tie)))
+        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
+        col[pivots] = 0.0
+        L[:, step] = col
+        resid -= col * col
+        resid[p] = -np.inf
+        pivots.append(p)
+    return pivots, L[:, :len(pivots)]
+
+
+@dataclass
+class Presolved:
+    """Equality rows on SDP entries, as `presolve` leaves them.
+
+    `rows` (CSR, on the packed entry columns) and `rhs` are the rows kept,
+    in input order, and `objective` the reduced objective on those columns,
+    its constant dropped: what `SdpProblem` takes, and stores as it is.
+    `pivots` hold (free column, dense pivot row, rhs) for back-substitution.
+    `vanished` and `dependent` count the rows left out, and `contradiction`
+    names a left-out row whose rhs the kept rows do not reproduce, or is
+    None.
+    """
+
+    rows: sparse.csr_matrix
+    rhs: np.ndarray
+    objective: np.ndarray
+    pivots: list
+    num_free: int
+    vanished: int
+    dependent: int
+    contradiction: str | None
+
+    def free_values(self, x):
+        """The free scalars at entry values x, by back-substitution in
+        reverse pivot order; absent columns are 0."""
+        y = np.concatenate([x, np.zeros(self.num_free)])
+        for col, row, rhs in reversed(self.pivots):
+            y[col] = rhs - row @ y  # row[col] = 1 multiplies y[col] = 0 here
+        return y[len(x):]
+
+
+def presolve(A, b, num_free, objective=None):
+    """Reduce the equality rows A y = b, y = (x, z), to rows on x alone.
+
+    A is a CSR matrix with one entry per column in each row, by column, and
+    it is not changed.  Its columns are the SDP entries x, packed as `pack`
+    packs them, then `num_free` free scalars z.  `objective` is a linear
+    objective on y (dense) to minimize, or None.
+
+    Only the rows that hold a free column are reduced, as one dense block
+    read from and written back to their entries.  For each free column in
+    turn the pivot is the live row with the largest |coefficient| (partial
+    pivoting); it is subtracted from every other row and from the
+    objective, and kept for back-substitution.  A column whose
+    largest remaining coefficient is below `_FREE_TOL` of its own scale is
+    absent and takes the value 0; an absent column that still has an
+    objective coefficient is unbounded and raises ValueError.  (Anjos and
+    Burer, SIAM J. Optim. 18(4), 2007; Lofberg, IEEE TAC 54(5), 2009.)
+
+    Of the rows left, those with no coefficient vanish, and those in the
+    span of the others are dependent, found by a pivoted Cholesky of the
+    Gram matrix of the unit-scaled rows, formed on their entries; both are
+    left out.  A left-out row whose rhs the kept rows do not reproduce
+    makes the system infeasible.  (Andersen and Andersen, Math. Prog. 71,
+    1995, presolve sparse rows the same way.)
+    """
+    m, width = A.shape
+    n = width - num_free
+    b = np.array(b, dtype=float)
+    c = np.zeros(width) if objective is None else np.array(objective, dtype=float)
+    row_of = np.repeat(np.arange(m), np.diff(A.indptr))
+    holds = np.bincount(row_of[A.indices >= n], minlength=m) > 0
+    touched, mine = np.flatnonzero(holds), holds[row_of]
+    T, bt = np.zeros((len(touched), width)), b[touched]
+    T[np.cumsum(holds)[row_of[mine]] - 1, A.indices[mine]] = A.data[mine]
+    col_scale = np.max(np.abs(T), axis=0, initial=0.0)
+    c_scale = np.max(np.abs(c), initial=0.0)
+    fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
+    live = np.ones(len(touched), dtype=bool)
+    pivots = []
+    for col in range(n, width):
+        height = np.where(live, np.abs(T[:, col]), 0.0)
+        if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
+            if abs(c[col]) > _FREE_TOL * c_scale:
+                raise ValueError(
+                    f"free scalar {col - n} has an objective coefficient but "
+                    "no constraint row: the objective is unbounded"
+                )
+            T[:, col] = 0.0
+            continue
+        p = int(np.argmax(height))
+        live[p] = False
+        row, rhs = T[p] / T[p, col], bt[p] / T[p, col]
+        others = np.flatnonzero(live & (T[:, col] != 0.0))
+        lam = T[others, col]
+        T[others] -= np.outer(lam, row)
+        T[others, col] = 0.0
+        bt[others] -= lam * rhs
+        c -= c[col] * row
+        pivots.append((col, row, rhs))
+    T[np.abs(T) <= fill_floor] = 0.0
+    b[touched] = bt
+    c[np.abs(c) <= _FILL_TOL * c_scale] = 0.0
+
+    # the rows on x: the reduced rows in place of those that held a free
+    # column, the pivot rows left out; every entry is in a row left
+    T = T[live, :n]
+    tr, tc = np.nonzero(T)
+    rows = np.concatenate([row_of[~mine], touched[live][tr]])
+    cols = np.concatenate([A.indices[~mine], tc])
+    vals = np.concatenate([A.data[~mine], T[tr, tc]])
+    left = np.ones(m, dtype=bool)
+    left[touched[~live]] = False
+    norms = np.sqrt(np.bincount(rows, weights=vals * vals, minlength=m))
+    vanished = np.flatnonzero(left & (norms == 0.0))
+    contradiction = None
+    if np.any(np.abs(b[vanished]) > 1e-12):
+        contradiction = "an equality row vanishes but demands %r" % (
+            b[vanished][np.argmax(np.abs(b[vanished]))]
+        )
+    rest = np.flatnonzero(left & (norms > 0.0))
+    bu = b[rest] / norms[rest]
+    G = _gram(np.searchsorted(rest, rows), cols, vals / norms[rows], len(rest))
+    kept, L = _pivoted_cholesky(G, _DEPENDENT_TOL, _TIE_TOL)
+    dependent = sorted(set(range(len(rest))) - set(kept))
+    if dependent and contradiction is None:
+        # each dependent row is alpha . (kept rows) with Lk^T alpha = L[row]
+        alpha = np.linalg.solve(L[kept].T, L[dependent].T)
+        want = bu[kept] @ alpha
+        spread = 1.0 + np.abs(bu[kept]) @ np.abs(alpha)
+        bad = np.abs(bu[dependent] - want) > 1e-9 * spread
+        if np.any(bad):
+            k = np.argmax(bad)
+            scale = norms[rest[dependent[k]]]
+            contradiction = "dependent equality rows demand %r and %r" % (
+                float(bu[dependent[k]] * scale), float(want[k] * scale)
+            )
+    kept = rest[sorted(kept)]
+    take = np.isin(rows, kept)
+    return Presolved(
+        _csr(np.searchsorted(kept, rows[take]), cols[take], vals[take], (len(kept), n)),
+        b[kept], c[:n], pivots, num_free, len(vanished), len(dependent), contradiction,
+    )
+
+
+def _gram(rows, cols, vals, size):
+    """The Gram matrix of the `size` rows of the entries (rows, cols, vals):
+    every pair of entries in a column adds its product, the columns taken
+    in ascending order."""
+    order = np.argsort(cols, kind="stable")
+    count = np.bincount(cols)
+    g, k, _ = _segments(count * count)
+    p, q = np.divmod(k, count[g])
+    first = (np.cumsum(count) - count)[g]
+    i, j = order[first + p], order[first + q]
+    G = np.bincount(rows[i] * size + rows[j], weights=vals[i] * vals[j], minlength=size * size)
+    return G.reshape(size, size)
+
+
+# ---------------------------------------------------------------------------
 # facial reduction of the moment block
 
 _FACE_TOL = 1e-10  # eigenvalues of K^T K below this share of the largest are 0
@@ -355,9 +544,10 @@ def face_basis(K):
     return V
 
 
-def _face_rows(V, width, num_rows, moment):
-    """The rows' moment parts as a CSR matrix of `width` columns for
-    `presolve`, on Z's packed entries, the first columns.
+def _face_rows(V, num_rows, moment):
+    """The rows' moment parts on Z's packed entry columns, as entry arrays
+    (rows, cols, vals) grouped by row in ascending order, each row's
+    entries by column.
 
     `moment` is a k x 4 array of entries (row, i, j, value) that read the
     unordered entry X0[i, j], grouped by row in ascending order.  Block 0
@@ -387,18 +577,14 @@ def _face_rows(V, width, num_rows, moment):
     scale = _row_max(row, np.abs(W), num_rows)[rows]
     keep = np.abs(coef) > _FILL_TOL * scale
     keep &= _row_max(rows[keep], np.abs(coef[keep]), num_rows)[rows] > _VANISH_TOL * scale
-    return _csr(rows[keep], cols[keep], coef[keep], (num_rows, width))
+    return rows[keep], cols[keep], coef[keep]
 
 
 def _row_max(rows, vals, num_rows):
-    """The largest of the values in each row, 0 in a row without one; the
-    rows ascend."""
+    """The largest of the values in each row, 0 in a row without one."""
     out = np.zeros(num_rows)
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    out[rows[first]] = np.maximum.reduceat(vals, first)
+    np.maximum.at(out, rows, vals)
     return out
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +658,13 @@ def relax(system, objective=None, sense="min", basis=None):
     are not built: with the Hankel rows each reads (X0 v)_b = 0, which
     V^T v = 0 makes hold for every Z (`rows_implied` counts them).  The
     rows built, and the objective as one more row, are mapped onto Z as
-    CSR entries (`_face_rows`); the affine rows' entries on the auxiliary
-    blocks and free scalars join them as columns after Z's.  `presolve`
-    eliminates the free scalars and leaves out the rows that vanish on the
-    face and those dependent on the rest.  The relaxation is
-    `trivially_infeasible`, and no SDP needs solving, when the face leaves
-    out the constant monomial or the presolve finds a contradiction.  The
-    constraint cap counts the rows built.
+    entry arrays (`_face_rows`); with the affine rows' entries on the
+    auxiliary blocks and free scalars, as columns after Z's, they make one
+    CSR matrix.  `presolve` eliminates the free scalars and leaves out the
+    rows that vanish on the face and those dependent on the rest.  The
+    relaxation is `trivially_infeasible`, and no SDP needs solving, when
+    the face leaves out the constant monomial or the presolve finds a
+    contradiction.  The constraint cap counts the rows built.
     """
     nv = system.num_vars
     ell = system.relaxation_degree
@@ -532,9 +718,7 @@ def relax(system, objective=None, sense="min", basis=None):
     by_grlex = pairs.grlex()[0]
     excluded = np.tile(by_grlex.sum(axis=1) > ell, (len(eqs), 1))  # deg m > ell - deg g
     eq, col = np.nonzero(T[lead])  # divisibility matters only where lead > 0
-    first = np.flatnonzero(np.diff(eq, prepend=-1))
-    excluded[eq[first]] |= np.logical_or.reduceat(
-        by_grlex[:, col].T < T[lead[eq], col, None], first)
+    np.logical_or.at(excluded, eq, by_grlex[:, col].T < T[lead[eq], col, None])
     g_of, m_of = np.nonzero(~excluded)
     mult = by_grlex[m_of] - T[lead[g_of]]
     owner, offset, starts = _segments(counts[g_of])
@@ -589,14 +773,13 @@ def relax(system, objective=None, sense="min", basis=None):
     # follow Z's
     z_width = _packed_width(block_sizes[:1])
     width = z_width + system.affine_rows.shape[1]
-    R = _face_rows(V, width, num_rows + 1, moment)
-    end = R.indptr[-2]  # the objective row, the last, has Z entries only
+    rows, cols, vals = _face_rows(V, num_rows + 1, moment)
     objective = np.zeros(width)
-    objective[R.indices[end:]] = R.data[end:]
+    last = rows == num_rows  # the objective row, the last, has Z entries only
+    objective[cols[last]] = vals[last]
     ar, ac = np.nonzero(system.affine_rows)
-    R = _csr(np.concatenate([np.repeat(np.arange(num_rows), np.diff(R.indptr[:-1])), affine + ar]),
-             np.concatenate([R.indices[:end], z_width + ac]),
-             np.concatenate([R.data[:end], system.affine_rows[ar, ac]]), (num_rows, width))
+    R = _csr(np.concatenate([rows[~last], affine + ar]), np.concatenate([cols[~last], z_width + ac]),
+             np.concatenate([vals[~last], system.affine_rows[ar, ac]]), (num_rows, width))
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
     presolved = presolve(R, rhs, system.num_free, objective=objective)

@@ -312,6 +312,9 @@ def test_schur_matrix_matches_definition(chunk_floats, monkeypatch):
     ref = 0.5 * (ref + ref.T)
     M = solver._schur_matrix(block_diag(*Sinv), block_diag(*X))
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the workspaces every call reuses carry nothing from one call to the next
+    solver._schur_matrix(block_diag(*X), block_diag(*Sinv))
+    assert np.array_equal(solver._schur_matrix(block_diag(*Sinv), block_diag(*X)), M)
 
 
 def _assert_groups_hold_the_rows(solver):

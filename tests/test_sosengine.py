@@ -254,6 +254,15 @@ class TestPresolve:
         pre = presolve(A, [1.0, 3.0, 3.0], 0)
         assert "dependent" in pre.contradiction
 
+    def test_first_of_equal_rows_is_kept(self):
+        # unit-scaled, the two rows are equal, but the second's diagonal of
+        # the unit-row Gram matrix reads one ulp higher: the first is kept
+        a = np.array([0.395, 0.43, 0.696, -1.184])
+        for rows, rhs in [([a, 1.68 * a], [1.0, 1.68]), ([1.68 * a, a], [1.68, 1.0])]:
+            pre = presolve(sparse.csr_matrix(rows), rhs, 0)
+            assert pre.dependent == 1 and pre.contradiction is None
+            assert np.array_equal(pre.rows.toarray(), rows[:1])
+
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
@@ -334,10 +343,11 @@ def test_face_rows_match_the_dense_definition(signs):
         V, num_rows, moment = _face_case(rng, signs)
         width = V.shape[1] * (V.shape[1] + 1) // 2 + 3
         want = _dense_face_rows(V, width, num_rows, moment)
-        got = sosengine._face_rows(V, width, num_rows, moment)
-        assert got.shape == (num_rows, width) and got.has_canonical_format
-        assert not np.any(got.data == 0.0)
-        got = got.toarray()
+        rows, cols, vals = sosengine._face_rows(V, num_rows, moment)
+        # grouped by row, each row's entries by column, no stored 0
+        assert np.all(np.diff(rows * width + cols) > 0) and np.all(vals != 0.0)
+        got = np.zeros((num_rows, width))
+        got[rows, cols] = vals
         # the floors: two rows vanish, and the fill-level entry is dropped
         assert not np.any(got[-3:-1]) and np.count_nonzero(got[-1]) == 1
         if signs:
@@ -345,6 +355,24 @@ def test_face_rows_match_the_dense_definition(signs):
         else:
             scale = np.max(np.abs(want), axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("signs", [True, False], ids=["selection", "general"])
+def test_gram_of_entries_matches_the_dense_product(signs):
+    # the reference is U U^T of the dense rows; on 0/+-1 entries every sum is
+    # exact, otherwise each entry is within a few roundoffs of |U| |U|^T
+    rng = np.random.default_rng(13 if signs else 14)
+    for _ in range(50):
+        size, width = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        U = np.where(rng.random((size, width)) < 0.3, 1.0, 0.0)
+        U *= rng.choice([-1.0, 1.0], U.shape) if signs else rng.standard_normal(U.shape)
+        rows, cols = np.nonzero(U)
+        G = sosengine._gram(rows, cols, U[rows, cols], size)
+        assert np.array_equal(G, G.T)
+        if signs:
+            assert np.array_equal(G, U @ U.T)
+        else:
+            assert np.all(np.abs(G - U @ U.T) <= 1e-15 * width * (np.abs(U) @ np.abs(U).T))
 
 
 class TestRelaxValidation:
@@ -443,9 +471,9 @@ def _edge_systems():
     ("no-equalities", (3, 6, 0, 0, 0)),
     ("no-admissible-multiplier", (2, 3, 3, 0, 0)),
     ("no-kernel-multiplier", (2, 3, 0, 0, 0)),
-    # which of two dependent rows is kept turns on the last bits of the
-    # unit-row Gram matrix; summed on the rows' entries it keeps 283 entries
-    ("sos-norm-degree-6", (88, 283, 35, 0, 39)),
+    # of dependent rows equally far from the rows kept, the presolve keeps
+    # the first, whatever the last bits of the unit-row Gram matrix
+    ("sos-norm-degree-6", (88, 284, 35, 0, 39)),
     ("wide-exponents", (1, 1, 2, 0, 0)),
     ("mixed", (22, 43, 20, 0, 0)),
 ])
