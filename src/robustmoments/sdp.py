@@ -26,11 +26,19 @@ solution's blocks are cut from the diagonal.  One map, computed once per
 solve, gives each packed column's flat position in X and its mirror; A and
 C are expanded through it onto vec(X), each off-diagonal coefficient split
 half and half between X[i, j] and X[j, i].  The vec'd rows are held once,
-as CSR arrays with each entry's row beside it, and numpy applies them:
-A(X) and A^T(y) are `bincount` sums of entry products, in a sparse
-product's order.  On tiny problems each call costs more than its
-arithmetic, so X and S are stepped as one stack, with one Cholesky, one
-inverse and one `eigvalsh` for both.
+as CSR arrays.
+
+On tiny problems a numpy or scipy wrapper costs more than the arithmetic
+it dispatches, so the solver calls the arithmetic as the wrappers do, and
+gets the same bits.  X and S are stepped as one stack, with one Cholesky,
+one inverse and one `eigvalsh` for both.  LAPACK is called through the
+gufuncs numpy.linalg itself calls (`_umath_linalg`): the same arrays, and
+the same LinAlgError, raised from the invalid flag a failed matrix sets
+(`_lapack`); `lapack_eigh`, `lapack_eigvalsh` and `lapack_solve` serve the
+relaxation compiler the same way.  A(X), A^T(y) and the Schur rows are
+scipy's sparse kernels on the solver's arrays, the ones `A @ x` and
+`A.T @ y` call on a CSR matrix A: each sum runs over a row's entries in
+order.  Set-up builds no scipy matrix.
 
 The Schur matrix M[i,j] = tr(A_i S^{-1} A_j X) is assembled with one
 formula, after SDPA's F1 (Fujisawa, Kojima and Nakata, Math. Prog. 79,
@@ -51,11 +59,15 @@ linear algebra fails, or whose direction is not finite, ends
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import sparse
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 
 DEFAULT_CONSTRAINT_CAP = 20_000
 _CHUNK_FLOATS = 1 << 20  # floats in one Schur assembly temporary, at most
@@ -73,6 +85,13 @@ class SdpSizeError(ValueError):
     """Problem exceeds the configured desk-scale caps."""
 
 
+def upper_indices(n):
+    """The row and column indices of the upper triangle of an n x n matrix,
+    row-major: `np.triu_indices(n)`, without the cost of its wrapper."""
+    r = np.arange(n)
+    return (r[:, None] <= r).nonzero()
+
+
 def pack(blocks, off=1):
     """The packed entry columns of symmetric blocks: each block's upper
     triangle, row-major, block by block.  Off-diagonal entries are scaled
@@ -80,7 +99,7 @@ def pack(blocks, off=1):
     axes of the blocks are kept, so a stack of blocks packs one by one."""
     parts = []
     for X in blocks:
-        iu, ju = np.triu_indices(X.shape[-1])
+        iu, ju = upper_indices(X.shape[-1])
         parts.append(X[..., iu, ju] * np.where(iu == ju, 1, off))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
@@ -91,7 +110,7 @@ def unpack(vec, sizes, off=1):
     <A, X> back into the matrices A."""
     blocks, start = [], 0
     for s in sizes:
-        iu, ju = np.triu_indices(s)
+        iu, ju = upper_indices(s)
         part = vec[start:start + len(iu)] * np.where(iu == ju, 1, off)
         start += len(iu)
         blocks.append(np.zeros_like(part, shape=(s, s)))
@@ -99,12 +118,15 @@ def unpack(vec, sizes, off=1):
     return blocks
 
 
-def _columns(sizes):
-    """(block, i, j) arrays over the packed entry columns: each block's
-    upper triangle, row-major, in the order `pack` writes them."""
-    tri = [np.nonzero(np.arange(s)[:, None] <= np.arange(s)) for s in sizes]
-    return [np.repeat(np.arange(len(sizes)), [len(i) for i, _ in tri]),
-            *(np.concatenate(c) for c in zip(*tri))]
+def _positions(sizes):
+    """(block, row, column) arrays over the packed entry columns, in the
+    order `pack` writes them, with the row and column in the N x N matrix
+    that holds the blocks on its diagonal: its upper-triangle entries,
+    row-major, that fall in a block."""
+    owner = np.arange(len(sizes)).repeat(sizes)
+    I, J = upper_indices(len(owner))
+    inside = owner[I] == owner[J]
+    return owner[I[inside]], I[inside], J[inside]
 
 
 class SdpProblem:
@@ -132,13 +154,14 @@ class SdpProblem:
         # one canonical CSR whatever form A comes in: int32 indices where
         # they fit, one sorted entry per column and no stored 0.  A CSR
         # matrix in that form is stored as it is; any other is copied first.
-        self.A = sparse.csr_matrix(A, dtype=float)
-        if not (self.A.has_canonical_format and self.A.data.all()
-                and self.A.indices.dtype == self.A.indptr.dtype == np.int32):
-            A = self.A
-            self.A = sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape, copy=True)
-            self.A.sum_duplicates()
-            self.A.eliminate_zeros()
+        if not (isinstance(A, sparse.csr_matrix) and A.dtype == float):
+            A = sparse.csr_matrix(A, dtype=float)
+        if not (A.has_canonical_format and A.data.all()
+                and A.indices.dtype == A.indptr.dtype == np.int32):
+            A = sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape, copy=True)
+            A.sum_duplicates()
+            A.eliminate_zeros()
+        self.A = A
         self.rhs, self.c = np.array(rhs, dtype=float), np.array(c, dtype=float)
         if not all(np.isfinite(v).all() for v in (self.A.data, self.rhs, self.c)):
             raise ValueError("rows, rhs and objective must be finite")
@@ -162,7 +185,9 @@ class SdpProblem:
     def _entries(self, M):
         """Each row of the sparse matrix M on the packed columns as a dict
         (block, i, j) -> coefficient, in column order."""
-        keys = list(zip(*(c.tolist() for c in _columns(self.block_sizes))))
+        b, I, J = _positions(self.block_sizes)
+        o = (np.cumsum(self.block_sizes) - self.block_sizes)[b]
+        keys = list(zip(b.tolist(), (I - o).tolist(), (J - o).tolist()))
         ends, cols, vals = M.indptr.tolist(), M.indices.tolist(), M.data.tolist()
         return [
             dict(zip((keys[c] for c in cols[lo:hi]), vals[lo:hi]))
@@ -238,62 +263,64 @@ class _HsdSolver:
         self.m = m = problem.num_constraints
         self.N = N = sum(sizes)
         self.b = problem.rhs
-        self.bnorm = 1.0 + float(np.linalg.norm(self.b))
+        self.bnorm = 1.0 + _norm(self.b)
         # the one map from the packed columns to vec(X): column (b, i, j) is
-        # X[o_b + i, o_b + j], o_b the offset of block b, at flat index ij,
-        # and its mirror at ji.  An off-diagonal coefficient puts half on
-        # each orientation, so that a functional reads the entry once.
-        b, i, j = _columns(sizes)
-        o = np.cumsum([0] + sizes)[b]
-        ij, ji = (o + i) * N + o + j, (o + j) * N + o + i
-        off = ij != ji
+        # X[I, J], I and J its row and column in the N x N matrix, at flat
+        # index ij, and its mirror at ji.  An off-diagonal coefficient puts
+        # half on each orientation, so that a functional reads the entry once.
+        _, I, J = _positions(sizes)
+        ij, ji = I * N + J, J * N + I
+        off = I != J
         half = np.where(off, 0.5, 1.0)
         C = np.zeros(N * N)
         C[ij] = C[ji] = half * problem.c
         self.C = C.reshape(N, N)
-        ends = np.cumsum(sizes)
-        self.cnorm = 1.0 + max(
-            float(np.linalg.norm(self.C[e - s:e, e - s:e])) for s, e in zip(sizes, ends))
-        # the vec'd rows through the same map, as CSR arrays in column order
-        # with each entry's row beside it: tr(A_k X) = A[k] @ vec(X)
+        self.ends = list(itertools.accumulate(sizes))
+        self.cnorm = 1.0 + max(_norm(self.C[e - s:e, e - s:e]) for s, e in zip(sizes, self.ends))
+        # the vec'd rows through the same map, as CSR arrays in column
+        # order: tr(A_k X) = A[k] @ vec(X)
         P = problem.A
-        k, cols = np.repeat(np.arange(m), np.diff(P.indptr)), P.indices
+        k, cols = np.arange(m).repeat(P.indptr[1:] - P.indptr[:-1]), P.indices
         val, part = half[cols] * P.data, off[cols]
         rows = np.concatenate([k, k[part]])
         cols = np.concatenate([ij[cols], ji[cols[part]]])
-        order = np.argsort(rows * N * N + cols)
-        self.rows, self.cols = rows[order], cols[order]
-        self.vals = np.concatenate([val, val[part]])[order]
-        counts = np.bincount(self.rows, minlength=m)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        # the columns of vec(X) that A reads, and A on those alone, on the
-        # same arrays: the assembly copies only those rows of each group's T^T
-        self.used, used_cols = np.unique(self.cols, return_inverse=True)
-        self.A_used = sparse.csr_matrix(
-            (self.vals, used_cols, self.indptr), shape=(m, len(self.used)))
+        order = (rows * N * N + cols).argsort()
+        self.cols, self.vals = cols[order], np.concatenate([val, val[part]])[order]
+        counts = np.bincount(rows, minlength=m)
+        self.indptr = np.concatenate([[0], counts.cumsum()])
+        # the columns of vec(X) that A reads, and each entry's place among
+        # them: A on those columns alone, on the same arrays, and the
+        # assembly copies only those rows of each group's T^T
+        used = np.zeros(N * N, dtype=bool)
+        used[self.cols] = True
+        self.used, self.used_cols = used.nonzero()[0], (used.cumsum() - 1)[self.cols]
         # the row groups as (rows, I, J, V), weight-0 slots padding each row
         # to its group's q, in chunks that bound the assembly's temporaries:
         # two rows x q x N products, T (rows x N^2) and the rows x m result
         self.groups = []
         for rows, q in _schur_groups(counts, N):
             step = max(1, _CHUNK_FLOATS // max(q * N, N * N, m))
-            for chunk in np.split(rows, range(step, len(rows), step)):
+            for chunk in (rows[at:at + step] for at in range(0, len(rows), step)):
                 slot = np.arange(q)
                 pad = slot >= counts[chunk][:, None]
                 pos = np.where(pad, 0, self.indptr[chunk][:, None] + slot)
                 I, J = np.divmod(self.cols[pos], N)
                 self.groups.append((chunk, I, J, np.where(pad, 0.0, self.vals[pos])[:, :, None]))
-        # the assembly's products T, sized for the largest chunk and reused
-        # by every iteration: made afresh, an array of megabytes is mapped
-        # and faulted in afresh each time
-        self._products = np.empty(max((len(g[0]) for g in self.groups), default=0) * N * N)
+        # each chunk's products T, a view of one array sized for the largest
+        # chunk and reused by every iteration: made afresh, an array of
+        # megabytes is mapped and faulted in afresh each time
+        products = np.empty(max((len(g[0]) for g in self.groups), default=0) * N * N)
+        self._products = [products[:len(g[0]) * N * N].reshape(-1, N, N) for g in self.groups]
 
     def _apply_A(self, X):
-        return np.bincount(self.rows, self.vals * X.take(self.cols), self.m)
+        AX = np.zeros(self.m)
+        csr_matvec(self.m, self.N * self.N, self.indptr, self.cols, self.vals, X.ravel(), AX)
+        return AX
 
     def _apply_At(self, y):
-        At_y = np.bincount(self.cols, self.vals * y.take(self.rows), self.N * self.N)
-        return At_y.reshape(self.N, self.N)
+        At_y = np.zeros((self.N, self.N))
+        csc_matvec(self.N * self.N, self.m, self.indptr, self.cols, self.vals, y, At_y.ravel())
+        return At_y
 
     # -- main loop ----------------------------------------------------------
 
@@ -306,7 +333,7 @@ class _HsdSolver:
         it = 0
 
         for it in range(1, cfg.max_iters + 1):
-            X, S = XS
+            X, S = XS[0], XS[1]
             mu = (_inner(X, S) + tau * kappa) / (self.N + 1)
 
             r_P, R_D, cx, by, scaled = self._measure(X, S, y, tau)
@@ -324,9 +351,9 @@ class _HsdSolver:
                 # Sinv and both step lengths; an X that fails Cholesky falls
                 # back, an S ends the solve
                 try:
-                    L = np.linalg.inv(np.linalg.cholesky(XS))
-                except np.linalg.LinAlgError:
-                    L = np.array((_inverse_cholesky(X), np.linalg.inv(np.linalg.cholesky(S))))
+                    L = _inverse_factor(XS)
+                except LinAlgError:
+                    L = np.array((_inverse_cholesky(X), _inverse_factor(S)))
                 Sinv = L[1].T @ L[1]
                 factor = _schur_factor(self._schur_matrix(Sinv, X))
 
@@ -351,11 +378,11 @@ class _HsdSolver:
                 corr = self._refine(X, Sinv, factor, corr, r_P, 1.0 - sigma)
                 alpha = _STEP_FRACTION * self._max_step(L, tau, kappa, corr)
                 alpha = min(alpha, 1.0)
-            except np.linalg.LinAlgError:
+            except LinAlgError:
                 return self._abnormal(
                     "iterate left the cone numerically", best, merit, XS, y, tau, it
                 )
-            if not np.isfinite(alpha_aff + alpha):
+            if not math.isfinite(alpha_aff + alpha):
                 return self._abnormal(
                     "non-finite Newton direction", best, merit, XS, y, tau, it
                 )
@@ -435,16 +462,15 @@ class _HsdSolver:
         scale = max(tau, 1e-10)
         (Xh, Sh), yh = XS / scale, y / scale
         r_P, R_D, pobj, dobj, _ = self._measure(Xh, Sh, yh, 1.0)
-        ends = np.cumsum(self.sizes)
         ray, ray_res = (payload if payload is not None else (None, None))
         return SdpSolution(
-            primal_blocks=[Xh[e - s:e, e - s:e] for s, e in zip(self.sizes, ends)],
+            primal_blocks=[Xh[e - s:e, e - s:e] for s, e in zip(self.sizes, self.ends)],
             dual=yh,
             status=status,
             primal_residual=_norm(r_P),
             dual_residual=_norm(R_D),
             duality_gap=abs(pobj - dobj),
-            min_eigenvalue=float(np.linalg.eigvalsh(Xh)[0]),
+            min_eigenvalue=float(lapack_eigvalsh(Xh)[0]),
             iterations=iterations,
             primal_objective=pobj,
             dual_objective=dobj,
@@ -460,14 +486,18 @@ class _HsdSolver:
         A vec(S^{-1} A_k X), with S^{-1} A_k X the sum of q outer products of
         columns of S^{-1} and rows of X, one per stored entry, batched over
         the rows of a group."""
-        M = np.zeros((self.m, self.m))
-        N = self.N
-        for rows, I, J, V in self.groups:
+        m, N = self.m, self.N
+        Mt = np.zeros((m, m))  # M^T, a row's products in a column
+        for (rows, I, J, V), T in zip(self.groups, self._products):
             k = len(rows)
-            T = np.matmul((Sinv.T.take(I, 0) * V).transpose(0, 2, 1), X.take(J, 0),
-                          out=self._products[:k * N * N].reshape(k, N, N))
-            M[rows] = (self.A_used @ T.reshape(k, -1).T[self.used]).T
-        return 0.5 * (M + M.T)
+            np.matmul((Sinv.T.take(I, 0) * V).transpose(0, 2, 1), X.take(J, 0), out=T)
+            # scipy's CSR kernel, as `csr_matrix @ dense` calls it: A on the
+            # used columns times those rows of T^T, summed entry by entry
+            AT = np.zeros((m, k))
+            csr_matvecs(m, len(self.used), k, self.indptr, self.used_cols, self.vals,
+                        T.reshape(k, -1).T[self.used], AT)
+            Mt[:, rows] = AT
+        return 0.5 * (Mt + Mt.T)
 
     def _newton_base(self, X, tau, kappa, Sinv, factor, r_P, R_D):
         """The sigma-independent half of the Newton system, (A(Q) - r_P,
@@ -493,8 +523,8 @@ class _HsdSolver:
         Xi = sigma * mu * Sinv - X
         rc_t = sigma * mu - tau * kappa
         if aff is not None:
-            (dX_aff, dS_aff), _, dtau_aff, dkappa_aff = aff
-            Xi -= Sinv @ dS_aff @ dX_aff
+            dXS_aff, _, dtau_aff, dkappa_aff = aff
+            Xi -= Sinv @ dXS_aff[1] @ dXS_aff[0]
             rc_t -= dtau_aff * dkappa_aff
         v = eta * h_r - self._apply_A(Xi)
         u = -eta * r_G + _inner(self.C, Xi) - eta * e + rc_t / tau
@@ -538,7 +568,7 @@ class _HsdSolver:
         if not np.isfinite(W).all():
             return np.nan
         alpha = 1e30
-        for lam in np.linalg.eigvalsh(0.5 * (W + W.transpose(0, 2, 1)))[:, 0].tolist():
+        for lam in lapack_eigvalsh(0.5 * (W + W.transpose(0, 2, 1)))[:, 0].tolist():
             if lam < 0:
                 alpha = min(alpha, -1.0 / lam)
         if dtau < 0:
@@ -550,7 +580,8 @@ class _HsdSolver:
     def _mu_after(self, XS, tau, kappa, direction, alpha):
         dXS, _, dtau, dkappa = direction
         alpha = min(alpha * _STEP_FRACTION, 1.0)
-        XS_dot = _inner(*(XS + alpha * dXS))
+        stepped = XS + alpha * dXS
+        XS_dot = _inner(stepped[0], stepped[1])
         return (XS_dot + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (self.N + 1)
 
 
@@ -561,13 +592,13 @@ def _schur_groups(counts, N):
     n = np.bincount(counts, minlength=1)
     n[0] = 0  # rows without entries join no group
     tops, rows = [], 0
-    for q in np.flatnonzero(n).tolist():
+    for q in n.nonzero()[0].tolist():
         if not tops or N * N * rows * (q - tops[-1]) >= _GROUP_FLOPS:
             tops.append(q)
             rows = 0
         tops[-1], rows = q, rows + int(n[q])
     group = np.searchsorted(tops, counts)
-    return [(np.flatnonzero((group == g) & (counts > 0)), q) for g, q in enumerate(tops)]
+    return [(((group == g) & (counts > 0)).nonzero()[0], q) for g, q in enumerate(tops)]
 
 
 def _inner(a, b):
@@ -579,7 +610,8 @@ def _inner(a, b):
 
 def _norm(v):
     """||v||, computed as np.linalg.norm computes it, without its wrapper."""
-    return float(np.sqrt(np.vdot(v, v)))
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 def _merit(scaled):
@@ -593,14 +625,14 @@ def _schur_factor(M):
     diag = None
     for attempt in range(8):
         try:
-            return np.linalg.inv(np.linalg.cholesky(M))
-        except np.linalg.LinAlgError:
+            return _inverse_factor(M)
+        except LinAlgError:
             if diag is None:
                 diag = M.diagonal().copy()
                 base = max(np.trace(M) / max(len(M), 1), 1.0)
             # the same matrix as M + jitter * I, written in place
             np.fill_diagonal(M, diag + base * (1e-14 * 10 ** attempt))
-    raise np.linalg.LinAlgError("Schur complement not PD")
+    raise LinAlgError("Schur complement not PD")
 
 
 def _schur_solve(inv_L, rhs):
@@ -616,9 +648,37 @@ def _inverse_cholesky(mat):
     """The inverse of the Cholesky factor L of a positive definite matrix;
     one that fails Cholesky is first moved to eigenvalues >= 1e-14."""
     try:
-        L = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(mat)
-        w = np.clip(w, 1e-14, None)
-        L = np.linalg.cholesky(V @ np.diag(w) @ V.T)
-    return np.linalg.inv(L)
+        return _inverse_factor(mat)
+    except LinAlgError:
+        w, V = lapack_eigh(mat)
+        return _inverse_factor(V @ np.diag(np.clip(w, 1e-14, None)) @ V.T)
+
+
+def _lapack(*calls):
+    """numpy.linalg's LAPACK calls without its wrappers, which cost more
+    than the call itself on a tiny matrix: the arrays numpy.linalg returns,
+    and the LinAlgError it raises.  Each call is a gufunc, its signature
+    and numpy.linalg's error message, applied to what the call before it
+    returned.  A matrix that fails comes back as NaN with the floating-point
+    invalid flag raised, which numpy.linalg turns into the error too."""
+
+    @np.errstate(all="ignore", invalid="raise")
+    def apply(*args):
+        for gufunc, signature, failure in calls:
+            try:
+                args = (gufunc(*args, signature=signature),)
+            except FloatingPointError:
+                raise LinAlgError(failure) from None
+        return args[0]
+
+    return apply
+
+
+_CHOLESKY = (_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+_INV = (_umath_linalg.inv, "d->d", "Singular matrix")
+# np.linalg.inv(np.linalg.cholesky(a)): the inverse of each matrix's Cholesky factor
+_inverse_factor = _lapack(_CHOLESKY, _INV)
+# np.linalg.eigvalsh(a), np.linalg.eigh(a) and np.linalg.solve(a, b) for a matrix b
+lapack_eigvalsh = _lapack((_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge"))
+lapack_eigh = _lapack((_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge"))
+lapack_solve = _lapack((_umath_linalg.solve, "dd->d", "Singular matrix"))

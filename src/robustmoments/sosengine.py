@@ -14,14 +14,14 @@ terms as exponent rows (`_flatten`), and exact lookup by each row's bytes,
 with the distinct rows in grlex order (`_MonomialTable`); equal rows are
 summed by `_merge`.  `verify_certificate` expands a certificate's identity
 on the same kernel, but not on the search's matrix.  Both builders write their
-equality rows as one CSR matrix on the packed SDP entries (`sdp.pack`),
-then the free scalars (the affine equalities' free variables,
-equality-multiplier coefficients and margins), and hand it to `presolve`.
-It eliminates the free scalars, which `find_sos_combination` reads back
-from the PSD blocks after the solve, and leaves out the rows that vanish
-and those the others imply, naming any contradiction among them;
-`SdpProblem` takes what is left as it is, so every SDP posed here has PSD
-blocks only.
+equality rows as entry arrays (row, column, value) on the packed SDP
+entries (`sdp.pack`), then the free scalars (the affine equalities' free
+variables, equality-multiplier coefficients and margins), and hand them to
+`presolve`.  It eliminates the free scalars, which `find_sos_combination`
+reads back from the PSD blocks after the solve, and leaves out the rows
+that vanish and those the others imply, naming any contradiction among
+them; `SdpProblem` takes the CSR matrix of what is left as it is, so every
+SDP posed here has PSD blocks only.
 
 The moment block is solved on its face.  An equality g whose product with a
 monomial m has every monomial in the basis gives a coefficient vector v with
@@ -61,7 +61,8 @@ from .polycore import (
     index_multiplicity,
     monomials_of_degree,
 )
-from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack
+from .sdp import DEFAULT_CONSTRAINT_CAP, SdpConfig, SdpProblem, pack, unpack, upper_indices
+from .sdp import lapack_eigh, lapack_eigvalsh, lapack_solve
 from .sdp import solve as sdp_solve
 
 
@@ -228,9 +229,9 @@ def _csr(rows, cols, vals, shape):
     """The CSR matrix of the entries (rows, cols, vals), each row's entries
     in the order given; within a row they must be by column ascending."""
     index = np.int32 if max(shape[1], len(vals)) < 2**31 else np.int64  # as scipy picks
-    order = np.argsort(rows, kind="stable")
+    order = rows.argsort(kind="stable")
     indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    indptr[1:] = np.bincount(rows, minlength=shape[0]).cumsum()
     return sparse.csr_matrix((vals[order], cols[order].astype(index), indptr), shape=shape)
 
 
@@ -249,17 +250,20 @@ def _pivoted_cholesky(G, tol, tie=0.0):
     n = len(G)
     L = np.zeros((n, n))
     resid = G.diagonal().copy()
-    pivots = []
+    pivots, taken = [], np.zeros(n, dtype=bool)  # the rows taken, in order and as a mask
     for step in range(n):
-        top = np.max(resid)
+        top = resid[resid.argmax()]  # the largest, NaN if any is
         if top <= tol:
             break
-        p = int(np.argmax(resid >= top * (1.0 - tie)))
-        col = (G[:, p] - L[:, :step] @ L[p, :step]) / math.sqrt(resid[p])
-        col[pivots] = 0.0
+        p = int((resid >= top * (1.0 - tie)).argmax())
+        col = G[:, p] - L[:, :step] @ L[p, :step]
+        col /= math.sqrt(resid[p])
+        col[taken] = 0.0
         L[:, step] = col
-        resid -= col * col
+        col *= col
+        resid -= col
         resid[p] = -np.inf
+        taken[p] = True
         pivots.append(p)
     return pivots, L[:, :len(pivots)]
 
@@ -320,23 +324,30 @@ def presolve(A, b, num_free, objective=None):
     makes the system infeasible.  (Andersen and Andersen, Math. Prog. 71,
     1995, presolve sparse rows the same way.)
     """
-    m, width = A.shape
+    row_of = np.arange(A.shape[0]).repeat(A.indptr[1:] - A.indptr[:-1])
+    return _presolve(row_of, A.indices, A.data, A.shape, b, num_free, objective)
+
+
+def _presolve(row_of, cols, vals, shape, b, num_free, objective):
+    """`presolve` on A's entries (row_of, cols, vals), at most one for each
+    row and column, each row's by column: the builders hand theirs over as
+    they make them, without a CSR matrix."""
+    m, width = shape
     n = width - num_free
     b = np.array(b, dtype=float)
     c = np.zeros(width) if objective is None else np.array(objective, dtype=float)
-    row_of = np.repeat(np.arange(m), np.diff(A.indptr))
-    holds = np.bincount(row_of[A.indices >= n], minlength=m) > 0
-    touched, mine = np.flatnonzero(holds), holds[row_of]
+    holds = np.bincount(row_of[cols >= n], minlength=m) > 0
+    touched, mine = holds.nonzero()[0], holds[row_of]
     T, bt = np.zeros((len(touched), width)), b[touched]
-    T[np.cumsum(holds)[row_of[mine]] - 1, A.indices[mine]] = A.data[mine]
-    col_scale = np.max(np.abs(T), axis=0, initial=0.0)
-    c_scale = np.max(np.abs(c), initial=0.0)
-    fill_floor = _FILL_TOL * np.max(col_scale, initial=0.0)
+    T[holds.cumsum()[row_of[mine]] - 1, cols[mine]] = vals[mine]
+    col_scale = np.abs(T).max(axis=0, initial=0.0)
+    c_scale = np.abs(c).max(initial=0.0)
+    fill_floor = _FILL_TOL * col_scale.max(initial=0.0)
     live = np.ones(len(touched), dtype=bool)
     pivots = []
     for col in range(n, width):
         height = np.where(live, np.abs(T[:, col]), 0.0)
-        if np.max(height, initial=0.0) <= _FREE_TOL * col_scale[col]:
+        if height.max(initial=0.0) <= _FREE_TOL * col_scale[col]:
             if abs(c[col]) > _FREE_TOL * c_scale:
                 raise ValueError(
                     f"free scalar {col - n} has an objective coefficient but "
@@ -344,12 +355,12 @@ def presolve(A, b, num_free, objective=None):
                 )
             T[:, col] = 0.0
             continue
-        p = int(np.argmax(height))
+        p = int(height.argmax())
         live[p] = False
         row, rhs = T[p] / T[p, col], bt[p] / T[p, col]
-        others = np.flatnonzero(live & (T[:, col] != 0.0))
+        others = (live & (T[:, col] != 0.0)).nonzero()[0]
         lam = T[others, col]
-        T[others] -= np.outer(lam, row)
+        T[others] -= lam[:, None] * row
         T[others, col] = 0.0
         bt[others] -= lam * rhs
         c -= c[col] * row
@@ -361,27 +372,27 @@ def presolve(A, b, num_free, objective=None):
     # the rows on x: the reduced rows in place of those that held a free
     # column, the pivot rows left out; every entry is in a row left
     T = T[live, :n]
-    tr, tc = np.nonzero(T)
+    tr, tc = T.nonzero()
     rows = np.concatenate([row_of[~mine], touched[live][tr]])
-    cols = np.concatenate([A.indices[~mine], tc])
-    vals = np.concatenate([A.data[~mine], T[tr, tc]])
+    cols = np.concatenate([cols[~mine], tc])
+    vals = np.concatenate([vals[~mine], T[tr, tc]])
     left = np.ones(m, dtype=bool)
     left[touched[~live]] = False
     norms = np.sqrt(np.bincount(rows, weights=vals * vals, minlength=m))
-    vanished = np.flatnonzero(left & (norms == 0.0))
+    vanished = (left & (norms == 0.0)).nonzero()[0]
     contradiction = None
-    if np.any(np.abs(b[vanished]) > 1e-12):
+    if (np.abs(b[vanished]) > 1e-12).any():
         contradiction = "an equality row vanishes but demands %r" % (
             b[vanished][np.argmax(np.abs(b[vanished]))]
         )
-    rest = np.flatnonzero(left & (norms > 0.0))
+    rest = (left & (norms > 0.0)).nonzero()[0]
     bu = b[rest] / norms[rest]
-    G = _gram(np.searchsorted(rest, rows), cols, vals / norms[rows], len(rest))
+    G = _gram(rest.searchsorted(rows), cols, vals / norms[rows], len(rest))
     kept, L = _pivoted_cholesky(G, _DEPENDENT_TOL, _TIE_TOL)
     dependent = sorted(set(range(len(rest))) - set(kept))
     if dependent and contradiction is None:
         # each dependent row is alpha . (kept rows) with Lk^T alpha = L[row]
-        alpha = np.linalg.solve(L[kept].T, L[dependent].T)
+        alpha = lapack_solve(L[kept].T, L[dependent].T)
         want = bu[kept] @ alpha
         spread = 1.0 + np.abs(bu[kept]) @ np.abs(alpha)
         bad = np.abs(bu[dependent] - want) > 1e-9 * spread
@@ -392,9 +403,11 @@ def presolve(A, b, num_free, objective=None):
                 float(bu[dependent[k]] * scale), float(want[k] * scale)
             )
     kept = rest[sorted(kept)]
-    take = np.isin(rows, kept)
+    is_kept = np.zeros(m, dtype=bool)
+    is_kept[kept] = True
+    take = is_kept[rows]
     return Presolved(
-        _csr(np.searchsorted(kept, rows[take]), cols[take], vals[take], (len(kept), n)),
+        _csr(kept.searchsorted(rows[take]), cols[take], vals[take], (len(kept), n)),
         b[kept], c[:n], pivots, num_free, len(vanished), len(dependent), contradiction,
     )
 
@@ -403,11 +416,11 @@ def _gram(rows, cols, vals, size):
     """The Gram matrix of the `size` rows of the entries (rows, cols, vals):
     every pair of entries in a column adds its product, the columns taken
     in ascending order."""
-    order = np.argsort(cols, kind="stable")
+    order = cols.argsort(kind="stable")
     count = np.bincount(cols)
     g, k, _ = _segments(count * count)
     p, q = np.divmod(k, count[g])
-    first = (np.cumsum(count) - count)[g]
+    first = (count.cumsum() - count)[g]
     i, j = order[first + p], order[first + q]
     G = np.bincount(rows[i] * size + rows[j], weights=vals[i] * vals[j], minlength=size * size)
     return G.reshape(size, size)
@@ -429,7 +442,7 @@ def _grlex_order(E):
 def _pair_products(B):
     """The pairs i <= j of the basis exponent rows B, row-major, and their
     products B[i] + B[j]."""
-    iu, ju = np.triu_indices(len(B))
+    iu, ju = upper_indices(len(B))
     return iu, ju, B[iu] + B[ju]
 
 
@@ -448,8 +461,8 @@ def _flatten(polys, nv):
 def _segments(counts):
     """Segments of the given lengths laid end to end: each element's
     segment, its offset within that segment, and each segment's start."""
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = counts.cumsum() - counts
+    owner = np.arange(len(counts)).repeat(counts)
     return owner, np.arange(len(owner)) - starts[owner], starts
 
 
@@ -471,16 +484,16 @@ class _MonomialTable:
     def __init__(self, E):
         self.rows, self.width, self.dtype = E, E.shape[1], E.dtype
         keys = _row_keys(E)
-        self.order = np.argsort(keys, kind="stable")
+        self.order = keys.argsort(kind="stable")
         self.keys = keys[self.order]
         starts = np.ones(len(keys), dtype=bool)
         starts[1:] = self.keys[1:] != self.keys[:-1]
         self.first = np.empty(len(keys), dtype=self.order.dtype)
-        self.first[self.order] = self.order[starts][np.cumsum(starts) - 1]
+        self.first[self.order] = self.order[starts][starts.cumsum() - 1]
 
     def grlex(self):
         """The distinct rows in grlex order, and each row's index among them."""
-        canon = np.flatnonzero(self.first == np.arange(len(self.first)))
+        canon = (self.first == np.arange(len(self.first))).nonzero()[0]
         canon = canon[_grlex_order(self.rows[canon])]
         rank = np.empty(len(self.first), dtype=int)
         rank[canon] = np.arange(len(canon))
@@ -492,7 +505,7 @@ class _MonomialTable:
         if not len(self.keys):
             return np.full(E.shape[:-1], -1)
         q = _row_keys(E.reshape(-1, self.width))
-        pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
+        pos = np.minimum(self.keys.searchsorted(q), len(self.keys) - 1)
         found = np.where(self.keys[pos] == q, self.order[pos], -1)
         return found.reshape(E.shape[:-1])
 
@@ -534,11 +547,11 @@ def face_basis(K):
     """
     if not len(K):
         return np.eye(K.shape[1])
-    lam, U = np.linalg.eigh(K.T @ K)
+    lam, U = lapack_eigh(K.T @ K)
     U = U[:, lam <= _FACE_TOL * lam[-1]]
     P = U @ U.T
     free = sorted(_pivoted_cholesky(P, _FACE_TOL)[0])
-    V = np.linalg.solve(P[np.ix_(free, free)], P[free]).T
+    V = lapack_solve(P[free][:, free], P[free]).T
     V[np.abs(V) <= _FACE_TOL] = 0.0
     V[free] = np.eye(len(free))
     return V
@@ -562,9 +575,9 @@ def _face_rows(V, num_rows, moment):
     r = V.shape[1]
     row, I, J = moment[:, :3].astype(int).T
     W = moment[:, 3]
-    nz_row, nz_col = np.nonzero(V)
+    nz_row, nz_col = V.nonzero()
     count = np.bincount(nz_row, minlength=len(V))
-    start = np.cumsum(count) - count
+    start = count.cumsum() - count
     # each entry's products of a nonzero of V[i] with one of V[j]
     e, k, _ = _segments(count[I] * count[J])
     ka, kb = np.divmod(k, count[J][e])
@@ -659,11 +672,11 @@ def relax(system, objective=None, sense="min", basis=None):
     V^T v = 0 makes hold for every Z (`rows_implied` counts them).  The
     rows built, and the objective as one more row, are mapped onto Z as
     entry arrays (`_face_rows`); with the affine rows' entries on the
-    auxiliary blocks and free scalars, as columns after Z's, they make one
-    CSR matrix.  `presolve` eliminates the free scalars and leaves out the
-    rows that vanish on the face and those dependent on the rest.  The
-    relaxation is `trivially_infeasible`, and no SDP needs solving, when
-    the face leaves out the constant monomial or the presolve finds a
+    auxiliary blocks and free scalars, as columns after Z's, they are the
+    entries `presolve` reduces: it eliminates the free scalars and leaves
+    out the rows that vanish on the face and those dependent on the rest.
+    The relaxation is `trivially_infeasible`, and no SDP needs solving,
+    when the face leaves out the constant monomial or the presolve finds a
     contradiction.  The constraint cap counts the rows built.
     """
     nv = system.num_vars
@@ -698,8 +711,8 @@ def relax(system, objective=None, sense="min", basis=None):
 
     # the rows' entries on X0, (row, i, j, value) with rows ascending, as
     # `_face_rows` takes them: row 0 is E~[1] = 1, then the Hankel rows
-    later = np.flatnonzero(first != np.arange(len(iu)))
-    later = later[np.argsort(first[later], kind="stable")]
+    later = (first != np.arange(len(iu))).nonzero()[0]
+    later = later[first[later].argsort(kind="stable")]
     at = np.column_stack([first[later], later]).ravel()
     moment = [np.array([[0, 0, 0, 1.0]]), np.column_stack([
         np.repeat(np.arange(1, 1 + len(later)), 2), iu[at], ju[at],
@@ -717,9 +730,9 @@ def relax(system, objective=None, sense="min", basis=None):
     lead = np.lexsort((-t_deg, t_owner))[t_start]  # g's first term of top degree
     by_grlex = pairs.grlex()[0]
     excluded = np.tile(by_grlex.sum(axis=1) > ell, (len(eqs), 1))  # deg m > ell - deg g
-    eq, col = np.nonzero(T[lead])  # divisibility matters only where lead > 0
+    eq, col = T[lead].nonzero()  # divisibility matters only where lead > 0
     np.logical_or.at(excluded, eq, by_grlex[:, col].T < T[lead[eq], col, None])
-    g_of, m_of = np.nonzero(~excluded)
+    g_of, m_of = (~excluded).nonzero()
     mult = by_grlex[m_of] - T[lead[g_of]]
     owner, offset, starts = _segments(counts[g_of])
     term = t_start[g_of][owner] + offset
@@ -729,9 +742,9 @@ def relax(system, objective=None, sense="min", basis=None):
             & (mult.sum(axis=1, dtype=int) <= ell - t_deg[lead[g_of]] - top))
     # kernel vectors by equality, then by the basis index of m times g's
     # first term; the implied multipliers keyed on (equality, monomial)
-    kc, in_k = np.flatnonzero(kern), kern[owner]
+    kc, in_k = kern.nonzero()[0], kern[owner]
     K = np.zeros((len(kc), bsize))
-    K[np.cumsum(kern)[owner[in_k]] - 1, ju[at[in_k]]] = coefs[term[in_k]]
+    K[kern.cumsum()[owner[in_k]] - 1, ju[at[in_k]]] = coefs[term[in_k]]
     K = K[np.lexsort((ju[at[starts[kc]]], g_of[kc]))]
     implied = _MonomialTable(np.column_stack(
         [np.repeat(g_of[kc], bsize), (mult[kc, None] + B).reshape(-1, nv)]).astype(key))
@@ -740,7 +753,7 @@ def relax(system, objective=None, sense="min", basis=None):
     emit = built & ~skip
     keep = emit[owner]
     at = at[keep]
-    moment.append(np.column_stack([num_rows + np.cumsum(emit)[owner[keep]] - 1,
+    moment.append(np.column_stack([num_rows + emit.cumsum()[owner[keep]] - 1,
                                    iu[at], ju[at], coefs[term[keep]]]))
     num_rows += int(np.count_nonzero(emit))
 
@@ -777,12 +790,14 @@ def relax(system, objective=None, sense="min", basis=None):
     objective = np.zeros(width)
     last = rows == num_rows  # the objective row, the last, has Z entries only
     objective[cols[last]] = vals[last]
-    ar, ac = np.nonzero(system.affine_rows)
-    R = _csr(np.concatenate([rows[~last], affine + ar]), np.concatenate([cols[~last], z_width + ac]),
-             np.concatenate([vals[~last], system.affine_rows[ar, ac]]), (num_rows, width))
+    # each row's Z entries, then its entries on the blocks and scalars
+    ar, ac = system.affine_rows.nonzero()
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
-    presolved = presolve(R, rhs, system.num_free, objective=objective)
+    presolved = _presolve(
+        np.concatenate([rows[~last], affine + ar]), np.concatenate([cols[~last], z_width + ac]),
+        np.concatenate([vals[~last], system.affine_rows[ar, ac]]), (num_rows, width),
+        rhs, system.num_free, objective)
     problem = SdpProblem(block_sizes, presolved.rows, presolved.rhs, presolved.objective)
     return MomentRelaxation(
         system, basis, problem, pairs, gather, presolved, V, rows_implied,
@@ -974,7 +989,7 @@ def verify_certificate(cert, tolerance=1e-8):
         weights = np.where(iu == ju, -1.0, -2.0) * G[iu, ju]
         parts.append(_times(products, weights, *_flatten([premise], nv)[:2]))
         if len(G):
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(G)[0]))
+            min_eig = min(min_eig, float(lapack_eigvalsh(G)[0]))
     for equality, multiplier in cert.multipliers:
         E, coefs, counts = _flatten([equality, multiplier], nv)
         parts.append(_times(E[:counts[0]], -coefs[:counts[0]], E[counts[0]:],
@@ -1065,7 +1080,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
 
     The identity is posed on the matrix of `coefficient_matrix`, extended by
     a margin column and by a row for each margin or target monomial that no
-    multiplier reaches, all in grlex order.  `presolve` takes that matrix:
+    multiplier reaches, all in grlex order.  `presolve` takes its entries:
     it removes the free columns (the coefficients of q_j and t), so the SDP
     has only the Gram blocks and maximizes t as a linear objective on them,
     and it names a coefficient the identity cannot match; q_j and t come
@@ -1104,8 +1119,8 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
     objective = np.zeros(A.shape[1])
     if margin is not None:
         objective[-1] = -1.0
-    nz = np.nonzero(A)
-    presolved = presolve(_csr(*nz, A[nz], A.shape), b, num_free, objective)
+    nz = A.nonzero()
+    presolved = _presolve(*nz, A[nz], A.shape, b, num_free, objective)
     solution = None
     if presolved.contradiction is None:
         problem = SdpProblem(sizes, presolved.rows, presolved.rhs, presolved.objective)
@@ -1128,7 +1143,7 @@ def find_sos_combination(target, sos_premises, equality_premises=(), degree=None
         # unpack, project grams to the PSD cone, repack
         grams = []
         for H in unpack(vec[:n_gram], sizes):
-            w, V = np.linalg.eigh(H)
+            w, V = lapack_eigh(H)
             grams.append((V * np.clip(w, 0.0, None)) @ V.T)
         vec = np.concatenate([pack(grams), vec[n_gram:]])
 
@@ -1326,8 +1341,13 @@ def sos_norm(tensor, degree=None):
     if result.status != "Optimal":
         raise RuntimeError(f"sos_norm relaxation did not converge: {result.detail}")
     problem, y = result.relaxation.problem, result.sdp.dual
-    slack = unpack(problem.c - problem.A.T @ y, problem.block_sizes, off=0.5)
-    lam = min(float(np.linalg.eigvalsh(S)[0]) for S in slack)
+    # A^T y summed as `problem.A.T @ y` sums it, row by row, without
+    # building the transpose
+    A = problem.A
+    At_y = np.bincount(A.indices, A.data * np.repeat(y, A.indptr[1:] - A.indptr[:-1]),
+                       A.shape[1])
+    slack = unpack(problem.c - At_y, problem.block_sizes, off=0.5)
+    lam = min(float(lapack_eigvalsh(S)[0]) for S in slack)
     value = -float(problem.rhs @ y) + len(result.relaxation.basis) * max(0.0, -lam)
     if value <= 0.0:
         return 0.0

@@ -219,15 +219,14 @@ def test_entry_constraints_match_dense():
     from robustmoments import sdp
 
     solver, other = sdp._HsdSolver(dense, SdpConfig()), sdp._HsdSolver(entry, SdpConfig())
-    for attr in ("indptr", "cols", "rows", "vals"):
+    for attr in ("indptr", "cols", "vals"):
         assert np.array_equal(getattr(solver, attr), getattr(other, attr))
-    # each entry's row is the CSR row it sits in
-    assert np.array_equal(solver.rows, np.repeat(np.arange(4), np.diff(solver.indptr)))
-    # the rows are held once: the Schur projection reads the same arrays
-    assert np.shares_memory(solver.A_used.data, solver.vals)
+    # the rows are held once: the Schur projection reads the same values,
+    # each entry on its column among the columns A reads
+    assert np.array_equal(solver.used[solver.used_cols], solver.cols)
     # X[0, 2] and X[2, 0] take half the coefficient each
     A_dense = np.zeros((4, 9))
-    A_dense[solver.rows, solver.cols] = solver.vals
+    A_dense[np.repeat(np.arange(4), np.diff(solver.indptr)), solver.cols] = solver.vals
     assert A_dense[3, 2] == A_dense[3, 6] == 1.0
 
     a = solve(dense)
@@ -383,16 +382,18 @@ def test_schur_factor_solves_like_dense_solve(n, cond):
 def test_duplicated_rows_take_the_jitter(monkeypatch):
     # two equal rows make the 3 x 3 Schur matrix singular; jitter on its
     # diagonal lets it factor, and the solve still ends Optimal
-    cholesky, failed = np.linalg.cholesky, []
+    from robustmoments import sdp
+
+    inverse_factor, failed = sdp._inverse_factor, []
 
     def counting(mat):
         try:
-            return cholesky(mat)
+            return inverse_factor(mat)
         except np.linalg.LinAlgError:
             failed.append(mat.shape)
             raise
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(sdp, "_inverse_factor", counting)
     G = np.random.default_rng(3).normal(size=(4, 4))
     A1 = 0.5 * (G + G.T)
     # X = I / 2 is feasible
@@ -457,6 +458,88 @@ def test_pack_unpack_round_trip():
     # a stack of blocks packs one by one
     stack = np.stack([blocks[0], 2 * blocks[0]])
     assert np.array_equal(pack([stack]), np.stack([vec[:6], 2 * vec[:6]]))
+
+
+def test_upper_indices_are_triu_indices():
+    from robustmoments.sdp import upper_indices
+
+    for n in range(0, 70):
+        for got, want in zip(upper_indices(n), np.triu_indices(n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _lapack_helpers():
+    """The LAPACK helpers of `sdp`, each beside the numpy.linalg call it
+    stands for; solve takes two right-hand sides."""
+    from robustmoments import sdp
+
+    def rhs(a):
+        return np.broadcast_to(np.linspace(1.0, 2.0, 2 * a.shape[-1]).reshape(-1, 2),
+                               a.shape[:-1] + (2,))
+
+    return {
+        "cholesky": (sdp._lapack(sdp._CHOLESKY), np.linalg.cholesky),
+        "inv": (sdp._lapack(sdp._INV), np.linalg.inv),
+        "inverse factor": (sdp._inverse_factor, lambda a: np.linalg.inv(np.linalg.cholesky(a))),
+        "eigvalsh": (sdp.lapack_eigvalsh, np.linalg.eigvalsh),
+        "eigh": (sdp.lapack_eigh, np.linalg.eigh),
+        "solve": (lambda a: sdp.lapack_solve(a, rhs(a)), lambda a: np.linalg.solve(a, rhs(a))),
+    }
+
+
+def _same(got, want):
+    """The same arrays, dtype, shape and bytes alike (eigh gives two)."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _raises_as_numpy_does(helper, reference, a):
+    """Whether numpy.linalg raises LinAlgError on a, after checking that the
+    helper raises it too, or else returns the very same arrays."""
+    try:
+        want = reference(a)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            helper(a)
+        return True
+    assert _same(helper(a), want)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
+def test_linalg_helpers_equal_numpy_bit_for_bit(n):
+    # LAPACK without numpy.linalg's wrappers: on single matrices and on
+    # (2, n, n) stacks the helpers return the very same arrays
+    rng = np.random.default_rng(n)
+    for shape in [(n, n), (2, n, n)]:
+        G = rng.normal(size=shape)
+        pd = G @ np.swapaxes(G, -1, -2) + 0.1 * np.eye(n)
+        sym = G + np.swapaxes(G, -1, -2)
+        for name, (helper, reference) in _lapack_helpers().items():
+            for a in (pd, sym, np.linalg.cholesky(pd), G):
+                if not _raises_as_numpy_does(helper, reference, a):
+                    continue
+                assert name in ("cholesky", "inverse factor")  # only G and sym are not PD
+
+
+def test_linalg_helpers_raise_where_numpy_does():
+    pd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    not_pd = pd - 3.0 * np.eye(3)
+    singular = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])
+    inputs = [not_pd, singular, np.zeros((3, 3)), np.stack([pd, not_pd]),
+              np.stack([pd, singular])]
+    for i, j in [(0, 0), (2, 1), (1, 2)]:  # NaN on the diagonal, below and above it
+        nan = pd.copy()
+        nan[i, j] = np.nan
+        inputs += [nan, np.stack([pd, nan])]
+    raised = {(name, k) for name, (helper, reference) in _lapack_helpers().items()
+              for k, a in enumerate(inputs) if _raises_as_numpy_does(helper, reference, a)}
+    # numpy.linalg raises on each kind of input: not PD (Cholesky), singular
+    # (inv and solve) and NaN (eigvalsh)
+    assert {("cholesky", 0), ("inverse factor", 0), ("inv", 1), ("solve", 1),
+            ("eigvalsh", 5)} <= raised
 
 
 def test_packed_rows_are_the_dense_functional():
