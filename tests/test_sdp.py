@@ -519,9 +519,9 @@ def test_linalg_helpers_equal_numpy_bit_for_bit(n):
         sym = G + np.swapaxes(G, -1, -2)
         for name, (helper, reference) in _lapack_helpers().items():
             for a in (pd, sym, np.linalg.cholesky(pd), G):
-                if not _raises_as_numpy_does(helper, reference, a):
-                    continue
-                assert name in ("cholesky", "inverse factor")  # only G and sym are not PD
+                # of these, only a matrix that is not PD makes numpy.linalg raise
+                raised = _raises_as_numpy_does(helper, reference, a)
+                assert not raised or name in ("cholesky", "inverse factor")
 
 
 def test_linalg_helpers_raise_where_numpy_does():
